@@ -13,11 +13,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .algebra import Jet, LaurentPoly
-from .errors import DegeneratePotentialError, NoOneCutSolutionError
+from .errors import DegeneratePotentialError, InvalidParameterError, NoOneCutSolutionError
 
 __all__ = [
     "PotentialSpec",
@@ -41,6 +42,8 @@ class PotentialSpec:
     t: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not _is_finite(self.x):
+            raise InvalidParameterError("face weight x must be finite, got %r" % (self.x,))
         if not self.x > 0:
             raise ValueError("face weight x must be positive")
         clean = {}
@@ -48,6 +51,8 @@ class PotentialSpec:
             j = int(j)
             if j < 1:
                 raise ValueError("valences must be >= 1, got %d" % j)
+            if not _is_finite(v):
+                raise InvalidParameterError("coefficient t%d must be finite, got %r" % (j, v))
             clean[j] = v
         object.__setattr__(self, "t", clean)
 
@@ -77,13 +82,25 @@ class PotentialSpec:
         return PotentialSpec(self.x, {j: v * factor for j, v in self.t.items()})
 
 
+def _is_finite(v):
+    # rationals are finite however large; float() of a huge Fraction overflows
+    return isinstance(v, (int, Fraction)) or math.isfinite(v)
+
+
 def xvprime_coeffs(pot):
     """Ascending coefficients of x*V'(y) = y + sum_j j*t_j*y**(j-1).
 
     Integer base entries keep the list exact when the t_j are Fractions.
     """
+    c = _perturbation_coeffs(pot)
+    c[1] = c[1] + 1
+    return c
+
+
+def _perturbation_coeffs(pot):
+    """Ascending coefficients of sum_j j*t_j*y**(j-1), the part of x*V'(y)
+    that the homotopy t -> s*t scales."""
     c = [0] * pot.degree
-    c[1] = 1
     for j, tj in pot.t.items():
         c[j - 1] = c[j - 1] + j * tj
     return c
@@ -179,6 +196,15 @@ def _as_jet(v, orders):
     return v if isinstance(v, Jet) else Jet.constant(v, orders)
 
 
+def _newton_step(r, jac):
+    """Newton correction jac^-1 r by Cramer's rule, or None if jac is singular."""
+    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    if not np.isfinite(det) or abs(det) < 1e-300:
+        return None
+    return ((r[0] * jac[1, 1] - r[1] * jac[0, 1]) / det,
+            (r[1] * jac[0, 0] - r[0] * jac[1, 0]) / det)
+
+
 def _newton(pot, u, z, tol, max_iter=30):
     initial = None
     for it in range(max_iter):
@@ -189,10 +215,9 @@ def _newton(pot, u, z, tol, max_iter=30):
         if rn < tol:
             # one polishing step: quadratic convergence puts the parameter
             # error at rounding level rather than at the residual tolerance
-            det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-            if np.isfinite(det) and abs(det) > 1e-300:
-                u2 = u - (r[0] * jac[1, 1] - r[1] * jac[0, 1]) / det
-                z2 = z - (r[1] * jac[0, 0] - r[0] * jac[1, 0]) / det
+            step = _newton_step(r, jac)
+            if step is not None:
+                u2, z2 = u - step[0], z - step[1]
                 if np.isfinite(u2) and np.isfinite(z2) and z2 > 0:
                     r2, _ = _residual_and_jacobian(u2, z2, pot)
                     if np.max(np.abs(r2)) <= rn:
@@ -202,17 +227,74 @@ def _newton(pot, u, z, tol, max_iter=30):
         # iterations; anything still above its starting residual is diverging
         if rn > 1e6 or (it > 10 and rn > initial):
             return u, z, np.inf, False
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if not np.isfinite(det) or abs(det) < 1e-300:
+        step = _newton_step(r, jac)
+        if step is None:
             return u, z, np.inf, False
-        du = (r[0] * jac[1, 1] - r[1] * jac[0, 1]) / det
-        dz = (r[1] * jac[0, 0] - r[0] * jac[1, 0]) / det
-        u, z = u - du, z - dz
+        u, z = u - step[0], z - step[1]
         if not (np.isfinite(u) and np.isfinite(z)) or z <= 0:
             return u, z, np.inf, False
     r, _ = _residual_and_jacobian(u, z, pot)
     ok = np.max(np.abs(r)) < tol
     return u, z, float(np.max(np.abs(r))), ok
+
+
+def _locate_fold(pot, u, z, s0, max_iter=12):
+    """Homotopy parameter s* of a fold near the point (u, z) of the branch at s0.
+
+    Newton on the extended system {r1 = 0, r2 = 0, det J = 0} in (u, z, s),
+    the turning-point system of Allgower & Georg (Numerical Continuation
+    Methods, 1990), started at the last accepted point.  The homotopy scales
+    the perturbation only, so with P the residuals of that part alone
+    r = (u/x, z/x - 1) + s*P and J = I/x + s*dP are affine in s; one
+    evaluation of P on order-2 jets gives the extended system and its
+    Jacobian exactly.  An even potential keeps u = 0 and folds in z alone.
+    Returns None unless Newton converges with z* > 0.
+    """
+    x = float(pot.x)
+    g = 1.0 / x
+    coeffs = _perturbation_coeffs(pot)
+    even = pot.is_even
+    s = s0
+    for _ in range(max_iter):
+        p1, p2 = endpoint_residuals(Jet.variable(u, 0, (2, 2)), Jet.variable(z, 1, (2, 2)),
+                                    pot, _coeffs=coeffs)
+        # value, d/du, d/dz, d2/du2, d2/dudz, d2/dz2 of each residual of P;
+        # endpoint_residuals subtracts the Gaussian constant 1 from r2
+        d1, d2 = ([float(p.partial(k)) for k in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+                  for p in (p1, p2 + 1))
+        # J = [[a, b], [c, e]], with the (u, z, s)-gradient of each entry
+        a, grad_a = g + s * d1[1], (s * d1[3], s * d1[4], d1[1])
+        b, grad_b = s * d1[2], (s * d1[4], s * d1[5], d1[2])
+        c, grad_c = s * d2[1], (s * d2[3], s * d2[4], d2[1])
+        e, grad_e = g + s * d2[2], (s * d2[4], s * d2[5], d2[2])
+        if even:
+            # u = 0 is invariant, J = diag(a, e) there and a = e, so det J
+            # has a double root at the fold; solve the reduced system
+            # {r2 = 0, e = 0} in (z, s) instead, where the root is simple
+            f3, grad3 = x * e, [x * ge for ge in grad_e]
+        else:
+            # det J scaled by x**2, which makes it 1 at the Gaussian point
+            f3 = x * x * (a * e - b * c)
+            grad3 = [x * x * (ga * e + a * ge - gb * c - b * gc)
+                     for ga, gb, gc, ge in zip(grad_a, grad_b, grad_c, grad_e)]
+        f = np.array([g * u + s * d1[0], g * z - 1 + s * d2[0], f3])
+        jac = np.array([[a, b, d1[0]], [c, e, d2[0]], grad3])
+        du = 0.0
+        try:
+            if even:
+                dz, ds = np.linalg.solve(jac[1:, 1:], f[1:])
+            else:
+                du, dz, ds = np.linalg.solve(jac, f)
+        except np.linalg.LinAlgError:
+            return None
+        u, z, s = u - du, z - dz, s - ds
+        if not (np.isfinite(u) and np.isfinite(z) and np.isfinite(s)):
+            return None
+        if max(abs(du), abs(dz)) <= 1e-12 * max(1.0, abs(u), z) and abs(ds) <= 1e-12 * max(1.0, s):
+            break
+    else:
+        return None
+    return float(s) if z > 0 else None
 
 
 def solve_endpoints(pot, tol=1e-12, max_continuation_steps=64):
@@ -221,7 +303,10 @@ def solve_endpoints(pot, tol=1e-12, max_continuation_steps=64):
     Bivariate Newton started at the Gaussian point (0, x), continued along the
     linear homotopy t -> s*t with adaptive subdivision on Newton failure.  The
     branch through the Gaussian point is the one-cut branch; z > 0 is enforced
-    throughout.
+    throughout.  After a failed Newton step the fold of the branch is sought
+    between the last accepted s and the target; when one is found the solve
+    stops with a :class:`NoOneCutSolutionError` carrying ``s_star`` and
+    ``t_star``.
     """
     u, z = 0.0, float(pot.x)
     _, jac0 = _residual_and_jacobian(u, z, pot.scaled(0.0))
@@ -234,6 +319,7 @@ def solve_endpoints(pot, tol=1e-12, max_continuation_steps=64):
     step = 1.0
     steps = 0
     res = 0.0
+    fold_from = None  # s of the last fold search; its result is s_star
     while s < 1.0:
         if steps >= max_continuation_steps:
             raise NoOneCutSolutionError(
@@ -246,6 +332,16 @@ def solve_endpoints(pot, tol=1e-12, max_continuation_steps=64):
             u, z, res, s = u2, z2, res2, target
             step = min(2 * step, 1.0 - s if s < 1.0 else 1.0)
         else:
+            # the search depends on the start point alone, so it reruns only
+            # after an accepted step has moved it
+            if fold_from != s:
+                fold_from, s_star = s, _locate_fold(pot, u, z, s)
+            if s_star is not None and s < s_star <= target:
+                t_star = pot.scaled(s_star).t
+                raise NoOneCutSolutionError(
+                    "the one-cut branch folds at s*=%r, t*=%r; "
+                    "no one-cut solution reached" % (s_star, t_star),
+                    s_star=s_star, t_star=t_star)
             step /= 2
             if step < 1e-7:
                 raise NoOneCutSolutionError(

@@ -5,8 +5,22 @@ class EqmapError(Exception):
     """Base class for domain errors raised by this package."""
 
 
+class InvalidParameterError(EqmapError, ValueError):
+    """An input parameter lies outside its domain; the message names it."""
+
+
 class NoOneCutSolutionError(EqmapError):
-    """Endpoint continuation exhausted its budget without reaching the target."""
+    """Endpoint continuation exhausted its budget without reaching the target.
+
+    When the continuation stopped at a located fold of the one-cut branch,
+    ``s_star`` is the homotopy parameter of the fold and ``t_star`` the
+    coefficients ``{j: s_star * t_j}`` there; both are None otherwise.
+    """
+
+    def __init__(self, message, s_star=None, t_star=None):
+        super().__init__(message)
+        self.s_star = s_star
+        self.t_star = t_star
 
 
 class DegeneratePotentialError(EqmapError):

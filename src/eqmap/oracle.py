@@ -18,7 +18,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import CensusSizeError
+from .errors import CensusSizeError, EqmapError, InvalidParameterError
 
 __all__ = [
     "VertexProfile",
@@ -104,7 +104,9 @@ def _census_entries(sigma, first_partner=None):
         faces = _count_cycles(sigma, partner)
         if _is_connected(vertex_of, partner, n_vertices):
             g2 = 2 - n_vertices + n // 2 - faces
-            assert g2 % 2 == 0 and g2 >= 0
+            if g2 % 2 or g2 < 0:
+                raise EqmapError("Euler characteristic gives 2g = %d for a "
+                                 "connected gluing" % g2)
             key = (g2 // 2, faces)
             entries[key] = entries.get(key, 0) + 1
         else:
@@ -201,9 +203,10 @@ def census(profile, threads=None):
         return MapCensus(profile, {}, 0, 0)
     sigma = _rotation(profile)
     if threads is None:
-        threads = int(os.environ.get("EQMAP_THREADS", "1"))
-    if threads > 1 and n >= 8:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        threads = _env_threads()
+    workers = _worker_count(threads, n)
+    if workers > 1 and n >= 8:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_branch, [(sigma, p) for p in range(1, n)]))
     else:
         parts = [_census_entries(sigma, p) for p in range(1, n)]
@@ -214,8 +217,29 @@ def census(profile, threads=None):
         for key, cnt in ent.items():
             entries[key] = entries.get(key, 0) + cnt
     out = MapCensus(profile, entries, sum(entries.values()), disconnected)
-    assert out.total_matchings == _double_factorial_odd(n - 1)
+    expected = _double_factorial_odd(n - 1)
+    if out.total_matchings != expected:
+        raise EqmapError("census enumerated %d matchings of %d half-edges, expected %d"
+                         % (out.total_matchings, n, expected))
     return out
+
+
+def _env_threads():
+    """Census worker request from EQMAP_THREADS (default 1)."""
+    raw = os.environ.get("EQMAP_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise InvalidParameterError("EQMAP_THREADS must be an integer >= 1, got %r" % raw)
+    return threads
+
+
+def _worker_count(threads, n):
+    """Processes for a census of n half-edges: one branch per partner of
+    half-edge 0 at most, and no more than the machine's cores."""
+    return min(threads, n - 1, os.cpu_count() or 1)
 
 
 def _double_factorial_odd(n):

@@ -115,6 +115,12 @@ def test_domain_error_exit_code(capsys):
     assert "one-cut" in err
 
 
+def test_non_finite_t_exit_code(capsys):
+    code, _, err = run_cli(capsys, "endpoints", "--t", "4=nan")
+    assert code == 1
+    assert "t4" in err
+
+
 def test_bad_t_syntax_exit_code(capsys):
     code, _, err = run_cli(capsys, "endpoints", "--t", "nonsense")
     assert code == 1

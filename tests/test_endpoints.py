@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import eqmap.endpoints as endpoints
 from eqmap.algebra import inv_sqrt_R_series, series_times_poly_coeff
 from eqmap.endpoints import (
     PotentialSpec,
@@ -14,7 +15,7 @@ from eqmap.endpoints import (
     uz_jets,
     xvprime_coeffs,
 )
-from eqmap.errors import NoOneCutSolutionError
+from eqmap.errors import EqmapError, InvalidParameterError, NoOneCutSolutionError
 from eqmap.hfunc import h_classical
 
 
@@ -97,6 +98,71 @@ def test_solve_cubic_residuals_small():
 def test_solve_beyond_critical_quartic_raises():
     with pytest.raises(NoOneCutSolutionError):
         solve_endpoints(PotentialSpec(1.0, {4: -0.1}))
+
+
+@pytest.mark.parametrize("x", [0.8, 1.0, 1.2])
+@pytest.mark.parametrize("c", [1.1, 1.5, 2.0])
+@pytest.mark.parametrize("j", [4, 6])
+def test_fold_located_at_critical_coupling(monkeypatch, j, c, x):
+    # pure quartic: z + 12 t z**2 = x folds at t = -1/(48 x) (Bessis-Itzykson-
+    # Zuber); pure sextic: z + 60 t z**3 = x folds at t = -1/(405 x**2)
+    t_c = -1 / (48 * x) if j == 4 else -1 / (405 * x * x)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return endpoint_residuals(*args, **kwargs)
+
+    monkeypatch.setattr(endpoints, "endpoint_residuals", counted)
+    with pytest.raises(NoOneCutSolutionError) as info:
+        solve_endpoints(PotentialSpec(x, {j: c * t_c}))
+    err = info.value
+    assert set(err.t_star) == {j}
+    assert err.t_star[j] == pytest.approx(t_c, rel=1e-10)
+    assert err.s_star == pytest.approx(1 / c, rel=1e-10)
+    assert repr(err.s_star) in str(err) and repr(err.t_star) in str(err)
+    assert len(calls) <= 100
+
+
+def test_fold_beyond_target_is_not_declared(monkeypatch):
+    # the quartic at 1.1 t_c folds at s* = 1/1.1; with that fold reported
+    # beyond every target, a failed step must go on halving as before
+    pot = PotentialSpec(1.0, {4: 1.1 * -1 / 48})
+    assert endpoints._locate_fold(pot, 0.0, 1.0, 0.0) == pytest.approx(1 / 1.1, rel=1e-12)
+    monkeypatch.setattr(endpoints, "_locate_fold", lambda *args: 2.0)
+    with pytest.raises(NoOneCutSolutionError, match="step underflow") as info:
+        solve_endpoints(pot)
+    assert info.value.s_star is None and info.value.t_star is None
+
+
+def test_fold_located_for_general_potential():
+    # no symmetry: the fold is a simple root of det J on the full system
+    pot = PotentialSpec(1.0, {3: 0.05, 4: -0.03})
+    with pytest.raises(NoOneCutSolutionError) as info:
+        solve_endpoints(pot)
+    s_star = info.value.s_star
+    assert 0 < s_star < 1
+    # the one-cut branch reaches just short of the fold and not past it
+    solve_endpoints(pot.scaled(s_star * (1 - 1e-6)))
+    with pytest.raises(NoOneCutSolutionError):
+        solve_endpoints(pot.scaled(s_star * (1 + 1e-6)))
+
+
+@pytest.mark.parametrize("x,t,name", [
+    (math.inf, {}, "face weight x"),
+    (math.nan, {}, "face weight x"),
+    (1.0, {4: math.nan}, "t4"),
+    (1.0, {3: 0.01, 6: -math.inf}, "t6"),
+])
+def test_potential_rejects_non_finite_parameters(x, t, name):
+    with pytest.raises(InvalidParameterError, match=name) as info:
+        PotentialSpec(x, t)
+    assert isinstance(info.value, EqmapError) and isinstance(info.value, ValueError)
+
+
+def test_potential_accepts_large_rationals():
+    pot = PotentialSpec(Fraction(10**400), {4: Fraction(1, 10**400)})
+    assert pot.t == {4: Fraction(1, 10**400)}
 
 
 def test_uz_jets_gue_linear_z():

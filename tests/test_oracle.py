@@ -1,7 +1,8 @@
 import pytest
 
+import eqmap.oracle as oracle
 from eqmap.endpoints import PotentialSpec
-from eqmap.errors import CensusSizeError
+from eqmap.errors import CensusSizeError, InvalidParameterError
 from eqmap.genfun import e1_series
 from eqmap.oracle import census, e1_coeff_from_census
 
@@ -105,6 +106,24 @@ def test_census_parallel_matches_serial():
 def test_census_thread_count_from_environment(monkeypatch):
     monkeypatch.setenv("EQMAP_THREADS", "2")
     assert census({4: 2}).entries == census({4: 2}, threads=1).entries
+
+
+@pytest.mark.parametrize("threads,n,cores,want", [
+    (4, 10, 2, 2),     # capped by the cores
+    (4, 10, None, 1),  # core count unknown
+    (8, 4, 16, 3),     # capped by the n - 1 branches
+    (2, 10, 16, 2),    # the request itself
+])
+def test_worker_count_is_capped(monkeypatch, threads, n, cores, want):
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cores)
+    assert oracle._worker_count(threads, n) == want
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "two", ""])
+def test_invalid_thread_environment_rejected(monkeypatch, value):
+    monkeypatch.setenv("EQMAP_THREADS", value)
+    with pytest.raises(InvalidParameterError, match="EQMAP_THREADS"):
+        census({4: 1})
 
 
 @pytest.mark.parametrize("profile,order", [({4: 1}, 1), ({4: 2}, 2), ({3: 2}, 2),
