@@ -29,7 +29,8 @@ from .correlators import apply_K, correlator_context, w1_subleading, w2_diag
 from .endpoints import EndpointSolution, PotentialSpec, solve_endpoints, uz_jets
 from .genfun import e1_monomial, e1_series, e1_value, verify_relations
 from .hfunc import h_classical, h_even, h_general, h_left_variant, verify_residue_representation
-from .measure import EquilibriumMeasure, density, total_mass, variational_report
+from .measure import (EquilibriumMeasure, density, equilibrium_measure, total_mass,
+                      variational_report)
 from .oracle import census, e1_coeff_from_census
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA", "one_cut_corpus"]
@@ -243,8 +244,7 @@ def _quartic(t=0.01):
 def _criterion_7():
     details = []
     for pot in (_gue(), _quartic()):
-        ep = solve_endpoints(pot)
-        em = EquilibriumMeasure(ep, h_classical(pot, ep), pot.x)
+        em = equilibrium_measure(pot)
         mass = total_mass(em)
         if abs(mass - 1) > 1e-10:
             return False, "total mass %.15f for %r" % (mass, pot)
@@ -259,10 +259,9 @@ def _criterion_7():
     # negative control: true h over endpoints widened by 0.1 in z is not an
     # equilibrium measure and the on-support equality must visibly fail
     pot = _quartic()
-    good = solve_endpoints(pot)
-    h_true = h_classical(pot, good)
-    bad = EndpointSolution(good.u, good.z + 0.1, pot, 0.0)
-    em_bad = EquilibriumMeasure(bad, h_true, pot.x)
+    good = equilibrium_measure(pot)
+    bad = EndpointSolution(good.ep.u, good.ep.z + 0.1, pot, 0.0)
+    em_bad = EquilibriumMeasure(bad, good.h, pot.x)
     rep = variational_report(em_bad)
     if rep.max_support_deviation < 1e-2:
         return False, "negative control too small: %.3g" % rep.max_support_deviation
@@ -271,8 +270,8 @@ def _criterion_7():
 
 
 def _criterion_8():
-    ep = solve_endpoints(_gue())
-    em = EquilibriumMeasure(ep, h_classical(_gue(), ep), 1.0)
+    em = equilibrium_measure(_gue())
+    ep = em.ep
     errs = [abs(ep.alpha_minus + 2), abs(ep.alpha_plus - 2)]
     errs.append(float(np.max(np.abs(em.h.monomial - np.array([1.0])))))
     errs.append(abs(density(em, 0.0) - 1 / math.pi))
@@ -379,13 +378,16 @@ CRITERIA = [
 ]
 
 
+def _run(num, title, fn):
+    t0 = time.perf_counter()
+    passed, detail = fn()
+    return CriterionResult(num, title, passed, detail, time.perf_counter() - t0)
+
+
 def run_criterion(number):
     for num, title, fn in CRITERIA:
         if num == number:
-            t0 = time.perf_counter()
-            passed, detail = fn()
-            return CriterionResult(num, title, passed, detail,
-                                   time.perf_counter() - t0)
+            return _run(num, title, fn)
     raise ValueError("no criterion numbered %d" % number)
 
 
@@ -393,11 +395,9 @@ def run_all(report=None):
     """Run every criterion; ``report`` (if given) receives one line each."""
     results = []
     for num, title, fn in CRITERIA:
-        t0 = time.perf_counter()
-        passed, detail = fn()
-        res = CriterionResult(num, title, passed, detail, time.perf_counter() - t0)
+        res = _run(num, title, fn)
         results.append(res)
         if report is not None:
             report("%s  %2d. %s: %s  (%.2fs)" % (
-                "PASS" if passed else "FAIL", num, title, detail, res.seconds))
+                "PASS" if res.passed else "FAIL", num, title, res.detail, res.seconds))
     return results

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .endpoints import solve_endpoints
 from .errors import ContourGeometryError
-from .hfunc import h_classical
+from .measure import equilibrium_measure
 
 __all__ = [
     "CorrelatorContext",
@@ -45,8 +44,8 @@ class CorrelatorContext:
 
 
 def correlator_context(pot, tol=1e-12):
-    ep = solve_endpoints(pot, tol=tol)
-    h = h_classical(pot, ep)
+    em = equilibrium_measure(pot, tol=tol)
+    ep, h = em.ep, em.h
     h_plus = float(h.value(ep.alpha_plus))
     h_minus = float(h.value(ep.alpha_minus))
     if h_plus == 0 or h_minus == 0:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Jet, LaurentPoly
+from .algebra import Jet, substitute_uniformizer
 from .errors import DegeneratePotentialError, InvalidParameterError, NoOneCutSolutionError
 
 __all__ = [
@@ -115,18 +115,10 @@ def endpoint_residuals(u, z, pot, _coeffs=None, _x=None):
     """
     coeffs = xvprime_coeffs(pot) if _coeffs is None else _coeffs
     x = pot.x if _x is None else _x
-    w = substitute_affine(coeffs, u, z)
+    w = substitute_uniformizer(coeffs, u, z)
     r1 = w.coeff(0) / x
     r2 = w.coeff(-1) / x - 1
     return r1, r2
-
-
-def substitute_affine(coeffs, u, z):
-    y = LaurentPoly({1: 1, 0: u, -1: z})
-    out = LaurentPoly()
-    for c in reversed(list(coeffs)):
-        out = out * y + c
-    return out
 
 
 @dataclass
@@ -309,9 +301,11 @@ def solve_endpoints(pot, tol=1e-12, max_continuation_steps=64):
     ``t_star``.
     """
     u, z = 0.0, float(pot.x)
-    _, jac0 = _residual_and_jacobian(u, z, pot.scaled(0.0))
-    if abs(np.linalg.det(jac0)) < 1e-14:
-        raise DegeneratePotentialError("endpoint Jacobian singular at the Gaussian point")
+    # the Gaussian residuals are (u/x, z/x - 1), so det J = 1/x**2 there
+    if z * z > 1e14:
+        raise DegeneratePotentialError(
+            "endpoint Jacobian singular at the Gaussian point: det J = 1/x**2 < 1e-14 "
+            "for x = %r" % (pot.x,))
     if all(v == 0 for v in pot.t.values()) or not pot.t:
         return EndpointSolution(u, z, pot, 0.0)
 
@@ -381,15 +375,11 @@ def uz_jets(pot, x_order, t_order=0, tol=1e-12):
     U = Jet.constant(base.u, orders)
     Z = Jet.constant(base.z, orders)
     for _ in range(sum(orders) + 1):
-        w = substitute_affine(coeffs, U, Z)
-        r1 = _as_jet(w.coeff(0), orders) / xj
-        r2 = _as_jet(w.coeff(-1), orders) / xj - 1
+        r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _x=xj)
         U = U - (inv[0, 0] * r1 + inv[0, 1] * r2)
         Z = Z - (inv[1, 0] * r1 + inv[1, 1] * r2)
 
-    w = substitute_affine(coeffs, U, Z)
-    r1 = _as_jet(w.coeff(0), orders) / xj
-    r2 = _as_jet(w.coeff(-1), orders) / xj - 1
+    r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _x=xj)
     worst = max(np.max(np.abs(r1.coeffs.astype(float))),
                 np.max(np.abs(r2.coeffs.astype(float))))
     if worst > 1e-7:

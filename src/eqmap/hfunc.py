@@ -28,7 +28,7 @@ from .algebra import (
     substitute_uniformizer,
 )
 from .coefftables import build_c_table, double_factorial
-from .endpoints import EndpointSolution, substitute_affine, xvprime_coeffs
+from .endpoints import EndpointSolution, xvprime_coeffs
 from .errors import DegeneratePointError, SingularJetError
 
 __all__ = [
@@ -185,7 +185,7 @@ def h_general(pot, ep, table=None):
     center = ep.u + 2 * s
     mono = monomial_from_centered(centered, center)
     return HPoly(mono, centered, center, ep, "general",
-                 flip_data=("general", tuple(phi_vals), tuple(psi_vals), table))
+                 flip_data=(tuple(phi_vals), tuple(psi_vals), table))
 
 
 def _ik_even(k, s, z, tower_vals):
@@ -218,7 +218,7 @@ def h_even(pot, ep):
     center = ep.u + 2 * s
     mono = monomial_from_centered(centered, center)
     return HPoly(mono, centered, center, ep, "even",
-                 flip_data=("even", tuple(tower_vals)))
+                 flip_data=(tuple(tower_vals),))
 
 
 def h_left_variant(h):
@@ -233,16 +233,16 @@ def h_left_variant(h):
     ep = h.ep
     s = math.sqrt(ep.z)
     center = ep.u - 2 * s
-    if h.flip_data is None:
-        centered = centered_from_monomial(h.monomial, center)
-    elif h.flip_data[0] == "general":
-        _, phi_vals, psi_vals, table = h.flip_data
+    if h.route == "general":
+        phi_vals, psi_vals, table = h.flip_data
         centered = np.array([_ik_general(k, -s, phi_vals, psi_vals, table)
                              for k in range(len(h.centered))])
-    else:
-        _, tower_vals = h.flip_data
+    elif h.route == "even":
+        tower_vals, = h.flip_data
         centered = np.array([_ik_even(k, -s, ep.z, tower_vals)
                              for k in range(len(h.centered))])
+    else:
+        centered = centered_from_monomial(h.monomial, center)
     mono = monomial_from_centered(centered, center)
     return HPoly(mono, centered, center, ep, h.route, h.flip_data)
 
@@ -269,19 +269,6 @@ def h_at_endpoints(pot, ep):
     return tuple(out)
 
 
-def _x_v_derivative_coeffs(pot, order):
-    """Ascending coefficients of the order-th y-derivative of x*V(y)."""
-    coeffs = [0.0] * (pot.degree + 1)
-    coeffs[2] += 0.5
-    for j, tj in pot.t.items():
-        coeffs[j] += tj
-    for _ in range(order):
-        coeffs = [(i + 1) * c for i, c in enumerate(coeffs[1:])]
-        if not coeffs:
-            coeffs = [0.0]
-    return coeffs
-
-
 def _rel_close(a, b, tol):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
@@ -293,7 +280,10 @@ def verify_residue_representation(pot, ep, m, rel_tol=1e-9):
     x V^(m+1)(T + u + z/T) evaluated directly.
     """
     seqs = phi_psi(pot, ep, m)
-    w = substitute_affine(_x_v_derivative_coeffs(pot, m + 1), ep.u, ep.z)
+    coeffs = xvprime_coeffs(pot)
+    for _ in range(m):  # x V^(m+1) is the m-th derivative of x V'
+        coeffs = [i * c for i, c in enumerate(coeffs) if i]
+    w = substitute_uniformizer(coeffs, ep.u, ep.z)
     return (_rel_close(seqs[m].phi_value, float(w.coeff(0)), rel_tol)
             and _rel_close(seqs[m].psi_value, float(w.coeff(-1)), rel_tol))
 

@@ -18,6 +18,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from .coefftables import double_factorial
 from .errors import CensusSizeError, EqmapError, InvalidParameterError
 
 __all__ = [
@@ -217,7 +218,7 @@ def census(profile, threads=None):
         for key, cnt in ent.items():
             entries[key] = entries.get(key, 0) + cnt
     out = MapCensus(profile, entries, sum(entries.values()), disconnected)
-    expected = _double_factorial_odd(n - 1)
+    expected = double_factorial(n - 1)
     if out.total_matchings != expected:
         raise EqmapError("census enumerated %d matchings of %d half-edges, expected %d"
                          % (out.total_matchings, n, expected))
@@ -240,14 +241,6 @@ def _worker_count(threads, n):
     """Processes for a census of n half-edges: one branch per partner of
     half-edge 0 at most, and no more than the machine's cores."""
     return min(threads, n - 1, os.cpu_count() or 1)
-
-
-def _double_factorial_odd(n):
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 def e1_coeff_from_census(profile, x=1.0, census_table=None):

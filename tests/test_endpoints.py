@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import eqmap.endpoints as endpoints
-from eqmap.algebra import inv_sqrt_R_series, series_times_poly_coeff
+from eqmap.algebra import Jet, inv_sqrt_R_series, series_times_poly_coeff
 from eqmap.endpoints import (
     PotentialSpec,
     endpoint_residuals,
@@ -15,7 +15,12 @@ from eqmap.endpoints import (
     uz_jets,
     xvprime_coeffs,
 )
-from eqmap.errors import EqmapError, InvalidParameterError, NoOneCutSolutionError
+from eqmap.errors import (
+    DegeneratePotentialError,
+    EqmapError,
+    InvalidParameterError,
+    NoOneCutSolutionError,
+)
 from eqmap.hfunc import h_classical
 
 
@@ -165,6 +170,12 @@ def test_potential_accepts_large_rationals():
     assert pot.t == {4: Fraction(1, 10**400)}
 
 
+def test_gaussian_point_degenerate_for_huge_face_weight():
+    # det J = 1/x**2 at the Gaussian point falls below the singularity gate
+    with pytest.raises(DegeneratePotentialError, match=r"x = 100000000\.0"):
+        solve_endpoints(PotentialSpec(1e8, {4: 0.01}))
+
+
 def test_uz_jets_gue_linear_z():
     ep = uz_jets(PotentialSpec(1.0, {}), x_order=4)
     assert ep.dz(1) == pytest.approx(1.0, abs=1e-14)
@@ -219,6 +230,22 @@ def test_uz_jets_with_t_directions():
     assert float(z.coeffs[0, 1]) == pytest.approx(-12.0, rel=1e-11)
     assert float(z.coeffs[0, 2]) == pytest.approx(288.0, rel=1e-10)
     assert float(z.coeffs[1, 1]) == pytest.approx(-24.0, rel=1e-10)
+
+
+def test_uz_jets_lifts_through_endpoint_residuals(monkeypatch):
+    # one residual per lifting pass, sum(orders) + 1 of them, plus the final
+    # convergence check; the Newton solve before uses order-(1, 1) jets only
+    orders = (3, 2)
+    lifts = []
+
+    def counted(u, z, pot, **kwargs):
+        if isinstance(u, Jet) and u.orders == orders:
+            lifts.append(None)
+        return endpoint_residuals(u, z, pot, **kwargs)
+
+    monkeypatch.setattr(endpoints, "endpoint_residuals", counted)
+    uz_jets(PotentialSpec(1.0, {4: 0.01}), x_order=3, t_order=2)
+    assert len(lifts) == sum(orders) + 2
 
 
 def test_one_cut_certificate():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -265,6 +266,16 @@ def test_residue_representation_quartic_and_random():
     ep = jets(pot)
     for m in range(5):
         assert verify_residue_representation(pot, ep, m)
+
+
+def test_residue_representation_rejects_moved_endpoint():
+    # degree 6 keeps z in the residues of x V^(m+1) for every m <= 4
+    pot = PotentialSpec(1.0, {3: 0.004, 4: 0.005, 6: 0.002})
+    ep = jets(pot)
+    moved = dataclasses.replace(ep, z=ep.z * (1 + 1e-6))
+    for m in range(5):
+        assert verify_residue_representation(pot, ep, m)
+        assert not verify_residue_representation(pot, moved, m)
 
 
 def test_even_residue_formula():
