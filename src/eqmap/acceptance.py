@@ -19,8 +19,10 @@ from functools import lru_cache
 import numpy as np
 
 from .coefftables import (
+    CoeffTable,
     build_c_table,
     check_diagonal_conjecture,
+    reconstruction_holds,
     verify_binomial_identities,
     verify_operator_closed_forms,
     verify_parity_projection,
@@ -90,10 +92,10 @@ def one_cut_corpus(n=100, seed=20240817):
     return pots
 
 
-@lru_cache(maxsize=4)
-def _corpus_with_jets(n=100, seed=20240817):
+@lru_cache(maxsize=None)
+def _corpus_with_jets():
     out = []
-    for pot in one_cut_corpus(n, seed):
+    for pot in one_cut_corpus():
         out.append((pot, uz_jets(pot, x_order=max(pot.degree, 5) + 1)))
     return out
 
@@ -132,18 +134,6 @@ _PRINTED_C_PSI = [
 ]
 
 
-def _identity_value_check(k, c_phi_row, c_psi_row, tval):
-    """Evaluate the defining identity at a rational point, exactly."""
-    from .coefftables import phi_tilde, psi_tilde
-
-    total = Fraction(0)
-    for m in range(1, k + 2):
-        denom = (tval - 1 / tval) ** (2 * m)
-        total += c_phi_row[m - 1] * phi_tilde(m).numerator(tval) / denom
-        total += c_psi_row[m - 1] * psi_tilde(m).numerator(tval) / denom
-    return total == (tval - 2 + 1 / tval) ** (-(k + 1))
-
-
 def _criterion_1():
     table = build_c_table(4)
     bad = []
@@ -155,17 +145,14 @@ def _criterion_1():
                 bad.append(("psi", k, m, table.psi(k, m)))
     if bad:
         return False, "mismatches: %s" % bad[:4]
-    # prove the one corrected entry: +1/140 satisfies the defining identity
-    # at independent rational points, the misprinted -1/140 does not
-    mine = [table.psi(4, m) for m in range(1, 6)]
-    misprint = list(mine)
-    misprint[2] = Fraction(-1, 140)
-    phi_row = [table.phi(4, m) for m in range(1, 6)]
-    for tval in (Fraction(3), Fraction(5, 2)):
-        if not _identity_value_check(4, phi_row, mine, tval):
-            return False, "solved row k=4 fails the defining identity"
-        if _identity_value_check(4, phi_row, misprint, tval):
-            return False, "misprinted c_psi(4,3) unexpectedly satisfies the identity"
+    # prove the one corrected entry: +1/140 satisfies the defining identity,
+    # the misprinted -1/140 does not
+    misprint = table.c_psi[4][:2] + (Fraction(-1, 140),) + table.c_psi[4][3:]
+    printed = CoeffTable(4, table.c_phi, table.c_psi[:4] + (misprint,))
+    if not reconstruction_holds(table, 4):
+        return False, "solved row k=4 fails the defining identity"
+    if reconstruction_holds(printed, 4):
+        return False, "misprinted c_psi(4,3) unexpectedly satisfies the identity"
     return True, ("entries match exactly (c_psi(4,3) = +1/140; the printed "
                   "-1/140 provably fails the defining identity)")
 
@@ -228,7 +215,7 @@ def _criterion_5():
 def _criterion_6():
     for pot, ep in _corpus_with_jets():
         for m in range(5):
-            if not verify_residue_representation(pot, ep, m, rel_tol=1e-9):
+            if not verify_residue_representation(pot, ep, m):
                 return False, "residue representation fails at m=%d for %r" % (m, pot)
     return True, "phi_m/psi_m match their residue representations for m <= 4"
 

@@ -80,7 +80,7 @@ def _jet_payload(jet):
 
 def cmd_endpoints(args):
     pot, _ = _load_potential(args)
-    ep = uz_jets(pot, x_order=max(1, args.order), tol=args.tol)
+    ep = uz_jets(pot, x_order=max(1, args.order))
     _emit(args, {
         "u": ep.u, "z": ep.z,
         "alpha_minus": ep.alpha_minus, "alpha_plus": ep.alpha_plus,
@@ -92,7 +92,7 @@ def cmd_endpoints(args):
 
 def cmd_h(args):
     pot, _ = _load_potential(args)
-    ep = uz_jets(pot, x_order=pot.degree + 1, tol=args.tol)
+    ep = uz_jets(pot, x_order=pot.degree + 1)
     hc = h_classical(pot, ep)
     hg = h_general(pot, ep)
     out = {
@@ -113,7 +113,7 @@ def cmd_h(args):
 
 def cmd_density(args):
     pot, _ = _load_potential(args)
-    em = equilibrium_measure(pot, tol=args.tol)
+    em = equilibrium_measure(pot)
     am, ap = em.support
     lam = np.linspace(am, ap, args.grid)
     psi = density(em, lam)
@@ -126,7 +126,7 @@ def cmd_density(args):
 
 def cmd_variational(args):
     pot, _ = _load_potential(args)
-    em = equilibrium_measure(pot, tol=args.tol)
+    em = equilibrium_measure(pot)
     rep = variational_report(em, grid_size=args.grid)
     _emit(args, {
         "lagrange_constant": rep.lagrange_constant,
@@ -196,7 +196,7 @@ def cmd_census(args):
 
 def cmd_correlators(args):
     pot, _ = _load_potential(args)
-    ctx = correlator_context(pot, tol=args.tol)
+    ctx = correlator_context(pot)
     y = complex(args.y)
     ky = apply_K(ctx, lambda s: w1_subleading(ctx, s), y)
     loop_residual = abs(w2_diag(ctx, y) + ky)
@@ -236,7 +236,6 @@ def build_parser():
                             help="perturbation coefficient, repeatable")
     pot_parent.add_argument("--potential", metavar="FILE",
                             help='JSON file {"x": 1.0, "t": {"4": 0.01}}')
-    pot_parent.add_argument("--tol", type=float, default=1e-12)
 
     out_parent = argparse.ArgumentParser(add_help=False)
     out_parent.add_argument("--format", choices=("json", "csv"), default="json")

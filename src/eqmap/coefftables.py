@@ -271,13 +271,12 @@ def verify_binomial_identities(m):
     return ok
 
 
-def check_diagonal_conjecture(kmax, table=None):
+def check_diagonal_conjecture(kmax):
     """True iff both diagonals equal 2**k / (2k+1)!! for all k <= kmax.
 
     Checked exactly; downstream code never assumes this pattern.
     """
-    if table is None or table.kmax < kmax:
-        table = build_c_table(kmax)
+    table = build_c_table(kmax)
     for k in range(kmax + 1):
         want = Fraction(2 ** k, double_factorial(2 * k + 1))
         if table.phi(k, k + 1) != want or table.psi(k, k + 1) != want:

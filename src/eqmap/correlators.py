@@ -43,8 +43,8 @@ class CorrelatorContext:
     hp_minus: float
 
 
-def correlator_context(pot, tol=1e-12):
-    em = equilibrium_measure(pot, tol=tol)
+def correlator_context(pot):
+    em = equilibrium_measure(pot)
     ep, h = em.ep, em.h
     h_plus = float(h.value(ep.alpha_plus))
     h_minus = float(h.value(ep.alpha_minus))

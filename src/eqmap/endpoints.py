@@ -146,10 +146,6 @@ class EndpointSolution:
     def alpha_plus(self):
         return self.u + 2 * math.sqrt(self.z)
 
-    @property
-    def x_order(self):
-        return self.u_jet.orders[0] if self.u_jet is not None else 0
-
     def du(self, k=1):
         """k-th x-derivative of u at the base point."""
         return float(self._jet("u").partial((k,) + (0,) * (len(self.jet_vars) - 1)))
@@ -197,23 +193,33 @@ def _newton_step(r, jac):
             (r[1] * jac[0, 0] - r[0] * jac[1, 0]) / det)
 
 
-def _newton(pot, u, z, tol, max_iter=30):
+# float64 rounding, not the caller, limits convergence: a looser tolerance
+# moves z by a few ulps, one at the rounding floor fails valid potentials
+_NEWTON_TOL = 1e-12
+_MAX_CONTINUATION_STEPS = 64
+
+
+def _residual_norm(u, z, pot):
+    return float(np.max(np.abs(endpoint_residuals(u, z, pot))))
+
+
+def _newton(pot, u, z):
     initial = None
-    for it in range(max_iter):
+    for it in range(30):
         r, jac = _residual_and_jacobian(u, z, pot)
         rn = float(np.max(np.abs(r)))
         if initial is None:
             initial = rn
-        if rn < tol:
+        if rn < _NEWTON_TOL:
             # one polishing step: quadratic convergence puts the parameter
             # error at rounding level rather than at the residual tolerance
             step = _newton_step(r, jac)
             if step is not None:
                 u2, z2 = u - step[0], z - step[1]
                 if np.isfinite(u2) and np.isfinite(z2) and z2 > 0:
-                    r2, _ = _residual_and_jacobian(u2, z2, pot)
-                    if np.max(np.abs(r2)) <= rn:
-                        return u2, z2, float(np.max(np.abs(r2))), True
+                    rn2 = _residual_norm(u2, z2, pot)
+                    if rn2 <= rn:
+                        return u2, z2, rn2, True
             return u, z, rn, True
         # quadratic convergence means a basin point is done in a handful of
         # iterations; anything still above its starting residual is diverging
@@ -225,12 +231,11 @@ def _newton(pot, u, z, tol, max_iter=30):
         u, z = u - step[0], z - step[1]
         if not (np.isfinite(u) and np.isfinite(z)) or z <= 0:
             return u, z, np.inf, False
-    r, _ = _residual_and_jacobian(u, z, pot)
-    ok = np.max(np.abs(r)) < tol
-    return u, z, float(np.max(np.abs(r))), ok
+    rn = _residual_norm(u, z, pot)
+    return u, z, rn, rn < _NEWTON_TOL
 
 
-def _locate_fold(pot, u, z, s0, max_iter=12):
+def _locate_fold(pot, u, z, s0):
     """Homotopy parameter s* of a fold near the point (u, z) of the branch at s0.
 
     Newton on the extended system {r1 = 0, r2 = 0, det J = 0} in (u, z, s),
@@ -247,7 +252,7 @@ def _locate_fold(pot, u, z, s0, max_iter=12):
     coeffs = _perturbation_coeffs(pot)
     even = pot.is_even
     s = s0
-    for _ in range(max_iter):
+    for _ in range(12):
         p1, p2 = endpoint_residuals(Jet.variable(u, 0, (2, 2)), Jet.variable(z, 1, (2, 2)),
                                     pot, _coeffs=coeffs)
         # value, d/du, d/dz, d2/du2, d2/dudz, d2/dz2 of each residual of P;
@@ -289,16 +294,17 @@ def _locate_fold(pot, u, z, s0, max_iter=12):
     return float(s) if z > 0 else None
 
 
-def solve_endpoints(pot, tol=1e-12, max_continuation_steps=64):
+def solve_endpoints(pot):
     """Solve the endpoint equations for (u, z) on the one-cut branch.
 
     Bivariate Newton started at the Gaussian point (0, x), continued along the
-    linear homotopy t -> s*t with adaptive subdivision on Newton failure.  The
-    branch through the Gaussian point is the one-cut branch; z > 0 is enforced
-    throughout.  After a failed Newton step the fold of the branch is sought
-    between the last accepted s and the target; when one is found the solve
-    stops with a :class:`NoOneCutSolutionError` carrying ``s_star`` and
-    ``t_star``.
+    linear homotopy t -> s*t with adaptive subdivision on Newton failure.
+    Newton accepts max |r| < 1e-12 and then polishes once; ``residual_norm``
+    is max |r| at the returned point.  The branch through the Gaussian point
+    is the one-cut branch; z > 0 is enforced throughout.  After a failed
+    Newton step the fold of the branch is sought between the last accepted s
+    and the target; when one is found the solve stops with a
+    :class:`NoOneCutSolutionError` carrying ``s_star`` and ``t_star``.
     """
     u, z = 0.0, float(pot.x)
     # the Gaussian residuals are (u/x, z/x - 1), so det J = 1/x**2 there
@@ -315,12 +321,12 @@ def solve_endpoints(pot, tol=1e-12, max_continuation_steps=64):
     res = 0.0
     fold_from = None  # s of the last fold search; its result is s_star
     while s < 1.0:
-        if steps >= max_continuation_steps:
+        if steps >= _MAX_CONTINUATION_STEPS:
             raise NoOneCutSolutionError(
                 "homotopy continuation exhausted %d steps at s=%.6g; "
-                "no one-cut solution reached" % (max_continuation_steps, s))
+                "no one-cut solution reached" % (_MAX_CONTINUATION_STEPS, s))
         target = min(1.0, s + step)
-        u2, z2, res2, ok = _newton(pot.scaled(target), u, z, tol)
+        u2, z2, res2, ok = _newton(pot.scaled(target), u, z)
         steps += 1
         if ok:
             u, z, res, s = u2, z2, res2, target
@@ -344,7 +350,7 @@ def solve_endpoints(pot, tol=1e-12, max_continuation_steps=64):
     return EndpointSolution(u, z, pot, res)
 
 
-def uz_jets(pot, x_order, t_order=0, tol=1e-12):
+def uz_jets(pot, x_order, t_order=0):
     """Endpoint solution carrying Taylor jets of (u, z).
 
     Jets are expansions in offsets about (x, t): variable 0 is x, and when
@@ -353,7 +359,7 @@ def uz_jets(pot, x_order, t_order=0, tol=1e-12):
     residual kills the lowest remaining order using the exact base-point
     Jacobian, so sum(orders) + 1 passes suffice.
     """
-    base = solve_endpoints(pot, tol=tol)
+    base = solve_endpoints(pot)
     tkeys = sorted(pot.t) if t_order > 0 else []
     orders = (x_order,) + (t_order,) * len(tkeys)
     names = ("x",) + tuple("t%d" % j for j in tkeys)
@@ -388,14 +394,14 @@ def uz_jets(pot, x_order, t_order=0, tol=1e-12):
     return dataclasses.replace(base, u_jet=U, z_jet=Z, jet_vars=names)
 
 
-def one_cut_certificate(h, alpha_minus, alpha_plus, grid=512):
+def one_cut_certificate(h, alpha_minus, alpha_plus):
     """True iff h stays strictly positive across the support interval.
 
     Checks positivity on a dense grid, then confirms the absence of real
     roots of h (and of sign dips between grid points, via the real critical
     points of h) inside [alpha_minus, alpha_plus].
     """
-    lam = np.linspace(alpha_minus, alpha_plus, grid)
+    lam = np.linspace(alpha_minus, alpha_plus, 512)
     vals = h.value(lam)
     if np.min(vals) <= 0:
         return False

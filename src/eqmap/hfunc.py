@@ -166,7 +166,7 @@ def _ik_general(k, s, phi_vals, psi_vals, table):
     return total
 
 
-def h_general(pot, ep, table=None):
+def h_general(pot, ep):
     """Valence-independent construction of h through the coefficient tables.
 
     The centered coefficient of (y - u - 2 sqrt(z))**k combines phi_m, psi_m
@@ -174,8 +174,7 @@ def h_general(pot, ep, table=None):
     """
     deg = pot.degree
     kmax = deg - 2
-    if table is None or table.kmax < kmax:
-        table = build_c_table(max(kmax, 0))
+    table = build_c_table(kmax)
     seqs = phi_psi(pot, ep, deg - 1)
     phi_vals = [s.phi_value for s in seqs]
     psi_vals = [s.psi_value for s in seqs]
@@ -269,11 +268,11 @@ def h_at_endpoints(pot, ep):
     return tuple(out)
 
 
-def _rel_close(a, b, tol):
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def _rel_close(a, b):
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
-def verify_residue_representation(pot, ep, m, rel_tol=1e-9):
+def verify_residue_representation(pot, ep, m):
     """Check the residue representation of (phi_m, psi_m).
 
     The recursion values must match [T^0] and [T^0] T* of
@@ -284,8 +283,8 @@ def verify_residue_representation(pot, ep, m, rel_tol=1e-9):
     for _ in range(m):  # x V^(m+1) is the m-th derivative of x V'
         coeffs = [i * c for i, c in enumerate(coeffs) if i]
     w = substitute_uniformizer(coeffs, ep.u, ep.z)
-    return (_rel_close(seqs[m].phi_value, float(w.coeff(0)), rel_tol)
-            and _rel_close(seqs[m].psi_value, float(w.coeff(-1)), rel_tol))
+    return (_rel_close(seqs[m].phi_value, float(w.coeff(0)))
+            and _rel_close(seqs[m].psi_value, float(w.coeff(-1))))
 
 
 def _tzero_div_kernel(p, power):
@@ -301,7 +300,7 @@ def _tzero_div_kernel(p, power):
     return total
 
 
-def verify_even_residue_formula(pot, ep, m, rel_tol=1e-9):
+def verify_even_residue_formula(pot, ep, m):
     """Check the residue form of the derivative tower for even potentials.
 
     (zx**-1 d/dx)**m x must equal
@@ -322,4 +321,4 @@ def verify_even_residue_formula(pot, ep, m, rel_tol=1e-9):
     p = p * LaurentPoly({1: 1.0, -1: 1.0})
     rhs = (2.0 ** (m - 1) * double_factorial(2 * m - 1) * s ** (1 - 2 * m)
            * _tzero_div_kernel(p, 2 * m))
-    return _rel_close(lhs, rhs, rel_tol)
+    return _rel_close(lhs, rhs)

@@ -39,9 +39,9 @@ class EquilibriumMeasure:
         return self.ep.alpha_minus, self.ep.alpha_plus
 
 
-def equilibrium_measure(pot, tol=1e-12):
+def equilibrium_measure(pot):
     """Solve the endpoints and assemble the measure with the classical h."""
-    ep = solve_endpoints(pot, tol=tol)
+    ep = solve_endpoints(pot)
     return EquilibriumMeasure(ep, h_classical(pot, ep), pot.x)
 
 
@@ -86,7 +86,7 @@ class VariationalReport:
     quad_nodes: int
 
 
-def variational_report(em, grid_size=64, n_quad=8192, window=2.0):
+def variational_report(em, grid_size=64, n_quad=8192):
     """Check the variational equality on the support and the inequality off it.
 
     The log-kernel integrals use Chebyshev quadrature with nodes placed away
@@ -97,7 +97,7 @@ def variational_report(em, grid_size=64, n_quad=8192, window=2.0):
     is known in closed form, so only a smooth remainder is quadratured.  The
     constant is the grid median of 2*integral(log|lam - s| dpsi(s)) - V(lam);
     the report carries the max deviation from it on the support and the
-    minimum slack of the inequality on a window around the support.
+    minimum slack of the inequality within distance 2 of the support.
     """
     pot = em.ep.potential
     am, ap = em.support
@@ -124,8 +124,8 @@ def variational_report(em, grid_size=64, n_quad=8192, window=2.0):
     max_dev = float(np.max(np.abs(gvals - ell)))
 
     pad = offset
-    left = np.linspace(am - window, am - pad, grid_size // 2)
-    right = np.linspace(ap + pad, ap + window, grid_size // 2)
+    left = np.linspace(am - 2.0, am - pad, grid_size // 2)
+    right = np.linspace(ap + pad, ap + 2.0, grid_size // 2)
     off = np.concatenate([left, right])
     margin = float(np.min(pot.v(off) + ell - g2_off(off)))
     return VariationalReport(ell, max_dev, margin, grid_size, n_quad)

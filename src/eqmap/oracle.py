@@ -93,12 +93,11 @@ def _census_entries(sigma, first_partner=None):
     """Enumerate matchings (optionally pinning half-edge 0's partner) and
     tally connected ones by (genus, faces)."""
     n = len(sigma)
-    n_vertices = len(set(_vertex_of(sigma)))
+    vertex_of = _vertex_of(sigma)
+    n_vertices = len(set(vertex_of))
     entries = {}
     disconnected = 0
     partner = [-1] * n
-
-    vertex_of = _vertex_of(sigma)
 
     def finish():
         nonlocal disconnected

@@ -149,3 +149,12 @@ def test_census_deterministic_output(capsys):
     code2, out2, _ = run_cli(capsys, "census", "--profile", "4:2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_tol_flag_is_gone(capsys):
+    # the Newton tolerance is fixed; --tol is an unknown option, not a knob
+    # whose tight values end in a false continuation failure
+    with pytest.raises(SystemExit) as info:
+        cli.main(["density", "--t", "4=0.01", "--tol", "1e-20"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -34,6 +35,16 @@ def test_reconstruction_identity():
     table = build_c_table(6)
     for k in range(7):
         assert reconstruction_holds(table, k)
+
+
+def test_reconstruction_rejects_printed_misprint():
+    # the printed table carries c_psi(4,3) = -1/140; the identity needs +1/140
+    table = build_c_table(4)
+    assert table.psi(4, 3) == Fraction(1, 140)
+    row = table.c_psi[4][:2] + (Fraction(-1, 140),) + table.c_psi[4][3:]
+    printed = dataclasses.replace(table, c_psi=table.c_psi[:4] + (row,))
+    assert reconstruction_holds(table, 4)
+    assert not reconstruction_holds(printed, 4)
 
 
 def test_diagonal_conjecture():

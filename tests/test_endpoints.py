@@ -94,7 +94,7 @@ def test_solve_quartic_matches_quadratic_formula():
 
 def test_solve_cubic_residuals_small():
     pot = PotentialSpec(1.0, {3: 0.05})
-    ep = solve_endpoints(pot, tol=1e-12)
+    ep = solve_endpoints(pot)
     assert ep.u < 0  # cubic perturbation pulls the center left
     r1, r2 = endpoint_residuals(ep.u, ep.z, pot)
     assert abs(r1) < 1e-12 and abs(r2) < 1e-12
@@ -127,6 +127,25 @@ def test_fold_located_at_critical_coupling(monkeypatch, j, c, x):
     assert err.s_star == pytest.approx(1 / c, rel=1e-10)
     assert repr(err.s_star) in str(err) and repr(err.t_star) in str(err)
     assert len(calls) <= 100
+
+
+def test_newton_builds_no_jacobian_it_does_not_use(monkeypatch):
+    # the quartic converges in one Newton solve of four steps; the polished
+    # point is checked with the float residual, so only the four points that
+    # take a step pay for an order-1 jet Jacobian
+    points = []
+    full = endpoints._residual_and_jacobian
+
+    def counted(u, z, pot):
+        points.append((u, z))
+        return full(u, z, pot)
+
+    monkeypatch.setattr(endpoints, "_residual_and_jacobian", counted)
+    ep = solve_endpoints(PotentialSpec(1.0, {4: 0.01}))
+    assert abs(ep.z - quartic_z(0.01)) < 1e-13
+    assert len(points) == 4
+    assert (ep.u, ep.z) not in points
+    assert ep.residual_norm == max(abs(r) for r in endpoint_residuals(ep.u, ep.z, ep.potential))
 
 
 def test_fold_beyond_target_is_not_declared(monkeypatch):

@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-from eqmap.coefftables import build_c_table
 from eqmap.endpoints import PotentialSpec, solve_endpoints, uz_jets
 from eqmap.hfunc import (
     centered_from_monomial,
@@ -157,12 +156,11 @@ def test_h_general_gue_is_one():
 
 def test_triple_route_agreement_random_potentials():
     rng = random.Random(77)
-    table = build_c_table(4)
     for _ in range(12):
         pot = random_one_cut(rng)
         ep = jets(pot)
         hc = h_classical(pot, ep)
-        hg = h_general(pot, ep, table)
+        hg = h_general(pot, ep)
         scale = np.maximum(1.0, np.abs(hc.monomial))
         assert np.max(np.abs(hc.monomial - hg.monomial) / scale) < 1e-9
         if pot.is_even:
