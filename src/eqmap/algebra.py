@@ -89,10 +89,6 @@ class Jet:
         return tuple(n - 1 for n in self.coeffs.shape)
 
     @property
-    def nvars(self):
-        return self.coeffs.ndim
-
-    @property
     def constant_term(self):
         return self.coeffs[(0,) * self.coeffs.ndim]
 
@@ -116,10 +112,6 @@ class Jet:
         shape[var] = n - 1
         mult = np.arange(1, n, dtype=object).reshape(shape)
         return Jet(shifted * mult)
-
-    def truncated(self, orders):
-        sl = tuple(slice(0, o + 1) for o in orders)
-        return Jet(self.coeffs[sl])
 
     # ---- arithmetic -----------------------------------------------------
 
@@ -270,10 +262,6 @@ class LaurentPoly:
 
     def coeff(self, k):
         return self.coeffs.get(k, 0)
-
-    @property
-    def min_exp(self):
-        return min(self.coeffs) if self.coeffs else 0
 
     @property
     def max_exp(self):

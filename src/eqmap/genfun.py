@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .algebra import Jet
-from .endpoints import PotentialSpec, solve_endpoints, uz_jets
+from .endpoints import PotentialSpec, endpoint_residuals, solve_endpoints, uz_jets
 from .errors import OutsideOneCutError
 
 __all__ = [
@@ -91,35 +92,43 @@ class SeriesInT:
 def e1_series(pot, order):
     """Expand e1 to the given order in every valence direction of ``pot``.
 
-    The endpoint jets are pushed through the e1 formula with the jet log;
-    the pure-t coefficients (x-offset power zero) form the series.  With the
-    base perturbation at zero these are the map-counting coefficients.
+    Built exactly at x = 1 and t = 0, where u = 0, z = 1 and the endpoint
+    Jacobian is the identity: (u, z) are lifted as Fraction jets in the
+    t-offsets, and u_x, z_x follow from the scaling relations
+    2 u_x = u + E u and 2 z_x = 2 z + E z, E = sum_j (j - 2) t_j d/dt_j.
+    Since e1(x, t) = e1(1, {t_j x**((j - 2)/2)}), the coefficient of
+    prod_j t_j**k_j gains x**F, F = sum_j k_j (j - 2)/2 the face count E - V
+    of the torus maps it counts.
     """
     if not pot.t:
         raise ValueError("potential carries no perturbation directions")
     if any(v != 0 for v in pot.t.values()):
         raise ValueError("e1_series expects a family based at t = 0; "
                          "mark directions with zero coefficients")
-    ep = uz_jets(pot, x_order=2, t_order=order)
-    U, Z = ep.u_jet, ep.z_jet
-    X = Jet.variable(float(pot.x), 0, U.orders)
-    ux, zx = U.dx(0), Z.dx(0)
-    arg = X * X * (zx * zx - Z * (ux * ux)) / (Z * Z)
-    e1 = arg.log() / 24
-
     valences = tuple(sorted(pot.t))
-    coeffs = {}
-    for idx in np.ndindex(e1.coeffs.shape):
-        if idx[0] != 0:
-            continue
-        val = float(e1.coeffs[idx])
-        coeffs[idx[1:]] = val
-    zero = (0,) * len(valences)
-    if abs(coeffs.get(zero, 0.0)) > 1e-10:
-        raise OutsideOneCutError("series constant term %.3g is not zero" %
-                                 coeffs.get(zero, 0.0))
-    coeffs[zero] = 0.0
-    return SeriesInT(valences, order, pot.x, coeffs)
+    orders = (order,) * len(valences)
+    coeffs = [0] * pot.degree
+    coeffs[1] = 1  # valence 2 adds to the Gaussian term
+    for i, j in enumerate(valences):
+        coeffs[j - 1] = coeffs[j - 1] + j * Jet.variable(0, i, orders)
+    U, Z = Jet.constant(0, orders), Jet.constant(Fraction(1), orders)
+    for _ in range(sum(orders)):  # each pass kills the lowest order left
+        r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _x=Fraction(1))
+        U, Z = U - r1, Z - r2
+
+    # E multiplies the coefficient of prod_j t_j**k_j by sum_j k_j (j - 2)
+    shape = U.coeffs.shape
+    weight = np.array([sum(k * (j - 2) for k, j in zip(idx, valences))
+                       for idx in np.ndindex(shape)], dtype=object).reshape(shape)
+    ux = (U + Jet(U.coeffs * weight)) * Fraction(1, 2)
+    zx = Z + Jet(Z.coeffs * weight) * Fraction(1, 2)
+    e1 = ((zx * zx - Z * (ux * ux)) / (Z * Z)).log()
+    # F = weight/2 is fractional only for an odd half-edge count, whose
+    # coefficient is an exact zero
+    x = Fraction(pot.x)
+    series = {idx: float(e1.coeffs[idx] * x ** Fraction(weight[idx], 2) / 24)
+              for idx in np.ndindex(shape)}
+    return SeriesInT(valences, order, pot.x, series)
 
 
 def verify_relations(j, t, x=1.0):

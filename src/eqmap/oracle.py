@@ -56,9 +56,6 @@ class VertexProfile:
     def n_vertices(self):
         return sum(k for _, k in self.valences)
 
-    def as_dict(self):
-        return dict(self.valences)
-
 
 @dataclass
 class MapCensus:

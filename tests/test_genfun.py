@@ -1,9 +1,37 @@
 import math
+from fractions import Fraction
 
 import pytest
 
+import eqmap.endpoints as endpoints
+import eqmap.genfun as genfun
 from eqmap.endpoints import PotentialSpec, solve_endpoints, uz_jets
 from eqmap.genfun import e1_monomial, e1_series, e1_value, verify_relations
+
+
+def pure_even_series(nu, order):
+    """Exact t-coefficients of e1 = -log(nu - (nu - 1) z)/12 at x = 1 for
+    y**2/2 + t y**(2 nu), where z + 2 nu C(2 nu - 1, nu) t z**nu = 1; for
+    nu = 2 these are the BIZ quartic numbers."""
+    c = 2 * nu * math.comb(2 * nu - 1, nu)
+
+    def mul(a, b):
+        return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(order + 1)]
+
+    one = [Fraction(1)] + [Fraction(0)] * order
+    z = one
+    for _ in range(order):
+        zn = one
+        for _ in range(nu):
+            zn = mul(zn, z)
+        z = [Fraction(1)] + [-c * zn[n - 1] for n in range(1, order + 1)]
+    # nu - (nu - 1) z = 1 + w with w = (nu - 1)(1 - z)
+    w = [Fraction(0)] + [-(nu - 1) * zk for zk in z[1:]]
+    log, p = [Fraction(0)] * (order + 1), one
+    for m in range(1, order + 1):
+        p = mul(p, w)
+        log = [a + Fraction((-1) ** (m + 1), m) * b for a, b in zip(log, p)]
+    return [-a / 12 for a in log]
 
 
 def test_e1_vanishes_at_zero_perturbation():
@@ -98,6 +126,58 @@ def test_e1_series_mixed_family_cross_terms():
 
     mixed = (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4 * h * h)
     assert ser.coeff({3: 1, 4: 1}) == pytest.approx(mixed, rel=2e-3, abs=1e-4)
+
+
+def test_e1_series_calls_no_solver(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (endpoints, genfun):
+        for name in ("solve_endpoints", "uz_jets"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    e1_series(PotentialSpec(1.3, {3: 0.0, 4: 0.0}), order=2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("x", [1.0, 2.0])
+def test_e1_series_quartic_biz_numbers_exact(x):
+    assert pure_even_series(2, 4)[1:] == [-1, 30, -1056, 40176]
+    ser = e1_series(PotentialSpec(x, {4: 0}), order=4)
+    assert [ser.coeff({4: k}) for k in range(1, 5)] == [
+        c * x**k for k, c in enumerate((-1, 30, -1056, 40176), start=1)]
+
+
+def test_e1_series_at_face_weight_off_one():
+    # both once failed at the absolute gate of the float jet route
+    x = 1.3
+    quartic, sextic = pure_even_series(2, 6), pure_even_series(3, 2)
+    ser = e1_series(PotentialSpec(x, {4: 0}), order=6)
+    for k in range(1, 7):
+        assert ser.coeff({4: k}) == pytest.approx(float(quartic[k] * Fraction(x) ** k),
+                                                  rel=1e-14)
+    ser = e1_series(PotentialSpec(x, {4: 0, 6: 0}), order=2)
+    for k in (1, 2):
+        assert ser.coeff({4: k}) == pytest.approx(float(quartic[k] * Fraction(x) ** k),
+                                                  rel=1e-14)
+        assert ser.coeff({6: k}) == pytest.approx(float(sextic[k] * Fraction(x) ** (2 * k)),
+                                                  rel=1e-14)
+
+
+@pytest.mark.parametrize("x", [1.0, 1.3])
+def test_e1_series_valence_two_family_matches_e1_value(x):
+    # valence 2 shifts the Gaussian term y**2/2 rather than adding a new one
+    ser = e1_series(PotentialSpec(x, {2: 0, 3: 0}), order=4)
+    assert ser.coeff({2: 4}) == 0.0
+    for t2, t3 in ((0.002, 0.002), (-0.002, 0.001), (0.001, -0.002)):
+        summed = sum(v * t2**a * t3**b for (a, b), v in ser.coeffs.items())
+        want = e1_value(PotentialSpec(x, {2: t2, 3: t3})).value
+        # the t3**6 remainder is a few 1e-12 here
+        assert summed == pytest.approx(want, abs=1e-11)
 
 
 def test_dx_of_e1_matches_derivative_display():
