@@ -326,10 +326,9 @@ def _criterion_12():
             if abs(got - want) > 1e-8:
                 return False, "census %r at x=%g: series %.10g vs count %.10g" % (
                     profile, x, got, want)
-    anchors = (abs(e1_coeff_from_census({4: 1}, 1.0) + 1.0),
-               abs(e1_coeff_from_census({4: 2}, 1.0) - 30.0))
-    if max(anchors) > 1e-12:
-        return False, "hand anchors broken: %r" % (anchors,)
+    anchors = (e1_coeff_from_census({4: 1}, 1), e1_coeff_from_census({4: 2}, 1))
+    if anchors != (-1, 30):
+        return False, "hand anchors broken: %s and %s" % anchors
     return True, "five profiles at x=1,2 agree (worst %.2e); anchors -1 and 30 exact" % worst
 
 

@@ -182,7 +182,7 @@ def cmd_census(args):
         for part in spec.split(","):
             j, k = part.split(":")
             profile[int(j)] = int(k)
-        cens = census(profile, threads=args.threads)
+        cens = census(profile)
         out.append({
             "profile": {str(j): k for j, k in cens.profile.valences},
             "entries": [{"genus": g, "faces": f, "count": c}
@@ -276,8 +276,6 @@ def build_parser():
                        help="brute-force connected map census")
     p.add_argument("--profile", action="append", required=True, metavar="J:K",
                    help="vertex profile, e.g. 4:2 or 3:1,4:1; repeatable")
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallel branches (default: EQMAP_THREADS or 1)")
     p.set_defaults(fn=cmd_census)
 
     p = sub.add_parser("correlators", parents=[pot_parent, out_parent],

@@ -14,12 +14,11 @@ package is tested against.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .coefftables import double_factorial
-from .errors import CensusSizeError, EqmapError, InvalidParameterError
+from .errors import CensusSizeError, EqmapError
 
 __all__ = [
     "VertexProfile",
@@ -86,50 +85,6 @@ def _rotation(profile):
     return sigma
 
 
-def _census_entries(sigma, first_partner=None):
-    """Enumerate matchings (optionally pinning half-edge 0's partner) and
-    tally connected ones by (genus, faces)."""
-    n = len(sigma)
-    vertex_of = _vertex_of(sigma)
-    n_vertices = len(set(vertex_of))
-    entries = {}
-    disconnected = 0
-    partner = [-1] * n
-
-    def finish():
-        nonlocal disconnected
-        faces = _count_cycles(sigma, partner)
-        if _is_connected(vertex_of, partner, n_vertices):
-            g2 = 2 - n_vertices + n // 2 - faces
-            if g2 % 2 or g2 < 0:
-                raise EqmapError("Euler characteristic gives 2g = %d for a "
-                                 "connected gluing" % g2)
-            key = (g2 // 2, faces)
-            entries[key] = entries.get(key, 0) + 1
-        else:
-            disconnected += 1
-
-    def rec(unmatched):
-        if not unmatched:
-            finish()
-            return
-        h = unmatched[0]
-        rest = unmatched[1:]
-        for i, p in enumerate(rest):
-            partner[h] = p
-            partner[p] = h
-            rec(rest[:i] + rest[i + 1:])
-        partner[h] = -1
-
-    if first_partner is None:
-        rec(list(range(n)))
-    else:
-        partner[0] = first_partner
-        partner[first_partner] = 0
-        rec([h for h in range(1, n) if h != first_partner])
-    return entries, disconnected
-
-
 def _vertex_of(sigma):
     """Vertex index of each half-edge, recovered from the rotation cycles."""
     n = len(sigma)
@@ -145,49 +100,15 @@ def _vertex_of(sigma):
     return owner
 
 
-def _count_cycles(sigma, partner):
-    n = len(sigma)
-    seen = [False] * n
-    cycles = 0
-    for h in range(n):
-        if not seen[h]:
-            cycles += 1
-            cur = h
-            while not seen[cur]:
-                seen[cur] = True
-                cur = sigma[partner[cur]]
-    return cycles
-
-
-def _is_connected(vertex_of, partner, n_vertices):
-    if n_vertices == 1:
-        return True
-    adj = {}
-    for h, p in enumerate(partner):
-        a, b = vertex_of[h], vertex_of[p]
-        adj.setdefault(a, set()).add(b)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj.get(stack.pop(), ()):
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == n_vertices
-
-
-def _branch(args):
-    sigma, first = args
-    return _census_entries(sigma, first)
-
-
-def census(profile, threads=None):
+def census(profile):
     """Full census for a valence profile.
 
     An odd half-edge total yields the empty census; totals beyond
     MAX_HALF_EDGES are refused (the matching count (H-1)!! explodes).
-    Parallel runs split on the first pairing choice; set the EQMAP_THREADS
-    environment variable or pass ``threads`` explicitly.
+    One serial recursion pairs the first free half-edge with each other free
+    one and carries the faces (open paths of sigma o alpha) and the
+    components (a union-find over vertices) as it goes, undoing both on
+    backtrack.
     """
     profile = VertexProfile.of(profile)
     n = profile.half_edges
@@ -199,20 +120,80 @@ def census(profile, threads=None):
     if n == 0:
         return MapCensus(profile, {}, 0, 0)
     sigma = _rotation(profile)
-    if threads is None:
-        threads = _env_threads()
-    workers = _worker_count(threads, n)
-    if workers > 1 and n >= 8:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_branch, [(sigma, p) for p in range(1, n)]))
-    else:
-        parts = [_census_entries(sigma, p) for p in range(1, n)]
-    entries = {}
+    vertex_of = _vertex_of(sigma)
+    n_vertices = profile.n_vertices
+    # open paths of phi = sigma o alpha: head[e] is the first half-edge of the
+    # path ending at e, tail[s] the last half-edge of the path starting at s
+    head = list(range(n))
+    tail = list(range(n))
+    root = list(range(n_vertices))  # union-find over vertices, unions undone
+    size = [1] * n_vertices
+    by_faces = [0] * (n + 1)  # connected gluings per face count
     disconnected = 0
-    for ent, dis in parts:
-        disconnected += dis
-        for key, cnt in ent.items():
-            entries[key] = entries.get(key, 0) + cnt
+    free = list(range(n))  # free[k:] are the unpaired half-edges
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    def rec(k, faces, components):
+        nonlocal disconnected
+        h = free[k]
+        if k == n - 2:  # the last pair is forced
+            p = free[k + 1]
+            # it closes two faces when h's path starts at sigma(p); the map is
+            # connected when its union leaves one component
+            if components == 1 or (components == 2 and
+                                   find(vertex_of[h]) != find(vertex_of[p])):
+                by_faces[faces + (2 if head[h] == sigma[p] else 1)] += 1
+            else:
+                disconnected += 1
+            return
+        sh = sigma[h]
+        a = find(vertex_of[h])
+        for i in range(k + 1, n):
+            p = free[i]
+            free[i], free[k + 1] = free[k + 1], p
+            sp = sigma[p]
+            # pairing h with p adds the arrows h -> sp and p -> sh of phi; an
+            # arrow closes a face when it meets its own path's start
+            f = faces
+            s1, e1 = head[h], tail[sp]
+            if s1 == sp:
+                f += 1
+            else:
+                tail[s1], head[e1] = e1, s1
+            s2, e2 = head[p], tail[sh]
+            if s2 == sh:
+                f += 1
+            else:
+                tail[s2], head[e2] = e2, s2
+            b = find(vertex_of[p])
+            if a == b:
+                rec(k + 2, f, components)
+            else:
+                big, small = (a, b) if size[a] >= size[b] else (b, a)
+                root[small] = big
+                size[big] += size[small]
+                rec(k + 2, f, components - 1)
+                root[small] = small
+                size[big] -= size[small]
+            if s2 != sh:
+                tail[s2], head[e2] = p, sh
+            if s1 != sp:
+                tail[s1], head[e1] = h, sp
+            free[k + 1], free[i] = free[i], p
+
+    rec(0, 0, n_vertices)
+    entries = {}
+    for faces, cnt in enumerate(by_faces):
+        if cnt:
+            g2 = 2 - n_vertices + n // 2 - faces
+            if g2 % 2 or g2 < 0:
+                raise EqmapError("Euler characteristic gives 2g = %d for a "
+                                 "connected gluing" % g2)
+            entries[(g2 // 2, faces)] = cnt
     out = MapCensus(profile, entries, sum(entries.values()), disconnected)
     expected = double_factorial(n - 1)
     if out.total_matchings != expected:
@@ -221,36 +202,19 @@ def census(profile, threads=None):
     return out
 
 
-def _env_threads():
-    """Census worker request from EQMAP_THREADS (default 1)."""
-    raw = os.environ.get("EQMAP_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise InvalidParameterError("EQMAP_THREADS must be an integer >= 1, got %r" % raw)
-    return threads
-
-
-def _worker_count(threads, n):
-    """Processes for a census of n half-edges: one branch per partner of
-    half-edge 0 at most, and no more than the machine's cores."""
-    return min(threads, n - 1, os.cpu_count() or 1)
-
-
 def e1_coeff_from_census(profile, x=1.0, census_table=None):
     """Series coefficient of prod_j t_j**k_j in e1, from the genus-1 slice.
 
     Each connected genus-1 gluing contributes x**faces; the sign and the
     symmetry division (-1)**k_j / k_j! per valence class convert the raw Wick
-    count into the generating-function coefficient.
+    count into the generating-function coefficient.  The result is an exact
+    Fraction (x is taken at its exact binary value).
     """
     profile = VertexProfile.of(profile)
     if census_table is None:
         census_table = census(profile)
-    factor = 1.0
+    factor = Fraction(1)
     for _, k in profile.valences:
-        factor *= (-1.0) ** k / math.factorial(k)
-    return factor * sum(cnt * float(x) ** f
-                        for f, cnt in census_table.genus_slice(1).items())
+        factor *= Fraction((-1) ** k, math.factorial(k))
+    x = Fraction(x)
+    return factor * sum(cnt * x ** f for f, cnt in census_table.genus_slice(1).items())

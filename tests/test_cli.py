@@ -145,7 +145,7 @@ def test_verify_exit_codes(capsys, monkeypatch):
 
 
 def test_census_deterministic_output(capsys):
-    code1, out1, _ = run_cli(capsys, "census", "--profile", "4:2", "--threads", "2")
+    code1, out1, _ = run_cli(capsys, "census", "--profile", "4:2")
     code2, out2, _ = run_cli(capsys, "census", "--profile", "4:2")
     assert code1 == code2 == 0
     assert out1 == out2
@@ -158,3 +158,11 @@ def test_tol_flag_is_gone(capsys):
         cli.main(["density", "--t", "4=0.01", "--tol", "1e-20"])
     assert info.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_threads_flag_is_gone(capsys):
+    # the census has one serial path; --threads is an unknown option
+    with pytest.raises(SystemExit) as info:
+        cli.main(["census", "--profile", "4:2", "--threads", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err

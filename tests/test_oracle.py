@@ -1,8 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
-import eqmap.oracle as oracle
 from eqmap.endpoints import PotentialSpec
-from eqmap.errors import CensusSizeError, InvalidParameterError
+from eqmap.errors import CensusSizeError
 from eqmap.genfun import e1_series
 from eqmap.oracle import census, e1_coeff_from_census
 
@@ -82,12 +83,19 @@ def test_one_vertex_total_is_odd_double_factorial():
 
 
 def test_e1_coeff_single_quartic_vertex():
-    assert e1_coeff_from_census({4: 1}, 1.0) == pytest.approx(-1.0)
-    assert e1_coeff_from_census({4: 1}, 2.0) == pytest.approx(-2.0)
+    assert e1_coeff_from_census({4: 1}, 1.0) == -1
+    assert e1_coeff_from_census({4: 1}, 2.0) == -2
 
 
 def test_e1_coeff_two_quartic_vertices():
-    assert e1_coeff_from_census({4: 2}, 1.0) == pytest.approx(30.0)
+    assert e1_coeff_from_census({4: 2}, 1.0) == 30
+
+
+def test_e1_coeff_is_exact_fraction():
+    # 3/2 is a binary float, so every power of it stays exact
+    got = e1_coeff_from_census({4: 2}, 1.5)
+    assert isinstance(got, Fraction)
+    assert got == Fraction(1, 2) * (60 * Fraction(3, 2) ** 2)
 
 
 def test_disconnected_pairings_counted():
@@ -96,34 +104,11 @@ def test_disconnected_pairings_counted():
     assert cens.connected + cens.disconnected == dfact(3)
 
 
-def test_census_parallel_matches_serial():
-    serial = census({4: 2}, threads=1)
-    parallel = census({4: 2}, threads=2)
-    assert serial.entries == parallel.entries
-    assert serial.disconnected == parallel.disconnected
-
-
-def test_census_thread_count_from_environment(monkeypatch):
-    monkeypatch.setenv("EQMAP_THREADS", "2")
-    assert census({4: 2}).entries == census({4: 2}, threads=1).entries
-
-
-@pytest.mark.parametrize("threads,n,cores,want", [
-    (4, 10, 2, 2),     # capped by the cores
-    (4, 10, None, 1),  # core count unknown
-    (8, 4, 16, 3),     # capped by the n - 1 branches
-    (2, 10, 16, 2),    # the request itself
-])
-def test_worker_count_is_capped(monkeypatch, threads, n, cores, want):
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cores)
-    assert oracle._worker_count(threads, n) == want
-
-
-@pytest.mark.parametrize("value", ["0", "-2", "1.5", "two", ""])
-def test_invalid_thread_environment_rejected(monkeypatch, value):
-    monkeypatch.setenv("EQMAP_THREADS", value)
-    with pytest.raises(InvalidParameterError, match="EQMAP_THREADS"):
-        census({4: 1})
+def test_thread_environment_is_ignored(monkeypatch):
+    # the census has no worker count; a stale EQMAP_THREADS changes nothing
+    expected = census({4: 2})
+    monkeypatch.setenv("EQMAP_THREADS", "two")
+    assert census({4: 2}) == expected
 
 
 @pytest.mark.parametrize("profile,order", [({4: 1}, 1), ({4: 2}, 2), ({3: 2}, 2),
@@ -145,3 +130,98 @@ def test_mixed_profile_series_coefficient_matches_census():
     got = ser.coeff(profile)
     want = e1_coeff_from_census(profile, 1.0)
     assert got == pytest.approx(want, rel=1e-8)
+
+
+def harer_zagier(nmax):
+    """eps[n][g]: gluings of a 2n-gon into a genus-g surface, from the
+    Harer-Zagier recursion (Invent. Math. 1986) alone."""
+    eps = [{0: 1}]
+    for n in range(1, nmax + 1):
+        row = {}
+        for g in range(n // 2 + 1):
+            num = 2 * (2 * n - 1) * eps[n - 1].get(g, 0)
+            if n >= 2 and g >= 1:
+                num += (n - 1) * (2 * n - 1) * (2 * n - 3) * eps[n - 2].get(g - 1, 0)
+            if num:
+                row[g] = num // (n + 1)
+                assert row[g] * (n + 1) == num
+        eps.append(row)
+    return eps
+
+
+def test_one_vertex_counts_are_harer_zagier():
+    eps = harer_zagier(8)
+    assert eps[4] == {0: 14, 1: 70, 2: 21}  # printed in Harer-Zagier's table
+    for n in range(1, 9):
+        cens = census({2 * n: 1})
+        assert {g: c for (g, f), c in cens.entries.items()} == eps[n], n
+        assert all(f == n + 1 - 2 * g for g, f in cens.entries)
+
+
+def brute_force_census(profile):
+    """Census by brute force over complete matchings: faces as the cycles of
+    sigma o alpha, connectivity by a depth-first search over vertices."""
+    sigma, vertex = [], []
+    v = 0
+    for j, k in sorted(profile.items()):
+        for _ in range(k):
+            base = len(sigma)
+            sigma += [base + (i + 1) % j for i in range(j)]
+            vertex += [v] * j
+            v += 1
+    n = len(sigma)
+
+    def matchings(free):
+        if not free:
+            yield {}
+            return
+        h, rest = free[0], free[1:]
+        for i, p in enumerate(rest):
+            for m in matchings(rest[:i] + rest[i + 1:]):
+                m[h], m[p] = p, h
+                yield m
+
+    entries, disconnected = {}, 0
+    if n % 2:
+        return entries, disconnected
+    for alpha in matchings(list(range(n))):
+        seen, faces = set(), 0
+        for h in range(n):
+            if h not in seen:
+                faces += 1
+                while h not in seen:
+                    seen.add(h)
+                    h = sigma[alpha[h]]
+        reached, stack = {0}, [0]
+        while stack:
+            u = stack.pop()
+            for h in range(n):
+                w = vertex[alpha[h]]
+                if vertex[h] == u and w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if len(reached) < v:
+            disconnected += 1
+            continue
+        genus = (2 - v + n // 2 - faces) // 2
+        entries[(genus, faces)] = entries.get((genus, faces), 0) + 1
+    return entries, disconnected
+
+
+def partitions(total, largest):
+    if total == 0:
+        yield {}
+        return
+    for j in range(min(total, largest), 0, -1):
+        for rest in partitions(total - j, j):
+            yield {**rest, j: rest.get(j, 0) + 1}
+
+
+def test_census_matches_brute_force_up_to_ten_half_edges():
+    profiles = [p for total in range(1, 11) for p in partitions(total, total)]
+    assert len(profiles) == 138  # partitions of 1..10
+    for profile in profiles:
+        cens = census(profile)
+        entries, disconnected = brute_force_census(profile)
+        assert (cens.entries, cens.disconnected) == (entries, disconnected), profile
+        assert cens.connected == sum(entries.values())

@@ -1,5 +1,8 @@
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,7 +25,8 @@ def test_package_has_no_assert_statements():
 
 
 # the Newton tolerance, the continuation step cap, the table argument and the
-# fixed grid, window and relative tolerances are constants, not options
+# fixed grid, window and relative tolerances are constants, not options; the
+# census has no worker count
 SIGNATURES = {
     eqmap.solve_endpoints: ["pot"],
     eqmap.uz_jets: ["pot", "x_order", "t_order"],
@@ -37,9 +41,20 @@ SIGNATURES = {
     endpoints._newton: ["pot", "u", "z"],
     endpoints._locate_fold: ["pot", "u", "z", "s0"],
     acceptance._corpus_with_jets: [],
+    eqmap.census: ["profile"],
 }
 
 
 @pytest.mark.parametrize("fn", list(SIGNATURES), ids=lambda fn: fn.__name__)
 def test_single_value_options_stay_removed(fn):
     assert list(inspect.signature(fn).parameters) == SIGNATURES[fn]
+
+
+def test_import_loads_no_process_pool():
+    # the census runs serial, so importing the package pulls in no pool
+    code = ("import sys, eqmap; print(sorted({'concurrent.futures', 'multiprocessing'}"
+            " & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(eqmap.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
