@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +31,7 @@ __all__ = [
 
 def _is_zero(v):
     if isinstance(v, Jet):
-        return not v.coeffs.any()
+        return not np.count_nonzero(v.coeffs)
     return v == 0
 
 
@@ -56,11 +57,17 @@ class Jet:
     truncation order in each variable is the array extent minus one.  Binary
     operations truncate to the elementwise minimum of the operand orders, so
     information never silently exceeds what both operands carry.
+
+    Jets built from a float are stored as float64 arrays, those built from an
+    int or Fraction as object arrays, and every operation keeps the storage.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
+        if isinstance(coeffs, np.ndarray) and coeffs.ndim and coeffs.dtype in (np.float64, object):
+            self.coeffs = coeffs
+            return
         arr = np.array(coeffs, dtype=object)
         if arr.ndim == 0:
             arr = arr.reshape((1,))
@@ -68,7 +75,8 @@ class Jet:
 
     @classmethod
     def constant(cls, value, orders):
-        arr = np.zeros(tuple(o + 1 for o in orders), dtype=object)
+        arr = np.zeros(tuple(o + 1 for o in orders),
+                       dtype=np.float64 if isinstance(value, float) else object)
         arr[(0,) * len(orders)] = value
         return cls(arr)
 
@@ -77,12 +85,9 @@ class Jet:
         """Jet of the coordinate function: value plus a unit first-order offset."""
         if orders[index] < 1:
             raise ValueError("variable %d needs truncation order >= 1" % index)
-        arr = np.zeros(tuple(o + 1 for o in orders), dtype=object)
-        arr[(0,) * len(orders)] = value
-        idx = [0] * len(orders)
-        idx[index] = 1
-        arr[tuple(idx)] = 1
-        return cls(arr)
+        jet = cls.constant(value, orders)
+        jet.coeffs[tuple(int(k == index) for k in range(len(orders)))] = 1
+        return jet
 
     @property
     def orders(self):
@@ -110,21 +115,31 @@ class Jet:
         shifted = self.coeffs[tuple(sl)]
         shape = [1] * self.coeffs.ndim
         shape[var] = n - 1
-        mult = np.arange(1, n, dtype=object).reshape(shape)
+        mult = np.arange(1, n, dtype=self.coeffs.dtype).reshape(shape)
         return Jet(shifted * mult)
 
     # ---- arithmetic -----------------------------------------------------
 
-    def _check(self, other):
-        if other.coeffs.ndim != self.coeffs.ndim:
+    def _operands(self, other):
+        """Both coefficient arrays, truncated to the common orders."""
+        a, b = self.coeffs, other.coeffs
+        if a.shape == b.shape:
+            return a, b
+        if a.ndim != b.ndim:
             raise ValueError("jets over different variable sets")
+        box = tuple(slice(0, min(x, y)) for x, y in zip(a.shape, b.shape))
+        return a[box], b[box]
+
+    def _like(self, value):
+        """A scalar in this jet's storage.  float64 storage takes float(value),
+        which moves no bit: Python's float * Fraction is float(c) * x."""
+        return value if self.coeffs.dtype == object else float(value)
 
     def __add__(self, other):
         if isinstance(other, LaurentPoly):
             return NotImplemented
         if isinstance(other, Jet):
-            self._check(other)
-            a, b = _aligned(self.coeffs, other.coeffs)
+            a, b = self._operands(other)
             return Jet(a + b)
         out = self.coeffs.copy()
         zero = (0,) * out.ndim
@@ -146,26 +161,24 @@ class Jet:
         if isinstance(other, LaurentPoly):
             return NotImplemented
         if not isinstance(other, Jet):
-            return Jet(self.coeffs * other)
-        self._check(other)
-        a, b = _aligned(self.coeffs, other.coeffs)
+            return Jet(self.coeffs * self._like(other))
+        a, b = self._operands(other)
         shape = a.shape
-        out = np.zeros(shape, dtype=object)
-        for idx in np.ndindex(shape):
-            v = a[idx]
-            if _is_zero(v):
-                continue
-            src = tuple(slice(0, n - i) for i, n in zip(idx, shape))
-            dst = tuple(slice(i, n) for i, n in zip(idx, shape))
-            out[dst] += v * b[src]
-        return Jet(out)
+        i, m, src = _product_triples(shape)
+        a, b = a.ravel(), b.ravel()
+        keep = (a != 0)[i]  # zero factors add nothing and are skipped
+        out = np.zeros(a.size, dtype=np.result_type(a, b))
+        np.add.at(out, m[keep], a[i[keep]] * b[src[keep]])
+        return Jet(out.reshape(shape))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.reciprocal()
-        return Jet(self.coeffs / other)
+        if isinstance(other, int) and self.coeffs.dtype == object:
+            other = Fraction(other)  # int entries stay exact
+        return Jet(self.coeffs / self._like(other))
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -173,7 +186,7 @@ class Jet:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("jet powers must be nonnegative integers")
-        out = Jet.constant(1, self.orders)
+        out = Jet.constant(self._like(1), self.orders)
         for _ in range(n):
             out = out * self
         return out
@@ -221,7 +234,7 @@ class Jet:
     def _nilpotent_series(self, eta, coeff):
         """sum_k coeff(k) * eta**k for eta with zero constant term."""
         total = sum(eta.orders)
-        out = Jet.constant(coeff(0), eta.orders)
+        out = Jet.constant(eta._like(coeff(0)), eta.orders)
         p = eta
         for k in range(1, total + 1):
             c = coeff(k)
@@ -235,10 +248,23 @@ class Jet:
         return "Jet(orders=%r, coeffs=%r)" % (self.orders, self.coeffs.tolist())
 
 
-def _aligned(a, b):
-    shape = tuple(min(x, y) for x, y in zip(a.shape, b.shape))
-    sl = tuple(slice(0, n) for n in shape)
-    return a[sl], b[sl]
+@lru_cache(maxsize=None)
+def _product_triples(shape):
+    """Flat index triples (i, m, src) of a truncated product over ``shape``:
+    coefficient m receives a[i] * b[src], in row-major order of i.  np.add.at
+    applies them in that order, so every sum is rounded as a loop over the
+    entries of a forms it (Griewank & Walther, Evaluating Derivatives, 2008)."""
+    flat = np.arange(math.prod(shape)).reshape(shape)
+    i, m, src = [], [], []
+    for idx in np.ndindex(shape):
+        dst = flat[tuple(slice(k, n) for k, n in zip(idx, shape))].ravel()
+        i.append(np.full(dst.size, flat[idx]))
+        m.append(dst)
+        src.append(flat[tuple(slice(0, n - k) for k, n in zip(idx, shape))].ravel())
+    triples = np.concatenate(i), np.concatenate(m), np.concatenate(src)
+    for arr in triples:
+        arr.flags.writeable = False  # shared by every product of this shape
+    return triples
 
 
 class LaurentPoly:
@@ -297,7 +323,9 @@ class LaurentPoly:
             for k1, v1 in self.coeffs.items():
                 for k2, v2 in other.coeffs.items():
                     k = k1 + k2
-                    out[k] = out.get(k, 0) + v1 * v2
+                    # x * 1 == x exactly, so the unit coefficient of T is not multiplied
+                    p = v1 if type(v2) is int and v2 == 1 else v1 * v2
+                    out[k] = out.get(k, 0) + p
             return LaurentPoly(out)
         return LaurentPoly({k: v * other for k, v in self.coeffs.items()})
 

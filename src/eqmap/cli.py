@@ -199,7 +199,7 @@ def cmd_correlators(args):
     ctx = correlator_context(pot)
     y = complex(args.y)
     ky = apply_K(ctx, lambda s: w1_subleading(ctx, s), y)
-    loop_residual = abs(w2_diag(ctx, y) + ky)
+    loop_residual = float(abs(w2_diag(ctx, y) + ky))
 
     def c2l(v):
         v = complex(v)

@@ -347,7 +347,7 @@ def solve_endpoints(pot):
                 raise NoOneCutSolutionError(
                     "continuation step underflow at s=%.6g; "
                     "no one-cut solution reached" % s)
-    return EndpointSolution(u, z, pot, res)
+    return EndpointSolution(float(u), float(z), pot, res)
 
 
 def uz_jets(pot, x_order, t_order=0):

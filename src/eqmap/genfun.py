@@ -50,7 +50,7 @@ def e1_value(pot):
     arg = pot.x ** 2 * (zx * zx - ep.z * ux * ux) / ep.z ** 2
     if not arg > 0:
         raise OutsideOneCutError("log argument %.6g is not positive" % arg)
-    return E1Result(math.log(arg) / 24, arg, ep.u, ep.z, ux, zx, pot.x)
+    return E1Result(math.log(arg) / 24, arg, ep.u, ep.z, ux, zx, float(pot.x))
 
 
 def e1_monomial(j, t):
@@ -93,7 +93,7 @@ def e1_series(pot, order):
     """Expand e1 to the given order in every valence direction of ``pot``.
 
     Built exactly at x = 1 and t = 0, where u = 0, z = 1 and the endpoint
-    Jacobian is the identity: (u, z) are lifted as Fraction jets in the
+    Jacobian is the identity: (u, z) are lifted as exact rational jets in the
     t-offsets, and u_x, z_x follow from the scaling relations
     2 u_x = u + E u and 2 z_x = 2 z + E z, E = sum_j (j - 2) t_j d/dt_j.
     Since e1(x, t) = e1(1, {t_j x**((j - 2)/2)}), the coefficient of
@@ -111,17 +111,17 @@ def e1_series(pot, order):
     coeffs[1] = 1  # valence 2 adds to the Gaussian term
     for i, j in enumerate(valences):
         coeffs[j - 1] = coeffs[j - 1] + j * Jet.variable(0, i, orders)
-    U, Z = Jet.constant(0, orders), Jet.constant(Fraction(1), orders)
+    U, Z = Jet.constant(0, orders), Jet.constant(1, orders)
     for _ in range(sum(orders)):  # each pass kills the lowest order left
-        r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _x=Fraction(1))
+        r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _x=1)
         U, Z = U - r1, Z - r2
 
     # E multiplies the coefficient of prod_j t_j**k_j by sum_j k_j (j - 2)
     shape = U.coeffs.shape
     weight = np.array([sum(k * (j - 2) for k, j in zip(idx, valences))
                        for idx in np.ndindex(shape)], dtype=object).reshape(shape)
-    ux = (U + Jet(U.coeffs * weight)) * Fraction(1, 2)
-    zx = Z + Jet(Z.coeffs * weight) * Fraction(1, 2)
+    ux = (U + Jet(U.coeffs * weight)) / 2
+    zx = Z + Jet(Z.coeffs * weight) / 2
     e1 = ((zx * zx - Z * (ux * ux)) / (Z * Z)).log()
     # F = weight/2 is fractional only for an odd half-edge count, whose
     # coefficient is an exact zero

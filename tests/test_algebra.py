@@ -173,6 +173,130 @@ def test_jet_exact_rational_arithmetic():
     assert inv.coeffs[1] == Fraction(-1, 3)
 
 
+def test_exact_jet_divided_by_int_stays_exact():
+    q = Jet([Fraction(1, 3), 2, 0, -5]) / 3
+    assert q.coeffs.dtype == object
+    assert list(q.coeffs) == [Fraction(1, 9), Fraction(2, 3), 0, Fraction(-5, 3)]
+    assert all(isinstance(v, (int, Fraction)) for v in q.coeffs)
+    f = Jet.variable(0.7, 0, (3,)) * 1.1
+    assert _hex(f / 3) == [(v / 3).hex() for v in f.coeffs.tolist()]
+
+
+def test_float_jets_keep_float64_storage():
+    j = Jet.variable(0.8, 0, (4, 2)) * 0.5 + Jet.variable(1.3, 1, (4, 2))
+    assert j.coeffs.dtype == np.float64
+    for out in (j.reciprocal(), j.log(), j.exp(), j.sqrt(), j ** 3, j.dx(0), j.dx(1),
+                j / 3, j / j, j - Fraction(1, 3), j * Fraction(2, 3), Fraction(2, 3) * j):
+        assert out.coeffs.dtype == np.float64
+    # a Fraction scalar is cast with float(), as Python's float * Fraction does
+    assert _hex(j * Fraction(2, 3)) == [float(v * Fraction(2, 3)).hex() for v in j.coeffs.flat]
+
+
+def test_exact_jets_keep_object_storage():
+    j = Jet.variable(Fraction(1, 2), 0, (3,)) + 1
+    for out in (j.reciprocal(), j ** 3, j.dx(0), j / 3, j * j, j * Fraction(2, 3)):
+        assert out.coeffs.dtype == object
+        assert all(isinstance(v, (int, Fraction)) for v in out.coeffs)
+
+
+# ---- the product engine ----------------------------------------------------
+
+
+def _slice_loop_mul(self, other):
+    """The jet product as a loop over the entries of the first factor, each
+    nonzero one adding its multiple of the shifted second factor into an
+    object array.  The engine's product must form the same sums bit for bit."""
+    if isinstance(other, LaurentPoly):
+        return NotImplemented
+    if not isinstance(other, Jet):
+        return Jet(self.coeffs * other)
+    if other.coeffs.ndim != self.coeffs.ndim:
+        raise ValueError("jets over different variable sets")
+    shape = tuple(min(x, y) for x, y in zip(self.coeffs.shape, other.coeffs.shape))
+    box = tuple(slice(0, n) for n in shape)
+    a, b = self.coeffs[box], other.coeffs[box]
+    out = np.zeros(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        v = a[idx]
+        if v == 0:
+            continue
+        src = tuple(slice(0, n - i) for i, n in zip(idx, shape))
+        dst = tuple(slice(i, n) for i, n in zip(idx, shape))
+        out[dst] += v * b[src]
+    return Jet(out)
+
+
+def _hex(jet):
+    return [float(v).hex() for v in jet.coeffs.flat]
+
+
+def _random_float_jet(rng, shape):
+    """float64 jet spanning six decades, with exact zeros and both signs."""
+    c = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    c[rng.random(size=shape) < 0.3] = 0.0
+    return Jet(c)
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 2), (3, 3), (2, 3, 2)])
+def test_float_jet_product_matches_slice_loop_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[0])
+    for _ in range(25):
+        a, b = _random_float_jet(rng, shape), _random_float_jet(rng, shape)
+        prod = a * b
+        assert prod.coeffs.dtype == np.float64
+        assert _hex(prod) == _hex(_slice_loop_mul(a, b))
+
+
+def test_jet_product_truncates_mismatched_shapes_like_slice_loop():
+    rng = np.random.default_rng(5)
+    a, b = _random_float_jet(rng, (4, 3)), _random_float_jet(rng, (3, 5))
+    assert (a * b).orders == (b * a).orders == (2, 2)
+    assert _hex(a * b) == _hex(_slice_loop_mul(a, b))
+    assert _hex(b * a) == _hex(_slice_loop_mul(b, a))
+    with pytest.raises(ValueError):
+        a * Jet(np.ones(3))
+
+
+def test_exact_jet_product_matches_slice_loop():
+    rng = random.Random(3)
+    for shape in [(5,), (3, 3), (2, 3, 2)]:
+        a, b = (Jet(np.array([Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                              for _ in range(math.prod(shape))], dtype=object).reshape(shape))
+                for _ in range(2))
+        prod = a * b
+        assert prod.coeffs.dtype == object
+        assert all(type(v) is Fraction for v in prod.coeffs.flat)
+        assert (prod.coeffs == _slice_loop_mul(a, b).coeffs).all()
+
+
+def test_solver_path_matches_slice_loop_bit_for_bit(monkeypatch):
+    """Newton's residual and Jacobian, the fold search and one x-jet lift on
+    five corpus members, with the engine's product and with the slice loop."""
+    from eqmap.acceptance import one_cut_corpus
+    from eqmap.endpoints import PotentialSpec, _locate_fold, _residual_and_jacobian, uz_jets
+
+    pots = one_cut_corpus(5)
+    folds = [PotentialSpec(1.0, {4: -1.5 / 48}), PotentialSpec(1.0, {3: 0.05, 4: -1.5 / 48})]
+
+    def fingerprint():
+        out = []
+        for pot in pots:
+            ep = uz_jets(pot, x_order=max(pot.degree, 5) + 1)
+            r, jac = _residual_and_jacobian(ep.u, ep.z, pot)
+            out += [float(v).hex() for v in (ep.u, ep.z, *r, *jac.flat)]
+            out += _hex(ep.u_jet) + _hex(ep.z_jet)
+        for pot in pots + folds:
+            s = _locate_fold(pot, 0.0, float(pot.x), 0.0)
+            out.append(None if s is None else s.hex())
+        return out
+
+    fast = fingerprint()
+    assert None not in fast[-2:]  # both fold searches converge
+    monkeypatch.setattr(Jet, "__mul__", _slice_loop_mul)
+    monkeypatch.setattr(Jet, "__rmul__", _slice_loop_mul)
+    assert fingerprint() == fast
+
+
 # ---- series at infinity ----------------------------------------------------
 
 

@@ -166,3 +166,29 @@ def test_threads_flag_is_gone(capsys):
         cli.main(["census", "--profile", "4:2", "--threads", "2"])
     assert info.value.code == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+def test_json_numbers_are_python_floats(monkeypatch):
+    # numpy scalars in the payload would reach the JSON as float subclasses
+    leaves = []
+
+    def walk(obj):
+        if isinstance(obj, dict):
+            for v in obj.values():
+                walk(v)
+        elif isinstance(obj, list):
+            for v in obj:
+                walk(v)
+        else:
+            leaves.append(obj)
+
+    monkeypatch.setattr(cli, "_emit", lambda args, obj, **kwargs: walk(obj))
+    for argv in (["endpoints", "--t", "3=0.01", "--t", "4=0.02"],
+                 ["h", "--t", "3=0.01", "--t", "4=0.02"],
+                 ["e1", "--t", "3=0.01", "--t", "4=0.02", "--series", "2"],
+                 ["density", "--t", "4=0.01"],
+                 ["variational", "--t", "4=0.01"],
+                 ["correlators", "--t", "4=0.01", "--y", "3+1j"]):
+        assert cli.main(argv) == 0
+    assert leaves
+    assert {type(v) for v in leaves} <= {float, int, str}

@@ -267,6 +267,17 @@ def test_uz_jets_lifts_through_endpoint_residuals(monkeypatch):
     assert len(lifts) == sum(orders) + 2
 
 
+def test_float_jets_stay_float64_and_public_floats_stay_python_floats():
+    pot = PotentialSpec(1.1, {3: 0.01, 4: 0.02})
+    ep = uz_jets(pot, x_order=4, t_order=1)
+    assert ep.u_jet.coeffs.dtype == ep.z_jet.coeffs.dtype == np.float64
+    assert type(ep.u) is float and type(ep.z) is float and type(ep.residual_norm) is float
+    assert "np.float64(" not in repr(solve_endpoints(pot))
+    with pytest.raises(NoOneCutSolutionError) as info:
+        solve_endpoints(PotentialSpec(1.0, {4: -1.5 / 48}))
+    assert "np.float64(" not in str(info.value)
+
+
 def test_one_cut_certificate():
     pot = PotentialSpec(1.0, {4: 0.01})
     ep = solve_endpoints(pot)

@@ -5,7 +5,8 @@ import pytest
 
 import eqmap.endpoints as endpoints
 import eqmap.genfun as genfun
-from eqmap.endpoints import PotentialSpec, solve_endpoints, uz_jets
+from eqmap.algebra import Jet
+from eqmap.endpoints import PotentialSpec, endpoint_residuals, solve_endpoints, uz_jets
 from eqmap.genfun import e1_monomial, e1_series, e1_value, verify_relations
 
 
@@ -142,6 +143,33 @@ def test_e1_series_calls_no_solver(monkeypatch):
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
     e1_series(PotentialSpec(1.3, {3: 0.0, 4: 0.0}), order=2)
     assert calls == []
+
+
+def test_e1_series_jets_stay_exact(monkeypatch):
+    seen = []
+
+    def recorded(u, z, pot, **kwargs):
+        seen.extend((u, z))
+        return endpoint_residuals(u, z, pot, **kwargs)
+
+    def recorded_log(self):
+        seen.append(self)
+        return jet_log(self)
+
+    jet_log = Jet.log
+    monkeypatch.setattr(genfun, "endpoint_residuals", recorded)
+    monkeypatch.setattr(Jet, "log", recorded_log)
+    e1_series(PotentialSpec(1.3, {3: 0, 4: 0}), order=2)
+    assert len(seen) == 2 * 4 + 1  # (U, Z) of each pass, then the log argument
+    for jet in seen:
+        assert jet.coeffs.dtype == object
+        assert all(type(v) in (int, Fraction) for v in jet.coeffs.flat)
+
+
+@pytest.mark.parametrize("x", [1, 1.1])
+def test_e1_result_fields_are_python_floats(x):
+    res = e1_value(PotentialSpec(x, {3: 0.01, 4: 0.02}))
+    assert all(type(v) is float for v in vars(res).values())
 
 
 @pytest.mark.parametrize("x", [1.0, 2.0])

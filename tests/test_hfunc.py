@@ -105,6 +105,12 @@ def test_phi_psi_rejects_missing_orders():
         phi_psi(QUARTIC, ep, 3)
 
 
+def test_phi_psi_jets_stay_float64():
+    pot = PotentialSpec(0.9, {3: 0.01, 4: 0.01})
+    for seq in phi_psi(pot, uz_jets(pot, x_order=4), 3):
+        assert seq.phi.coeffs.dtype == seq.psi.coeffs.dtype == np.float64
+
+
 # ---- h routes ---------------------------------------------------------------
 
 
