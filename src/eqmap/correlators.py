@@ -56,12 +56,12 @@ def correlator_context(pot):
 
 
 def _sqrt_cut(ctx, y):
-    """sqrt((y - a-)(y - a+)) with the branch that behaves like y at infinity."""
-    y = complex(y)
+    """sqrt((y - a-)(y - a+)), the branch ~ y at infinity, for complex y or arrays."""
     am, ap = ctx.ep.alpha_minus, ctx.ep.alpha_plus
-    if y.imag == 0 and am <= y.real <= ap:
+    if np.any((y.imag == 0) & (am <= y.real) & (y.real <= ap)):
         raise ValueError("evaluation point sits on the branch cut")
-    return cmath.sqrt(y - am) * cmath.sqrt(y - ap)
+    sqrt = cmath.sqrt if isinstance(y, complex) else np.sqrt
+    return sqrt(y - am) * sqrt(y - ap)
 
 
 def w1_leading(ctx, y):
@@ -87,8 +87,8 @@ def w2_diag(ctx, y):
 
 
 def w1_subleading(ctx, y):
-    """Subleading one-point coefficient from its endpoint closed form."""
-    y = complex(y)
+    """Subleading one-point coefficient from its endpoint closed form; y may be an array."""
+    y = complex(y) if np.ndim(y) == 0 else np.asarray(y, dtype=complex)
     am, ap = ctx.ep.alpha_minus, ctx.ep.alpha_plus
     s = math.sqrt(ctx.ep.z)
     hm, hpm = ctx.h_minus, ctx.hp_minus
@@ -134,7 +134,8 @@ def apply_K(ctx, f, y, n_nodes=256):
 
     The contour is an ellipse around the support (semi-axes 2 sqrt(z) + 0.5
     and sqrt(z)/2, centered at u); y must lie outside it.  Trapezoidal
-    quadrature in the ellipse parameter converges spectrally.
+    quadrature in the ellipse parameter converges spectrally.  f is called
+    once on the complex array of the n_nodes contour nodes, and once on y.
     """
     y = complex(y)
     u, z = ctx.ep.u, ctx.ep.z
@@ -145,6 +146,6 @@ def apply_K(ctx, f, y, n_nodes=256):
     theta = 2 * math.pi * np.arange(n_nodes) / n_nodes
     xi = u + a * np.cos(theta) + 1j * b * np.sin(theta)
     dxi = -a * np.sin(theta) + 1j * b * np.cos(theta)
-    vals = np.array([ctx.ep.potential.vprime(x) * f(x) / (y - x) for x in xi])
+    vals = ctx.ep.potential.vprime(xi) * f(xi) / (y - xi)
     integral = np.sum(vals * dxi) / (1j * n_nodes)
     return 2 * w1_leading(ctx, y) * f(y) - integral

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -165,23 +166,71 @@ class EndpointSolution:
             raise ValueError("endpoint jets must carry x-order >= %d" % n)
 
 
+class _UZTaylor(tuple):
+    """Taylor polynomial in the (u, z) offsets of total order n = 1 or 2: the float
+    entries u**i z**j (i + j <= n) in the row-major order of the (n+1, n+1) Jet box.
+    A product sums each entry from 0.0 over the left factor's nonzero entries in
+    that order, as Jet.__mul__ does, so every entry is rounded as in the Jet."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):  # LaurentPoly drops a coefficient == 0: all entries zero
+        return isinstance(other, (int, float, Fraction)) and self[0] == other and not any(self[1:])
+
+    def __add__(self, other):
+        if isinstance(other, _UZTaylor):
+            return _UZTaylor(map(operator.add, self, other))
+        return _UZTaylor((self[0] + other,) + self[1:])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _UZTaylor(map(operator.neg, self))
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, _UZTaylor) else -1 * other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _UZTaylor):
+            return _UZTaylor(map(float(other).__rmul__, self))  # a * float(other)
+        out = [0.0] * len(other)
+        for a, pairs in zip(self, _UZ_PAIRS[len(other)]):
+            if a != 0:
+                for m, src in pairs:
+                    out[m] += a * other[src]
+        return _UZTaylor(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return _UZTaylor(map(float(other).__rtruediv__, self))  # a / float(other)
+
+
+# per entry of a left factor, the (product entry, right entry) pairs, keyed by
+# the entry count: entries (1, z, u) at order 1, (1, z, z2, u, uz, u2) at order 2
+_UZ_PAIRS = {3: (((0, 0), (1, 1), (2, 2)), ((1, 0),), ((2, 0),)),
+             6: (((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5)), ((1, 0), (2, 1), (4, 3)),
+                 ((2, 0),), ((3, 0), (4, 1), (5, 3)), ((4, 0),), ((5, 0),))}
+
+
+def _uz_residuals(u, z, n, pot, **kwargs):
+    """Value, d/du, d/dz and, at n = 2, d2/du2, d2/dudz, d2/dz2 of both endpoint
+    residuals at (u, z), bit-identical to order-(n, n) jets."""
+    k = (n + 1) * (n + 2) // 2
+    U = _UZTaylor((float(u),) + (0.0,) * n + (1.0,) + (0.0,) * (k - n - 2))
+    Z = _UZTaylor((float(z), 1.0) + (0.0,) * (k - 2))
+    cs = [r if isinstance(r, _UZTaylor) else (float(r),) + (0.0,) * (k - 1)  # no offset reached r
+          for r in endpoint_residuals(U, Z, pot, **kwargs)]
+    return [[c[0], c[n + 1], c[1]] + ([2 * c[5], c[4], 2 * c[2]] if n == 2 else []) for c in cs]
+
+
 def _residual_and_jacobian(u, z, pot):
-    """Residual vector and (u, z)-Jacobian at a numeric point, via order-1 jets."""
-    U = Jet.variable(float(u), 0, (1, 1))
-    Z = Jet.variable(float(z), 1, (1, 1))
-    r1, r2 = endpoint_residuals(U, Z, pot)
-    r1 = _as_jet(r1, (1, 1))
-    r2 = _as_jet(r2, (1, 1))
-    r = np.array([float(r1.constant_term), float(r2.constant_term)])
-    jac = np.array([
-        [float(r1.partial((1, 0))), float(r1.partial((0, 1)))],
-        [float(r2.partial((1, 0))), float(r2.partial((0, 1)))],
-    ])
-    return r, jac
-
-
-def _as_jet(v, orders):
-    return v if isinstance(v, Jet) else Jet.constant(v, orders)
+    """Residual vector and (u, z)-Jacobian at a numeric point."""
+    (a, a_u, a_z), (b, b_u, b_z) = _uz_residuals(u, z, 1, pot)
+    return np.array([a, b]), np.array([[a_u, a_z], [b_u, b_z]])
 
 
 def _newton_step(r, jac):
@@ -243,7 +292,7 @@ def _locate_fold(pot, u, z, s0):
     Methods, 1990), started at the last accepted point.  The homotopy scales
     the perturbation only, so with P the residuals of that part alone
     r = (u/x, z/x - 1) + s*P and J = I/x + s*dP are affine in s; one
-    evaluation of P on order-2 jets gives the extended system and its
+    evaluation of P on order-2 (u, z) Taylor scalars gives the extended system and its
     Jacobian exactly.  An even potential keeps u = 0 and folds in z alone.
     Returns None unless Newton converges with z* > 0.
     """
@@ -253,12 +302,10 @@ def _locate_fold(pot, u, z, s0):
     even = pot.is_even
     s = s0
     for _ in range(12):
-        p1, p2 = endpoint_residuals(Jet.variable(u, 0, (2, 2)), Jet.variable(z, 1, (2, 2)),
-                                    pot, _coeffs=coeffs)
         # value, d/du, d/dz, d2/du2, d2/dudz, d2/dz2 of each residual of P;
         # endpoint_residuals subtracts the Gaussian constant 1 from r2
-        d1, d2 = ([float(p.partial(k)) for k in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
-                  for p in (p1, p2 + 1))
+        d1, d2 = _uz_residuals(u, z, 2, pot, _coeffs=coeffs)
+        d2[0] += 1
         # J = [[a, b], [c, e]], with the (u, z, s)-gradient of each entry
         a, grad_a = g + s * d1[1], (s * d1[3], s * d1[4], d1[1])
         b, grad_b = s * d1[2], (s * d1[4], s * d1[5], d1[2])

@@ -58,19 +58,20 @@ def density(em, lam):
 
 
 def _chebyshev2_nodes(em, n):
-    """Support nodes and measure weights so that integral(f dpsi) ~ sum w f."""
+    """Support nodes, weights with integral(f dpsi) ~ sum w f, and sin(angle)**2."""
     am, ap = em.support
     c = (ap + am) / 2
     r = (ap - am) / 2
     theta = np.arange(1, n + 1) * math.pi / (n + 1)
+    sin2 = np.sin(theta) ** 2
     nodes = c + r * np.cos(theta)
-    weights = (r * r / (2 * em.x * (n + 1))) * np.sin(theta) ** 2 * em.h.value(nodes)
-    return nodes, weights
+    weights = (r * r / (2 * em.x * (n + 1))) * sin2 * em.h.value(nodes)
+    return nodes, weights, sin2
 
 
 def total_mass(em, n_nodes=64):
     """Quadrature mass of the density; exact for polynomial h up to rounding."""
-    _, w = _chebyshev2_nodes(em, n_nodes)
+    w = _chebyshev2_nodes(em, n_nodes)[1]
     return float(np.sum(w))
 
 
@@ -102,20 +103,21 @@ def variational_report(em, grid_size=64, n_quad=8192):
     pot = em.ep.potential
     am, ap = em.support
     c, r = (ap + am) / 2, (ap - am) / 2
-    nodes, w = _chebyshev2_nodes(em, n_quad)
-    theta = np.arange(1, n_quad + 1) * math.pi / (n_quad + 1)
-    w_semi = 2 * np.sin(theta) ** 2 / (n_quad + 1)  # unit-mass semicircle weights
+    nodes, w, sin2 = _chebyshev2_nodes(em, n_quad)
+    w_semi = 2 * sin2 / (n_quad + 1)  # unit-mass semicircle weights
+    buf = np.empty((grid_size, n_quad))  # both grids reuse one kernel buffer
+
+    def log_kernel(lams):
+        logs = np.subtract(lams[:, None], nodes[None, :], out=buf[:len(lams)])
+        return np.log(np.abs(logs, out=logs), out=logs)
 
     def g2_support(lams):
-        logs = np.log(np.abs(lams[:, None] - nodes[None, :]))
+        logs = log_kernel(lams)
         amp = r * r * em.h.value(lams) / (4 * em.x)
         rough = logs @ w - amp * (logs @ w_semi)
         scaled = 2 * (lams - c) / r
         exact = amp * (math.log(r / 2) + scaled**2 / 4 - 0.5)
         return 2 * (rough + exact)
-
-    def g2_off(lams):
-        return 2 * (np.log(np.abs(lams[:, None] - nodes[None, :])) @ w)
 
     offset = (ap - am) / (2 * grid_size)
     support = np.linspace(am + offset, ap - offset, grid_size)
@@ -127,5 +129,5 @@ def variational_report(em, grid_size=64, n_quad=8192):
     left = np.linspace(am - 2.0, am - pad, grid_size // 2)
     right = np.linspace(ap + pad, ap + 2.0, grid_size // 2)
     off = np.concatenate([left, right])
-    margin = float(np.min(pot.v(off) + ell - g2_off(off)))
+    margin = float(np.min(pot.v(off) + ell - 2 * (log_kernel(off) @ w)))
     return VariationalReport(ell, max_dev, margin, grid_size, n_quad)

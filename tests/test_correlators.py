@@ -45,7 +45,7 @@ def test_w1_leading_matches_density_quadrature():
 
     em = equilibrium_measure(QUARTIC)
     ctx = correlator_context(QUARTIC)
-    nodes, w = _chebyshev2_nodes(em, 4096)
+    nodes, w, _ = _chebyshev2_nodes(em, 4096)
     rng = np.random.default_rng(3)
     for _ in range(10):
         y = complex(rng.uniform(2.5, 5), rng.uniform(-2, 2))
@@ -144,3 +144,45 @@ def test_apply_K_node_doubling_converges():
         errs.append(abs(res))
     assert errs[1] <= errs[0] / 2 or errs[1] < 1e-12
     assert errs[2] <= errs[1] / 2 or errs[2] < 1e-12
+
+
+MIXED = PotentialSpec(1.1, {3: 0.02, 4: 0.015, 6: 0.001})
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+@pytest.mark.parametrize("pot", [GUE, QUARTIC, MIXED])
+def test_w1_subleading_on_arrays_matches_points(pot):
+    ctx = correlator_context(pot)
+    ys = np.array([3.0, -3.5, 2.5 + 1j, 4j, -0.3 - 2j])
+    got = w1_subleading(ctx, ys)
+    assert got.shape == ys.shape
+    for g, y in zip(got, ys):
+        assert _rel(g, w1_subleading(ctx, complex(y))) < 1e-14
+    with pytest.raises(ValueError, match="branch cut"):
+        w1_subleading(ctx, np.array([3.0, 0.5]))
+
+
+@pytest.mark.parametrize("pot", [GUE, QUARTIC, MIXED])
+def test_apply_K_matches_node_by_node_quadrature(pot):
+    # K as a per-node loop of scalar evaluations of f and V'
+    ctx = correlator_context(pot)
+    f = lambda s: w1_subleading(ctx, s)  # noqa: E731
+    u, z, n = ctx.ep.u, ctx.ep.z, 256
+    a, b = 2 * math.sqrt(z) + 0.5, 0.5 * math.sqrt(z)
+    theta = 2 * math.pi * np.arange(n) / n
+    xi = u + a * np.cos(theta) + 1j * b * np.sin(theta)
+    dxi = -a * np.sin(theta) + 1j * b * np.cos(theta)
+    for y in (3.5, 2.5 + 1j, -4.0, 4j):
+        vals = np.array([pot.vprime(complex(x)) * f(complex(x)) / (y - x) for x in xi])
+        want = 2 * w1_leading(ctx, y) * f(y) - np.sum(vals * dxi) / (1j * n)
+        assert _rel(apply_K(ctx, f, y), want) < 1e-14
+
+
+def test_scalar_correlators_return_python_complex():
+    ctx = correlator_context(QUARTIC)
+    for y in (3.0, 2.5 + 1j, np.float64(3.0)):
+        assert type(w1_subleading(ctx, y)) is complex
+        assert type(w2_diag(ctx, y)) is complex

@@ -195,6 +195,113 @@ def test_gaussian_point_degenerate_for_huge_face_weight():
         solve_endpoints(PotentialSpec(1e8, {4: 0.01}))
 
 
+def _jet_residual_and_jacobian(u, z, pot):
+    """The order-(1, 1) Jet route that the (u, z) Taylor scalar replaced."""
+    rs = endpoint_residuals(Jet.variable(float(u), 0, (1, 1)), Jet.variable(float(z), 1, (1, 1)), pot)
+    rs = [r if isinstance(r, Jet) else Jet.constant(r, (1, 1)) for r in rs]
+    return ([float(r.constant_term) for r in rs],
+            [[float(r.partial((1, 0))), float(r.partial((0, 1)))] for r in rs])
+
+
+_FOLD_PARTIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _scalar_route_points():
+    """Corpus roots, Gaussian starts, even potentials at u = 0 and random points."""
+    from eqmap.acceptance import one_cut_corpus
+
+    for pot in one_cut_corpus(10):
+        ep = solve_endpoints(pot)
+        yield pot, ep.u, ep.z
+        yield pot, 0.0, float(pot.x)
+    rng = random.Random(11)
+    for _ in range(20):
+        d = rng.choice([3, 4, 5, 6])
+        t = {j: rng.uniform(-0.1, 0.1) for j in range(1, d + 1)}
+        yield PotentialSpec(rng.uniform(0.6, 1.4), t), rng.uniform(-1, 1), rng.uniform(0.1, 2)
+        even = PotentialSpec(rng.uniform(0.6, 1.4), {j: v for j, v in t.items() if j % 2 == 0})
+        yield even, 0.0, rng.uniform(0.1, 2)
+    yield PotentialSpec(Fraction(11, 10), {3: Fraction(1, 50), 4: Fraction(1, 100)}), -0.1, 1.0
+    # x V'(y) = 0.3 here, so no offset reaches either residual
+    yield PotentialSpec(1.0, {1: 0.3, 2: -0.5}), 0.0, 1.0
+
+
+def test_scalar_jacobian_and_fold_partials_bit_identical_to_jets():
+    for pot, u, z in _scalar_route_points():
+        r, jac = endpoints._residual_and_jacobian(u, z, pot)
+        want_r, want_jac = _jet_residual_and_jacobian(u, z, pot)
+        assert _hex(r) == _hex(want_r) and _hex(jac) == _hex(want_jac), (pot, u, z)
+        # the fold search's order-2 data: partials of the perturbation part
+        coeffs = endpoints._perturbation_coeffs(pot)
+        got = endpoints._uz_residuals(u, z, 2, pot, _coeffs=coeffs)
+        p1, p2 = endpoint_residuals(Jet.variable(u, 0, (2, 2)), Jet.variable(z, 1, (2, 2)), pot,
+                                    _coeffs=coeffs)
+        want = [[p.partial(k) if isinstance(p, Jet) else (p if k == (0, 0) else 0.0)
+                 for k in _FOLD_PARTIALS] for p in (p1, p2)]
+        assert _hex(got) == _hex(want), (pot, u, z)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2])
+def test_uz_taylor_arithmetic_matches_box_jets(n):
+    # entries of total order > n are random too: the kept entries must not
+    # depend on them
+    rng = random.Random(n)
+    kept = [(i, j) for i in range(n + 1) for j in range(n + 1) if i + j <= n]
+
+    def draw():
+        k = rng.random()
+        if k < 0.25:
+            return rng.choice([0.0, -0.0])
+        if k < 0.3:  # a zero left entry is skipped, not multiplied into inf
+            return rng.choice([math.inf, -math.inf])
+        return rng.choice([-1, 1]) * rng.uniform(0.1, 10) * 10.0 ** rng.randint(-6, 6)
+
+    def pair():
+        jet = Jet(np.array([[draw() for _ in range(n + 1)] for _ in range(n + 1)]))
+        return jet, endpoints._UZTaylor(tuple(float(jet.coeffs[m]) for m in kept))
+
+    def same(jet, scalar):
+        return _hex([jet.coeffs[m] for m in kept]) == _hex(scalar)
+
+    for _ in range(300):
+        (ja, sa), (jb, sb) = pair(), pair()
+        c = draw()
+        q = rng.choice([3, Fraction(2, 7), 0.7, -1.3])
+        assert same(ja * jb, sa * sb)
+        assert same(ja + jb, sa + sb) and same(ja - jb, sa - sb) and same(-ja, -sa)
+        assert same(ja * c, sa * c) and same(c * ja, c * sa) and same(ja / q, sa / q)
+        assert same(ja + q, sa + q) and same(ja - q, sa - q) and same(q - ja, q - sa)
+        assert same(0 + ja, 0 + sa)
+        zero = not any(float(ja.coeffs[m]) != 0 for m in kept)
+        assert (sa == 0) is zero
+    assert endpoints._UZTaylor((0.0, -0.0, 0.0)) == 0
+    assert not endpoints._UZTaylor((0.0, 0.0, 1e-300)) == 0
+
+
+def test_solve_endpoints_multiplies_no_jet(monkeypatch):
+    products = []
+    mul = Jet.__mul__
+
+    def counted(self, other):
+        products.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    monkeypatch.setattr(Jet, "__rmul__", counted)
+    solve_endpoints(PotentialSpec(1.0, {3: 0.02, 4: 0.01, 5: -0.002, 6: 0.001}))
+    with pytest.raises(NoOneCutSolutionError) as info:
+        solve_endpoints(PotentialSpec(1.0, {3: 0.05, 4: -0.03}))
+    assert info.value.s_star is not None
+    assert products == []
+    uz_jets(PotentialSpec(1.0, {4: 0.01}), x_order=2)
+    assert products  # the jet lift still multiplies jets
+
+
 def test_uz_jets_gue_linear_z():
     ep = uz_jets(PotentialSpec(1.0, {}), x_order=4)
     assert ep.dz(1) == pytest.approx(1.0, abs=1e-14)

@@ -116,3 +116,46 @@ def test_variational_negative_control_with_recomputed_h_stays_flat():
     assert abs(total_mass(em) - 1) > 1e-2
     rep = variational_report(em)
     assert rep.max_support_deviation < 1e-6
+
+
+def _allocating_variational_report(em, grid_size=64, n_quad=8192):
+    """The variational report as computed with a fresh log kernel per grid."""
+    from eqmap.measure import _chebyshev2_nodes
+
+    pot = em.ep.potential
+    am, ap = em.support
+    c, r = (ap + am) / 2, (ap - am) / 2
+    nodes, w, _ = _chebyshev2_nodes(em, n_quad)
+    theta = np.arange(1, n_quad + 1) * math.pi / (n_quad + 1)
+    w_semi = 2 * np.sin(theta) ** 2 / (n_quad + 1)
+
+    def g2_support(lams):
+        logs = np.log(np.abs(lams[:, None] - nodes[None, :]))
+        amp = r * r * em.h.value(lams) / (4 * em.x)
+        rough = logs @ w - amp * (logs @ w_semi)
+        scaled = 2 * (lams - c) / r
+        exact = amp * (math.log(r / 2) + scaled**2 / 4 - 0.5)
+        return 2 * (rough + exact)
+
+    offset = (ap - am) / (2 * grid_size)
+    support = np.linspace(am + offset, ap - offset, grid_size)
+    gvals = g2_support(support) - pot.v(support)
+    ell = float(np.median(gvals))
+    max_dev = float(np.max(np.abs(gvals - ell)))
+    left = np.linspace(am - 2.0, am - offset, grid_size // 2)
+    right = np.linspace(ap + offset, ap + 2.0, grid_size // 2)
+    off = np.concatenate([left, right])
+    margin = float(np.min(pot.v(off) + ell
+                          - 2 * (np.log(np.abs(off[:, None] - nodes[None, :])) @ w)))
+    return ell, max_dev, margin
+
+
+@pytest.mark.parametrize("pot", [GUE, PotentialSpec(1.0, {4: 0.01}),
+                                 PotentialSpec(1.2, {2: 0.01, 5: 0.005, 3: -0.01})])
+@pytest.mark.parametrize("grid_size,n_quad", [(64, 8192), (17, 300)])
+def test_variational_report_bit_identical_to_allocating_kernel(pot, grid_size, n_quad):
+    em = equilibrium_measure(pot)
+    rep = variational_report(em, grid_size=grid_size, n_quad=n_quad)
+    got = (rep.lagrange_constant, rep.max_support_deviation, rep.min_offsupport_margin)
+    want = _allocating_variational_report(em, grid_size, n_quad)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
