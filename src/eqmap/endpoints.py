@@ -291,9 +291,9 @@ def _locate_fold(pot, u, z, s0):
     the turning-point system of Allgower & Georg (Numerical Continuation
     Methods, 1990), started at the last accepted point.  The homotopy scales
     the perturbation only, so with P the residuals of that part alone
-    r = (u/x, z/x - 1) + s*P and J = I/x + s*dP are affine in s; one
-    evaluation of P on order-2 (u, z) Taylor scalars gives the extended system and its
-    Jacobian exactly.  An even potential keeps u = 0 and folds in z alone.
+    r = (u/x, z/x - 1) + s*P and J = I/x + s*dP are affine in s; one order-2
+    Taylor evaluation of P gives the extended system and its Jacobian
+    exactly.  An even potential keeps u = 0 and folds in z alone.
     Returns None unless Newton converges with z* > 0.
     """
     x = float(pot.x)

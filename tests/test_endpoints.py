@@ -132,7 +132,7 @@ def test_fold_located_at_critical_coupling(monkeypatch, j, c, x):
 def test_newton_builds_no_jacobian_it_does_not_use(monkeypatch):
     # the quartic converges in one Newton solve of four steps; the polished
     # point is checked with the float residual, so only the four points that
-    # take a step pay for an order-1 jet Jacobian
+    # take a step pay for an order-1 Taylor Jacobian
     points = []
     full = endpoints._residual_and_jacobian
 
@@ -360,7 +360,7 @@ def test_uz_jets_with_t_directions():
 
 def test_uz_jets_lifts_through_endpoint_residuals(monkeypatch):
     # one residual per lifting pass, sum(orders) + 1 of them, plus the final
-    # convergence check; the Newton solve before uses order-(1, 1) jets only
+    # convergence check; the Newton solve before uses no jets
     orders = (3, 2)
     lifts = []
 
