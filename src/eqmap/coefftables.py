@@ -2,8 +2,8 @@
 in the phi-tilde / psi-tilde basis, plus exact verification of the
 combinatorial identities that make the expansion possible.
 
-All arithmetic in this module is over ``fractions.Fraction``; every check is
-an exact polynomial identity, not a floating comparison.
+All arithmetic in this module is exact, over ints and ``fractions.Fraction``;
+every check is an exact polynomial identity, not a floating comparison.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import LaurentPoly
+from .errors import InvalidParameterError
 
 __all__ = [
     "BasisFunction",
@@ -71,13 +72,13 @@ class BasisFunction:
 
 
 def phi_tilde(m):
-    num = LaurentPoly({2 * l - m: Fraction(math.factorial(m)) * _binom(m, l) ** 2
+    num = LaurentPoly({2 * l - m: math.factorial(m) * _binom(m, l) ** 2
                        for l in range(m + 1)})
     return BasisFunction("phi", m, num, 2 * m)
 
 
 def psi_tilde(m):
-    num = LaurentPoly({2 * l + 1 - m: Fraction(math.factorial(m)) * _binom(m - 1, l) * _binom(m + 1, l + 1)
+    num = LaurentPoly({2 * l + 1 - m: math.factorial(m) * _binom(m - 1, l) * _binom(m + 1, l + 1)
                        for l in range(m + 1)})
     return BasisFunction("psi", m, num, 2 * m)
 
@@ -114,37 +115,36 @@ class CoeffTable:
 
 
 def _solve_exact(rows, rhs):
-    """Gaussian elimination over Fractions for a consistent overdetermined system."""
+    """Solve a consistent overdetermined integer system exactly.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination over ints: with ``p``
+    the pivot and ``prev`` the one before it, every other row becomes
+    ``(p * row - f * pivot_row) // prev``, a division that is exact by
+    Sylvester's identity.  Each unknown is one Fraction at the end.
+    """
     m = len(rows)
     n = len(rows[0])
+    if m < n:
+        raise RuntimeError("coefficient system is rank deficient: %d equations "
+                           "for %d unknowns" % (m, n))
     a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    piv_rows = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
+    prev = 1
+    for r in range(n):
+        piv = next((i for i in range(r, m) if a[i][r] != 0), None)
         if piv is None:
             raise RuntimeError("coefficient system is singular; this contradicts "
                                "the basis independence and must not happen")
         a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][col]
-        a[r] = [v * inv for v in a[r]]
+        p, pivot_row = a[r][r], a[r]
         for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        piv_rows.append(col)
-        r += 1
-        if r == n:
-            break
-    if r < n:
-        raise RuntimeError("coefficient system is rank deficient")
-    for i in range(r, m):
+            if i != r:
+                f = a[i][r]
+                a[i] = [(p * vi - f * vr) // prev for vi, vr in zip(a[i], pivot_row)]
+        prev = p
+    for i in range(n, m):
         if any(v != 0 for v in a[i]):
             raise RuntimeError("coefficient system is inconsistent")
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(piv_rows):
-        sol[col] = a[i][n]
-    return sol
+    return [Fraction(a[i][n], a[i][i]) for i in range(n)]
 
 
 def _solve_row(k):
@@ -153,22 +153,23 @@ def _solve_row(k):
     basis = [phi_tilde(m).cleared(k) for m in range(1, k + 2)] + \
             [psi_tilde(m).cleared(k) for m in range(1, k + 2)]
     exps = sorted(set().union(*[set(b.coeffs) for b in basis], set(target.coeffs)))
-    rows = [[Fraction(b.coeff(e)) for b in basis] for e in exps]
-    rhs = [Fraction(target.coeff(e)) for e in exps]
+    rows = [[b.coeff(e) for b in basis] for e in exps]
+    rhs = [target.coeff(e) for e in exps]
     sol = _solve_exact(rows, rhs)
     return tuple(sol[: k + 1]), tuple(sol[k + 1:])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_c_table(kmax):
     """Exact expansion coefficients for k = 0..kmax.
 
     Built row by row: clearing denominators in the defining identity gives,
-    for each k, a small consistent linear system of dimension 2(k+1) solved
-    in rational arithmetic.
+    for each k, a small consistent integer system of 4k+3 equations in
+    2(k+1) unknowns, solved exactly.  The cache is typed, so ``True`` and
+    ``2.0`` reach the check instead of the entries of ``1`` and ``2``.
     """
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
+    if not isinstance(kmax, int) or isinstance(kmax, bool) or kmax < 0:
+        raise InvalidParameterError("kmax must be a nonnegative int, got %r" % (kmax,))
     c_phi, c_psi = [], []
     for k in range(kmax + 1):
         row_phi, row_psi = _solve_row(k)
@@ -214,15 +215,14 @@ def verify_operator_closed_forms(m):
     """Exact check of the closed forms for the m-fold derivative operator.
 
     The operator applied to 1/T must match the phi-type closed form, and
-    applied to 1 the psi-type closed form; both are compared as cleared
-    polynomial identities.
+    applied to 1 the psi-type closed form (the numerators of
+    :func:`phi_tilde` and :func:`psi_tilde`, times T**(2m-1)); both are
+    compared as cleared polynomial identities.
     """
     got_phi, p1 = _apply_operator(LaurentPoly({-1: Fraction(1)}), 0, m)
-    want_phi = LaurentPoly({m + 2 * l - 1: Fraction(math.factorial(m)) * _binom(m, l) ** 2
-                            for l in range(m + 1)})
+    want_phi = phi_tilde(m).numerator.shifted(2 * m - 1)
     got_psi, p2 = _apply_operator(LaurentPoly({0: Fraction(1)}), 0, m)
-    want_psi = LaurentPoly({m + 2 * l: Fraction(math.factorial(m)) * _binom(m - 1, l) * _binom(m + 1, l + 1)
-                            for l in range(m + 1)})
+    want_psi = psi_tilde(m).numerator.shifted(2 * m - 1)
     return p1 == 2 * m and p2 == 2 * m and got_phi == want_phi and got_psi == want_psi
 
 

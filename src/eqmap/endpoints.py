@@ -361,6 +361,12 @@ def solve_endpoints(pot):
             "for x = %r" % (pot.x,))
     if all(v == 0 for v in pot.t.values()) or not pot.t:
         return EndpointSolution(u, z, pot, 0.0)
+    t2 = pot.t.get(2, 0)
+    if pot.degree == 2 and 1 + 2 * t2 <= 0:
+        raise NoOneCutSolutionError(
+            "quadratic potential does not confine for t2=%r: the homotopy's y**2 "
+            "term (1/2 + s*t2) vanishes at s=-1/(2 t2)=%r; no one-cut solution reached"
+            % (t2, -1 / (2 * t2)))
 
     s = 0.0
     step = 1.0
@@ -392,8 +398,8 @@ def solve_endpoints(pot):
             step /= 2
             if step < 1e-7:
                 raise NoOneCutSolutionError(
-                    "continuation step underflow at s=%.6g; "
-                    "no one-cut solution reached" % s)
+                    "continuation step underflow at s=%r; "
+                    "no one-cut solution reached" % (s,))
     return EndpointSolution(float(u), float(z), pot, res)
 
 

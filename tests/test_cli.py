@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -86,6 +88,25 @@ def test_coeff_table_csv(capsys):
     assert rows[0] == ["k", "m", "c_phi", "c_psi"]
     entries = {(int(r[0]), int(r[1])): (r[2], r[3]) for r in rows[1:]}
     assert entries[(2, 2)] == ("-1/30", "-1/10")
+
+
+def test_coeff_table_json_order_12(capsys):
+    code, out, _ = run_cli(capsys, "coeffs", "--order", "12", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["kmax"] == 12
+    assert len(obj["entries"]) == 91  # sum of k + 1 over k = 0..12
+    diag = {e["k"]: (e["c_phi"], e["c_psi"]) for e in obj["entries"] if e["m"] == e["k"] + 1}
+    for k in range(13):
+        want = str(Fraction(2 ** k, math.prod(range(1, 2 * k + 2, 2))))
+        assert diag[k] == (want, want)
+    assert diag[12] == ("4096/7905853580625", "4096/7905853580625")
+
+
+def test_coeff_table_negative_order_exit_code(capsys):
+    code, out, err = run_cli(capsys, "coeffs", "--order", "-1")
+    assert code == 1 and out == ""
+    assert "kmax" in err
 
 
 def test_correlators_loop_residual(capsys):

@@ -2,6 +2,9 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import pytest
+
+from eqmap import coefftables
 from eqmap.coefftables import (
     build_c_table,
     check_diagonal_conjecture,
@@ -14,6 +17,7 @@ from eqmap.coefftables import (
     verify_operator_closed_forms,
     verify_parity_projection,
 )
+from eqmap.errors import InvalidParameterError
 
 
 def test_row_zero():
@@ -114,3 +118,110 @@ def test_build_c_table_runtime_is_fast():
     t0 = time.perf_counter()
     build_c_table.__wrapped__(4)  # bypass the cache
     assert time.perf_counter() - t0 < 1.0
+
+
+# ---- fraction-free elimination ---------------------------------------------
+
+
+def _reference_solve_exact(rows, rhs):
+    """Gauss-Jordan over Fractions, as the tables were solved before the
+    fraction-free elimination; kept here as an independent reference."""
+    m = len(rows)
+    n = len(rows[0])
+    a = [[Fraction(v) for v in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    piv_rows = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
+        assert piv is not None
+        a[r], a[piv] = a[piv], a[r]
+        inv = Fraction(1) / a[r][col]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+        piv_rows.append(col)
+        r += 1
+        if r == n:
+            break
+    for i in range(r, m):
+        assert all(v == 0 for v in a[i])
+    sol = [Fraction(0)] * n
+    for i, col in enumerate(piv_rows):
+        sol[col] = a[i][n]
+    return sol
+
+
+def _row_system(k):
+    """The integer system _solve_row(k) hands to _solve_exact."""
+    seen = []
+    real = coefftables._solve_exact
+
+    def capture(rows, rhs):
+        seen.append((rows, rhs))
+        return real(rows, rhs)
+
+    coefftables._solve_exact = capture
+    try:
+        coefftables._solve_row(k)
+    finally:
+        coefftables._solve_exact = real
+    (system,) = seen
+    return system
+
+
+def test_solve_row_equals_fraction_gauss_jordan():
+    for k in range(17):
+        rows, rhs = _row_system(k)
+        want = _reference_solve_exact(rows, rhs)
+        row_phi, row_psi = coefftables._solve_row(k)
+        got = list(row_phi) + list(row_psi)
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+
+
+def test_solve_row_hands_over_an_int_matrix():
+    for k in (0, 3, 8):
+        rows, rhs = _row_system(k)
+        assert len(rows) == len(rhs) == 4 * k + 3 and len(rows[0]) == 2 * k + 2
+        assert all(type(v) is int for v in rhs)
+        assert all(type(v) is int for row in rows for v in row)
+
+
+def test_reconstruction_holds_through_k12():
+    table = build_c_table(12)
+    for k in range(13):
+        assert reconstruction_holds(table, k)
+
+
+def test_solve_exact_rejects_a_perturbed_rhs():
+    # every entry but the middle one: a unit change of the middle target
+    # coefficient lies in the span of the basis and gives another solution
+    rows, rhs = _row_system(6)
+    for i in (0, 1, len(rhs) // 2 - 1, len(rhs) - 1):
+        bad = list(rhs)
+        bad[i] += 1
+        with pytest.raises(RuntimeError, match="inconsistent"):
+            coefftables._solve_exact(rows, bad)
+
+
+def test_solve_exact_rejects_a_duplicated_column():
+    rows, rhs = _row_system(5)
+    dup = [row[:-1] + [row[0]] for row in rows]
+    with pytest.raises(RuntimeError, match="singular|rank deficient"):
+        coefftables._solve_exact(dup, rhs)
+
+
+def test_solve_exact_rejects_too_few_equations():
+    rows, rhs = _row_system(2)
+    with pytest.raises(RuntimeError, match="rank deficient"):
+        coefftables._solve_exact(rows[:3], rhs[:3])
+
+
+@pytest.mark.parametrize("kmax", [True, 2.5, "3", -1])
+def test_build_c_table_rejects_a_bad_kmax(kmax):
+    build_c_table(1)  # a cached entry must not answer for True
+    build_c_table(2)
+    with pytest.raises(InvalidParameterError, match="kmax"):
+        build_c_table(kmax)

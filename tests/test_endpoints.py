@@ -159,6 +159,35 @@ def test_fold_beyond_target_is_not_declared(monkeypatch):
     assert info.value.s_star is None and info.value.t_star is None
 
 
+@pytest.mark.parametrize("t,s_zero", [({2: -0.6}, 1 / 1.2), ({2: -0.5}, 1.0),
+                                      ({1: 0.3, 2: -0.5}, 1.0)])
+def test_non_confining_quadratic_named_before_any_residual(monkeypatch, t, s_zero):
+    # (1/2 + s t2) y**2 loses its confinement at s = -1/(2 t2) <= 1
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return endpoint_residuals(*args, **kwargs)
+
+    monkeypatch.setattr(endpoints, "endpoint_residuals", counted)
+    with pytest.raises(NoOneCutSolutionError) as info:
+        solve_endpoints(PotentialSpec(1.0, t))
+    assert calls == []
+    msg = str(info.value)
+    assert "t2=%r" % t[2] in msg and "s=-1/(2 t2)=%r" % s_zero in msg
+
+
+def test_step_underflow_names_s_unrounded(monkeypatch):
+    # the quartic beyond its fold with the fold search switched off stalls
+    # short of s = 1; the message carries s exactly, not rounded to 1
+    monkeypatch.setattr(endpoints, "_locate_fold", lambda *args: None)
+    with pytest.raises(NoOneCutSolutionError, match="step underflow") as info:
+        solve_endpoints(PotentialSpec(1.0, {4: (1 + 1e-9) * -1 / 48}))
+    s = float(str(info.value).split("s=")[1].split(";")[0])
+    assert s < 1.0
+    assert "s=%r;" % s in str(info.value)
+
+
 def test_fold_located_for_general_potential():
     # no symmetry: the fold is a simple root of det J on the full system
     pot = PotentialSpec(1.0, {3: 0.05, 4: -0.03})
