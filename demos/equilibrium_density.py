@@ -22,7 +22,7 @@ print("support: [%.12f, %.12f]" % (ep.alpha_minus, ep.alpha_plus))
 print("residual norm at the solution: %.2e" % ep.residual_norm)
 
 em = equilibrium_measure(pot)
-print("\ntotal mass via Chebyshev quadrature: %.15f" % total_mass(em))
+print("\ntotal mass from the Chebyshev-U expansion of h: %.15f" % total_mass(em))
 
 rep = variational_report(em)
 print("variational constant l = %.12f" % rep.lagrange_constant)

@@ -36,9 +36,7 @@ def _is_zero(v):
 
 
 def _generic_sqrt(z):
-    """Square root dispatch: jets use the jet series, rationals stay exact."""
-    if isinstance(z, Jet):
-        return z.sqrt()
+    """Square root of a number; perfect-square rationals stay exact."""
     if isinstance(z, Fraction):
         rn, rd = math.isqrt(z.numerator), math.isqrt(z.denominator)
         if rn * rn == z.numerator and rd * rd == z.denominator:
@@ -212,25 +210,6 @@ class Jet:
         out = self._nilpotent_series(eta, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
         return out + math.log(c0)
 
-    def exp(self):
-        c0 = self.constant_term
-        eta = self - c0
-        out = self._nilpotent_series(eta, lambda k: Fraction(1, math.factorial(k)))
-        return out * math.exp(c0)
-
-    def sqrt(self):
-        c0 = self.constant_term
-        if isinstance(c0, Fraction):
-            c0 = float(c0)
-        if not c0 > 0:
-            raise SingularJetError("jet sqrt requires a positive constant term")
-        eta = self / self.constant_term - 1
-        coeffs = [Fraction(1)]
-        for k in range(sum(self.orders)):
-            coeffs.append(coeffs[-1] * Fraction(1 - 2 * k, 2 * (k + 1)))
-        out = self._nilpotent_series(eta, lambda k: coeffs[k])
-        return out * math.sqrt(c0)
-
     def _nilpotent_series(self, eta, coeff):
         """sum_k coeff(k) * eta**k for eta with zero constant term."""
         total = sum(eta.orders)
@@ -378,7 +357,7 @@ def substitute_uniformizer(coeffs, u, z, mode="affine"):
     """Evaluate a polynomial P(y) at the uniformizing substitution.
 
     affine:    y = T + u + z/T
-    symmetric: y = sqrt(z)*T + u + sqrt(z)/T   (requires z > 0)
+    symmetric: y = sqrt(z)*T + u + sqrt(z)/T   (requires a number z > 0)
 
     ``coeffs`` lists P's coefficients in ascending degree; the scalars may be
     numbers, Fractions or jets.  The result is a LaurentPoly with exponent

@@ -20,7 +20,7 @@ from .coefftables import build_c_table
 from .correlators import apply_K, correlator_context, w1_leading, w1_subleading, \
     w1_subleading_antiderivative, w2_diag
 from .endpoints import PotentialSpec, uz_jets
-from .errors import EqmapError
+from .errors import EqmapError, InvalidParameterError
 from .genfun import e1_series, e1_value
 from .hfunc import h_classical, h_even, h_general
 from .measure import density, equilibrium_measure, total_mass, variational_report
@@ -112,6 +112,8 @@ def cmd_h(args):
 
 
 def cmd_density(args):
+    if args.grid < 0:
+        raise InvalidParameterError("--grid must be non-negative, got %d" % args.grid)
     pot, _ = _load_potential(args)
     em = equilibrium_measure(pot)
     am, ap = em.support
@@ -133,7 +135,6 @@ def cmd_variational(args):
         "max_support_deviation": rep.max_support_deviation,
         "min_offsupport_margin": rep.min_offsupport_margin,
         "grid_size": rep.grid_size,
-        "quad_nodes": rep.quad_nodes,
     })
     return 0
 

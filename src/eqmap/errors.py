@@ -36,7 +36,7 @@ class OutsideOneCutError(EqmapError):
 
 
 class SingularJetError(EqmapError):
-    """Jet division, log or sqrt applied to an inadmissible constant term."""
+    """Jet division or log applied to an inadmissible constant term."""
 
 
 class ContourGeometryError(EqmapError):

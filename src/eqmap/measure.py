@@ -1,9 +1,9 @@
 """Equilibrium density evaluation, total mass, and the variational
 characterization (equality on the support, inequality off it).
 
-Quadrature is Gauss-Chebyshev of the second kind throughout: the weight
-matches the square-root edge behavior of the density, so integrating the
-polynomial factor h is exact up to rounding.
+With t = (s - c)/r on the support, the density is r**2 H(t) sqrt(1 - t**2)/(2 pi x)
+for the polynomial H(t) = h(c + r t).  Its Chebyshev-U expansion gives the mass and
+every log-potential in closed form (Mason & Handscomb, Chebyshev Polynomials, 2003, ch. 9).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .endpoints import solve_endpoints
+from .errors import InvalidParameterError
 from .hfunc import HPoly, h_classical
 
 __all__ = [
@@ -57,22 +58,40 @@ def density(em, lam):
     return float(out) if out.ndim == 0 else out
 
 
-def _chebyshev2_nodes(em, n):
-    """Support nodes, weights with integral(f dpsi) ~ sum w f, and sin(angle)**2."""
+def _u_coeffs(em):
+    """Center c, half-width r and the Chebyshev-U coefficients b of H(t).
+
+    H(cos th) sin th = sum b_n sin((n + 1) th), read off exactly by discrete
+    sine orthogonality at deg H + 1 angles.
+    """
     am, ap = em.support
-    c = (ap + am) / 2
-    r = (ap - am) / 2
-    theta = np.arange(1, n + 1) * math.pi / (n + 1)
-    sin2 = np.sin(theta) ** 2
-    nodes = c + r * np.cos(theta)
-    weights = (r * r / (2 * em.x * (n + 1))) * sin2 * em.h.value(nodes)
-    return nodes, weights, sin2
+    c, r, n = (ap + am) / 2, (ap - am) / 2, len(em.h.monomial)
+    th = np.arange(1, n + 1) * (math.pi / (n + 1))
+    vals = np.sin(th) * em.h.value(c + r * np.cos(th))
+    return c, r, np.sin(np.outer(np.arange(1, n + 1), th)) @ vals * (2 / (n + 1))
 
 
-def total_mass(em, n_nodes=64):
-    """Quadrature mass of the density; exact for polynomial h up to rounding."""
-    w = _chebyshev2_nodes(em, n_nodes)[1]
-    return float(np.sum(w))
+def total_mass(em):
+    """Mass of the density: only U_0 has a nonzero integral against sqrt(1 - t**2)."""
+    _, r, b = _u_coeffs(em)
+    return float(r * r * b[0] / (4 * em.x))
+
+
+def _log_potential(em, lam):
+    """integral(log|lam - s| dpsi(s)) at real points lam, on or off the support.
+
+    With w = (lam - c)/r = (omega + 1/omega)/2, |omega| >= 1 and E_k = Re(omega**-k)
+    (T_k(w) on the support), integral(log|w - t| U_n(t) sqrt(1 - t**2) dt) is
+    (pi/2)(E_(n+2)/(n+2) - E_n/n) for n >= 1 and (pi/2)(E_2/2 + log(|omega|/2)) for n = 0.
+    """
+    c, r, b = _u_coeffs(em)
+    w = ((lam - c) / r).astype(complex)
+    omega = w + np.sqrt(w - 1) * np.sqrt(w + 1)  # the branch with |omega| >= 1
+    n = np.arange(len(b) + 2)
+    e = np.real(omega[:, None] ** -n)
+    terms = (e[:, 2:] @ (b / n[2:]) - e[:, 1:-2] @ (b[1:] / n[1:-2])
+             + b[0] * np.log(r * np.abs(omega) / 2))
+    return r * r * terms / (4 * em.x)
 
 
 @dataclass
@@ -84,50 +103,28 @@ class VariationalReport:
     max_support_deviation: float
     min_offsupport_margin: float
     grid_size: int
-    quad_nodes: int
 
 
-def variational_report(em, grid_size=64, n_quad=8192):
+def variational_report(em, grid_size=64):
     """Check the variational equality on the support and the inequality off it.
 
-    The log-kernel integrals use Chebyshev quadrature with nodes placed away
-    from every evaluation point.  On the support the integrable singularity
-    is subtracted first: a unit semicircle on the same interval, scaled by
-    A(lam) = r**2 h(lam) / (4x), matches the density at the singular point,
-    and its log-potential log(r/2) + w**2/4 - 1/2 (w the rescaled position)
-    is known in closed form, so only a smooth remainder is quadratured.  The
-    constant is the grid median of 2*integral(log|lam - s| dpsi(s)) - V(lam);
-    the report carries the max deviation from it on the support and the
-    minimum slack of the inequality within distance 2 of the support.
+    The log-potentials are closed-form Chebyshev sums, with no quadrature.  The
+    constant is the grid median of 2*integral(log|lam - s| dpsi(s)) - V(lam) over
+    grid_size support points; the report carries the max deviation from it on
+    the support and the minimum slack of the inequality within distance 2 of it.
     """
+    if grid_size < 2:
+        raise InvalidParameterError("grid_size must be at least 2, got %r" % (grid_size,))
     pot = em.ep.potential
     am, ap = em.support
-    c, r = (ap + am) / 2, (ap - am) / 2
-    nodes, w, sin2 = _chebyshev2_nodes(em, n_quad)
-    w_semi = 2 * sin2 / (n_quad + 1)  # unit-mass semicircle weights
-    buf = np.empty((grid_size, n_quad))  # both grids reuse one kernel buffer
-
-    def log_kernel(lams):
-        logs = np.subtract(lams[:, None], nodes[None, :], out=buf[:len(lams)])
-        return np.log(np.abs(logs, out=logs), out=logs)
-
-    def g2_support(lams):
-        logs = log_kernel(lams)
-        amp = r * r * em.h.value(lams) / (4 * em.x)
-        rough = logs @ w - amp * (logs @ w_semi)
-        scaled = 2 * (lams - c) / r
-        exact = amp * (math.log(r / 2) + scaled**2 / 4 - 0.5)
-        return 2 * (rough + exact)
-
     offset = (ap - am) / (2 * grid_size)
     support = np.linspace(am + offset, ap - offset, grid_size)
-    gvals = g2_support(support) - pot.v(support)
+    gvals = 2 * _log_potential(em, support) - pot.v(support)
     ell = float(np.median(gvals))
     max_dev = float(np.max(np.abs(gvals - ell)))
 
-    pad = offset
-    left = np.linspace(am - 2.0, am - pad, grid_size // 2)
-    right = np.linspace(ap + pad, ap + 2.0, grid_size // 2)
+    left = np.linspace(am - 2.0, am - offset, grid_size // 2)
+    right = np.linspace(ap + offset, ap + 2.0, grid_size // 2)
     off = np.concatenate([left, right])
-    margin = float(np.min(pot.v(off) + ell - 2 * (log_kernel(off) @ w)))
-    return VariationalReport(ell, max_dev, margin, grid_size, n_quad)
+    margin = float(np.min(pot.v(off) + ell - 2 * _log_potential(em, off)))
+    return VariationalReport(ell, max_dev, margin, grid_size)

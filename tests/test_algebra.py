@@ -64,18 +64,6 @@ def test_substitute_symmetric_rejects_nonpositive_z():
         substitute_uniformizer([0, 1], u=0.0, z=-1.0, mode="symmetric")
 
 
-def test_substitute_symmetric_with_jet_z():
-    # sqrt(z) rides along as a jet; constant terms must match the float path
-    z0 = 0.9
-    zj = Jet([z0, 0.35, -0.1])
-    p_jet = substitute_uniformizer([0.2, 1, 0, 0.5], u=0.1, z=zj, mode="symmetric")
-    p_flt = substitute_uniformizer([0.2, 1, 0, 0.5], u=0.1, z=z0, mode="symmetric")
-    for k in range(-3, 4):
-        cj = p_jet.coeff(k)
-        c0 = cj.constant_term if isinstance(cj, Jet) else cj
-        assert float(c0) == pytest.approx(float(p_flt.coeff(k)), rel=1e-13, abs=1e-15)
-
-
 def test_substitution_zero_coeff_symmetric_under_T_to_z_over_T():
     # coefficient symmetry c_k = z^k c_{-k} for affine substitutions
     rng = random.Random(1)
@@ -119,14 +107,13 @@ def test_jet_partial_extraction_includes_factorials():
     assert Jet(arr).partial((2,)) == pytest.approx(10.0)
 
 
-def test_jet_log_exp_round_trip():
+def test_jet_log_of_product_is_sum_of_logs():
     rng = np.random.default_rng(7)
-    coeffs = rng.normal(size=(3, 3))
-    coeffs[0, 0] = 2.0
-    j = Jet(coeffs.astype(object))
-    back = j.log().exp()
-    err = np.max(np.abs((back - j).coeffs.astype(float)))
-    assert err < 1e-12 * np.max(np.abs(coeffs))
+    a, b = rng.normal(size=(2, 3, 3))
+    a[0, 0], b[0, 0] = 2.0, 0.5
+    ja, jb = Jet(a.astype(object)), Jet(b.astype(object))
+    err = np.max(np.abs(((ja * jb).log() - ja.log() - jb.log()).coeffs.astype(float)))
+    assert err < 1e-12 * np.max(np.abs(a))
 
 
 def test_jet_mul_div_round_trip():
@@ -136,16 +123,6 @@ def test_jet_mul_div_round_trip():
     back = (a * b) / b
     err = np.max(np.abs((back - a).coeffs.astype(float)))
     assert err < 1e-12
-
-
-def test_jet_sqrt_squares_back():
-    rng = np.random.default_rng(13)
-    coeffs = rng.normal(size=(4,))
-    coeffs[0] = 1.7
-    j = Jet(coeffs.astype(object))
-    s = j.sqrt()
-    err = np.max(np.abs((s * s - j).coeffs.astype(float)))
-    assert err < 1e-13
 
 
 def test_jet_reciprocal_rejects_zero_constant():
@@ -185,7 +162,7 @@ def test_exact_jet_divided_by_int_stays_exact():
 def test_float_jets_keep_float64_storage():
     j = Jet.variable(0.8, 0, (4, 2)) * 0.5 + Jet.variable(1.3, 1, (4, 2))
     assert j.coeffs.dtype == np.float64
-    for out in (j.reciprocal(), j.log(), j.exp(), j.sqrt(), j ** 3, j.dx(0), j.dx(1),
+    for out in (j.reciprocal(), j.log(), j ** 3, j.dx(0), j.dx(1),
                 j / 3, j / j, j - Fraction(1, 3), j * Fraction(2, 3), Fraction(2, 3) * j):
         assert out.coeffs.dtype == np.float64
     # a Fraction scalar is cast with float(), as Python's float * Fraction does

@@ -120,7 +120,18 @@ def test_variational_report(capsys):
     code, out, _ = run_cli(capsys, "variational", "--x", "1")
     data = json.loads(out)
     assert code == 0
-    assert data["max_support_deviation"] < 1e-6
+    assert data["max_support_deviation"] < 1e-12
+    assert "quad_nodes" not in data
+
+
+@pytest.mark.parametrize("argv", [["variational", "--grid", "0"],
+                                  ["variational", "--grid", "1"],
+                                  ["variational", "--grid", "-3"],
+                                  ["density", "--grid", "-1"]])
+def test_bad_grid_is_named(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "grid" in err and "Traceback" not in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -15,7 +15,7 @@ from eqmap.correlators import (
 )
 from eqmap.endpoints import PotentialSpec
 from eqmap.errors import ContourGeometryError
-from eqmap.measure import equilibrium_measure
+from eqmap.measure import density, equilibrium_measure
 
 GUE = PotentialSpec(1.0, {})
 QUARTIC = PotentialSpec(1.0, {4: 0.01})
@@ -41,11 +41,14 @@ def test_w1_leading_rejects_points_on_cut():
 
 
 def test_w1_leading_matches_density_quadrature():
-    from eqmap.measure import _chebyshev2_nodes
-
+    # Gauss-Chebyshev nodes of the second kind on the support
     em = equilibrium_measure(QUARTIC)
     ctx = correlator_context(QUARTIC)
-    nodes, w, _ = _chebyshev2_nodes(em, 4096)
+    am, ap = em.support
+    r, n = (ap - am) / 2, 4096
+    theta = np.arange(1, n + 1) * math.pi / (n + 1)
+    nodes = (ap + am) / 2 + r * np.cos(theta)
+    w = density(em, nodes) * r * math.pi * np.sin(theta) / (n + 1)
     rng = np.random.default_rng(3)
     for _ in range(10):
         y = complex(rng.uniform(2.5, 5), rng.uniform(-2, 2))

@@ -37,7 +37,8 @@ SIGNATURES = {
     eqmap.one_cut_certificate: ["h", "alpha_minus", "alpha_plus"],
     eqmap.verify_residue_representation: ["pot", "ep", "m"],
     eqmap.verify_even_residue_formula: ["pot", "ep", "m"],
-    eqmap.variational_report: ["em", "grid_size", "n_quad"],
+    eqmap.variational_report: ["em", "grid_size"],
+    eqmap.total_mass: ["em"],
     endpoints._newton: ["pot", "u", "z"],
     endpoints._locate_fold: ["pot", "u", "z", "s0"],
     acceptance._corpus_with_jets: [],
