@@ -353,7 +353,7 @@ def laurent_zero_coeff(p):
     return p.coeff(0)
 
 
-def substitute_uniformizer(coeffs, u, z, mode="affine"):
+def substitute_uniformizer(coeffs, u, z, mode="affine", _band=None):
     """Evaluate a polynomial P(y) at the uniformizing substitution.
 
     affine:    y = T + u + z/T
@@ -361,19 +361,57 @@ def substitute_uniformizer(coeffs, u, z, mode="affine"):
 
     ``coeffs`` lists P's coefficients in ascending degree; the scalars may be
     numbers, Fractions or jets.  The result is a LaurentPoly with exponent
-    range [-deg P, deg P].
+    range [-deg P, deg P]; ``_band = (lo, hi)`` with lo <= 0 <= hi keeps only
+    T**lo..T**hi and never forms a coefficient that cannot reach them.
+
+    Horner's rule over a dense list, highest exponent first.  A product by y
+    sums each coefficient as LaurentPoly.__mul__ does, (a[k+1]*z + a[k]*u)
+    + a[k-1] with the coefficient on the left, and skips zero entries of y,
+    so every scalar type gets the bits of Horner's rule over LaurentPoly.
     """
     if mode == "affine":
-        y = LaurentPoly({1: 1, 0: u, -1: z})
+        y1, y_1 = 1, z
     elif mode == "symmetric":
-        s = _generic_sqrt(z)
-        y = LaurentPoly({1: s, 0: u, -1: s})
+        y1 = y_1 = _generic_sqrt(z)
     else:
         raise ValueError("mode must be 'affine' or 'symmetric'")
-    out = LaurentPoly()
-    for c in reversed(list(coeffs)):
-        out = out * y + c
-    return out
+    coeffs = list(coeffs)
+    n = len(coeffs)
+    if not n:
+        return LaurentPoly()
+    lo, hi = (1 - n, n - 1) if _band is None else _band
+    # y = y1 T + y0 + y_1/T; a zero entry is skipped, and x * 1 == x exactly,
+    # so the unit coefficient of T is not multiplied (None marks both)
+    y1 = None if type(y1) is int and y1 == 1 else y1
+    y0 = None if _is_zero(u) else u
+    y_1 = None if _is_zero(y_1) else y_1
+    # a[j] is the coefficient of T**(top - j), None where no term reached it;
+    # a coefficient that sums to zero after + c is dropped, as LaurentPoly drops it
+    top, a = 0, [None if _is_zero(coeffs[-1]) else 0 + coeffs[-1]]
+    for i in range(n - 2, -1, -1):
+        # multiply by y over the exponents that the i products left can
+        # still carry into [lo, hi]
+        new_top = min(top + 1, hi + i)
+        new_bottom = max(top - len(a), lo - i)
+        q = [None, None] + a + [None, None]  # q[top - k + 2] is T**k
+        b = []
+        for j in range(top - new_top + 2, top - new_bottom + 3):
+            v, s = q[j - 1], None
+            if v is not None and y_1 is not None:
+                s = v * y_1
+            v = q[j]
+            if v is not None and y0 is not None:
+                s = v * y0 if s is None else s + v * y0
+            v = q[j + 1]
+            if v is not None:
+                if y1 is not None:
+                    v = v * y1
+                s = v if s is None else s + v
+            b.append(s)
+        top, a = new_top, b
+        v = (0 if a[top] is None else a[top]) + coeffs[i]
+        a[top] = None if _is_zero(v) else v
+    return LaurentPoly({top - j: v for j, v in enumerate(a) if v is not None})
 
 
 class LaurentSeriesAtInfinity:

@@ -153,6 +153,8 @@ def cmd_coeffs(args):
 
 
 def cmd_e1(args):
+    if args.series is not None and args.series < 1:
+        raise InvalidParameterError("--series must be at least 1, got %d" % args.series)
     if args.j is not None:
         _, bare = _parse_t(args.t, allow_bare=True)
         if bare is None:

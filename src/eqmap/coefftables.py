@@ -67,8 +67,9 @@ class BasisFunction:
         by (T - 1/T)**(2k+2) * T**(k+1) turns both sides into honest Laurent
         polynomials; this returns this basis element's contribution.
         """
-        tm = LaurentPoly({1: 1, -1: -1})
-        return (self.numerator * tm ** (2 * (k + 1) - self.denom_power)).shifted(k + 1)
+        p = 2 * (k + 1) - self.denom_power  # (T - 1/T)**p by the binomial theorem
+        tm = LaurentPoly({p - 2 * i: (-1) ** i * _binom(p, i) for i in range(p + 1)})
+        return (self.numerator * tm).shifted(k + 1)
 
 
 def phi_tilde(m):
@@ -149,9 +150,8 @@ def _solve_exact(rows, rhs):
 
 def _solve_row(k):
     """Match coefficients of the cleared order-k identity and solve exactly."""
-    target = LaurentPoly({1: 1, 0: 1}) ** (2 * k + 2)  # (T + 1)**(2k+2)
-    basis = [phi_tilde(m).cleared(k) for m in range(1, k + 2)] + \
-            [psi_tilde(m).cleared(k) for m in range(1, k + 2)]
+    target = LaurentPoly({i: _binom(2 * k + 2, i) for i in range(2 * k + 3)})  # (T + 1)**(2k+2)
+    basis = [f(m).cleared(k) for f in (phi_tilde, psi_tilde) for m in range(1, k + 2)]
     exps = sorted(set().union(*[set(b.coeffs) for b in basis], set(target.coeffs)))
     rows = [[b.coeff(e) for b in basis] for e in exps]
     rhs = [target.coeff(e) for e in exps]
@@ -184,7 +184,7 @@ def reconstruction_holds(table, k):
     Verified after clearing denominators, i.e. the combination of cleared
     basis elements must equal (T + 1)**(2k+2) coefficient for coefficient.
     """
-    target = LaurentPoly({1: 1, 0: 1}) ** (2 * k + 2)
+    target = LaurentPoly({i: _binom(2 * k + 2, i) for i in range(2 * k + 3)})
     acc = LaurentPoly()
     for m in range(1, k + 2):
         acc = acc + phi_tilde(m).cleared(k) * table.phi(k, m)

@@ -98,6 +98,12 @@ def xvprime_coeffs(pot):
     return c
 
 
+def _require_order(name, value, least):
+    """Refuse a truncation order that is not an int >= least, naming it."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise InvalidParameterError("%s must be an int >= %d, got %r" % (name, least, value))
+
+
 def _perturbation_coeffs(pot):
     """Ascending coefficients of sum_j j*t_j*y**(j-1), the part of x*V'(y)
     that the homotopy t -> s*t scales."""
@@ -107,19 +113,20 @@ def _perturbation_coeffs(pot):
     return c
 
 
-def endpoint_residuals(u, z, pot, _coeffs=None, _x=None):
+def endpoint_residuals(u, z, pot, _coeffs=None, _xinv=None):
     """Residuals (r1, r2) of the two endpoint equations at (u, z).
 
     Both vanish iff (u, z) parameterize the support for ``pot``.  Generic over
     the scalar type of u and z: floats, Fractions and jets all work, which is
-    how Jacobians and Taylor jets of the solution are produced.
+    how Jacobians and Taylor jets of the solution are produced.  A face weight
+    other than ``pot.x`` comes as its reciprocal ``_xinv`` and multiplies:
+    for a jet that is what Jet / Jet computes.
     """
     coeffs = xvprime_coeffs(pot) if _coeffs is None else _coeffs
-    x = pot.x if _x is None else _x
-    w = substitute_uniformizer(coeffs, u, z)
-    r1 = w.coeff(0) / x
-    r2 = w.coeff(-1) / x - 1
-    return r1, r2
+    w = substitute_uniformizer(coeffs, u, z, _band=(-1, 0))
+    if _xinv is not None:
+        return w.coeff(0) * _xinv, w.coeff(-1) * _xinv - 1
+    return w.coeff(0) / pot.x, w.coeff(-1) / pot.x - 1
 
 
 @dataclass
@@ -412,12 +419,14 @@ def uz_jets(pot, x_order, t_order=0):
     residual kills the lowest remaining order using the exact base-point
     Jacobian, so sum(orders) + 1 passes suffice.
     """
+    _require_order("x_order", x_order, 1)
+    _require_order("t_order", t_order, 0)
     base = solve_endpoints(pot)
     tkeys = sorted(pot.t) if t_order > 0 else []
     orders = (x_order,) + (t_order,) * len(tkeys)
     names = ("x",) + tuple("t%d" % j for j in tkeys)
 
-    xj = Jet.variable(float(pot.x), 0, orders)
+    xinv = Jet.variable(float(pot.x), 0, orders).reciprocal()
     coeffs = [0] * pot.degree
     coeffs[1] = 1
     for j, tj in pot.t.items():
@@ -434,11 +443,11 @@ def uz_jets(pot, x_order, t_order=0):
     U = Jet.constant(base.u, orders)
     Z = Jet.constant(base.z, orders)
     for _ in range(sum(orders) + 1):
-        r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _x=xj)
+        r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _xinv=xinv)
         U = U - (inv[0, 0] * r1 + inv[0, 1] * r2)
         Z = Z - (inv[1, 0] * r1 + inv[1, 1] * r2)
 
-    r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _x=xj)
+    r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _xinv=xinv)
     worst = max(np.max(np.abs(r1.coeffs.astype(float))),
                 np.max(np.abs(r2.coeffs.astype(float))))
     if worst > 1e-7:

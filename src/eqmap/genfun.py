@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Jet
-from .endpoints import PotentialSpec, endpoint_residuals, solve_endpoints, uz_jets
+from .endpoints import (PotentialSpec, _require_order, endpoint_residuals, solve_endpoints,
+                        uz_jets)
 from .errors import OutsideOneCutError
 
 __all__ = [
@@ -100,6 +101,7 @@ def e1_series(pot, order):
     prod_j t_j**k_j gains x**F, F = sum_j k_j (j - 2)/2 the face count E - V
     of the torus maps it counts.
     """
+    _require_order("order", order, 1)
     if not pot.t:
         raise ValueError("potential carries no perturbation directions")
     if any(v != 0 for v in pot.t.values()):
@@ -113,7 +115,7 @@ def e1_series(pot, order):
         coeffs[j - 1] = coeffs[j - 1] + j * Jet.variable(0, i, orders)
     U, Z = Jet.constant(0, orders), Jet.constant(1, orders)
     for _ in range(sum(orders)):  # each pass kills the lowest order left
-        r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _x=1)
+        r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _xinv=Fraction(1))
         U, Z = U - r1, Z - r2
 
     # E multiplies the coefficient of prod_j t_j**k_j by sum_j k_j (j - 2)

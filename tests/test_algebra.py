@@ -5,15 +5,28 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from eqmap.acceptance import one_cut_corpus
 from eqmap.algebra import (
     Jet,
     LaurentPoly,
+    _generic_sqrt,
+    _is_zero,
     inv_sqrt_R_series,
     laurent_zero_coeff,
     series_times_poly_coeff,
     substitute_uniformizer,
 )
-from eqmap.errors import SingularJetError
+import eqmap.endpoints as endpoints
+from eqmap.endpoints import (
+    PotentialSpec,
+    _perturbation_coeffs,
+    _UZTaylor,
+    endpoint_residuals,
+    solve_endpoints,
+    uz_jets,
+    xvprime_coeffs,
+)
+from eqmap.errors import EqmapError, SingularJetError
 
 
 def test_zero_coeff_reads_off_constant():
@@ -272,6 +285,154 @@ def test_solver_path_matches_slice_loop_bit_for_bit(monkeypatch):
     monkeypatch.setattr(Jet, "__mul__", _slice_loop_mul)
     monkeypatch.setattr(Jet, "__rmul__", _slice_loop_mul)
     assert fingerprint() == fast
+
+
+# ---- the dense Horner kernel -------------------------------------------------
+
+
+def _laurent_horner(coeffs, u, z, mode="affine"):
+    """Horner's rule with one LaurentPoly per step, the way substitute_uniformizer
+    evaluated before its dense kernel; the kernel must reproduce it bit for bit."""
+    if mode == "affine":
+        y = LaurentPoly({1: 1, 0: u, -1: z})
+    else:
+        s = _generic_sqrt(z)
+        y = LaurentPoly({1: s, 0: u, -1: s})
+    out = LaurentPoly()
+    for c in reversed(list(coeffs)):
+        out = out * y + c
+    return out
+
+
+def _reference_residuals(u, z, pot, coeffs=None, x=None):
+    """endpoint_residuals over the object-per-step Horner, dividing by x."""
+    w = _laurent_horner(xvprime_coeffs(pot) if coeffs is None else coeffs, u, z)
+    x = pot.x if x is None else x
+    return w.coeff(0) / x, w.coeff(-1) / x - 1
+
+
+def _bits(v):
+    """Type and float.hex of every entry of a scalar, a (u, z) Taylor scalar or a jet."""
+    if isinstance(v, Jet):
+        return "jet", str(v.coeffs.dtype), [float(e).hex() for e in v.coeffs.flat]
+    if isinstance(v, tuple):
+        return type(v).__name__, [e.hex() for e in v]
+    return type(v).__name__, float(v).hex()
+
+
+def _residual_potentials():
+    """The corpus, pure quartic and sextic potentials on both sides of their
+    folds, even potentials (structural zero coefficients, an all-zero u jet)
+    and potentials with explicit zero coefficients, the leading one included."""
+    pots = list(one_cut_corpus(100))
+    for x in (0.8, 1.0, 1.2):
+        pots += [PotentialSpec(x, {4: c}) for c in (-0.02, -1.5 / 48, 0.01, 0.1)]
+        pots += [PotentialSpec(x, {6: c}) for c in (-0.003, 0.001, 0.01)]
+        pots += [PotentialSpec(x, {2: 0.1, 4: 0.005, 6: 0.0005}),
+                 PotentialSpec(x, {2: -0.2, 4: 0.01})]
+    pots += [PotentialSpec(1.0, {3: 0.05, 4: 0.0}), PotentialSpec(0.5, {1: 0.006, 2: 0.0}),
+             PotentialSpec(1.3, {1: 0.0, 2: -0.0014, 3: 0.0, 4: 0.0}),
+             PotentialSpec(1.0, {2: 0.0, 4: -0.0, 6: 0.001}), PotentialSpec(1.0, {4: 0.0})]
+    return pots
+
+
+def _residual_points(pot):
+    """The solved root where the solve succeeds, the Gaussian start point and
+    three fixed points, one of them with integer coordinates."""
+    pts = [(0.0, float(pot.x)), (-0.37, 0.81), (1.0, 1.0)]
+    try:
+        ep = solve_endpoints(pot)
+    except EqmapError:
+        return pts
+    return pts + [(ep.u, ep.z)]
+
+
+def test_endpoint_residuals_match_laurent_horner_on_floats_and_taylor_scalars():
+    for pot in _residual_potentials():
+        perturbation = _perturbation_coeffs(pot)
+        for u, z in _residual_points(pot):
+            want = _reference_residuals(u, z, pot)
+            assert list(map(_bits, endpoint_residuals(u, z, pot))) == list(map(_bits, want))
+            for n in (1, 2):
+                k = (n + 1) * (n + 2) // 2
+                U = _UZTaylor((u,) + (0.0,) * n + (1.0,) + (0.0,) * (k - n - 2))
+                Z = _UZTaylor((z, 1.0) + (0.0,) * (k - 2))
+                for coeffs in (None, perturbation):  # Newton's and the fold search's
+                    got = endpoint_residuals(U, Z, pot, _coeffs=coeffs)
+                    want = _reference_residuals(U, Z, pot, coeffs)
+                    assert list(map(_bits, got)) == list(map(_bits, want)), (pot, u, z, n)
+
+
+def test_x_jet_lift_matches_laurent_horner_pass_by_pass(monkeypatch):
+    """uz_jets at x_order = max(deg, 5) + 1, with the residual of every pass
+    compared with the Horner reference, which divides by the x-jet itself."""
+    lifts = []
+
+    def compared(u, z, pot, _coeffs=None, _xinv=None):
+        got = endpoint_residuals(u, z, pot, _coeffs=_coeffs, _xinv=_xinv)
+        if isinstance(u, Jet):
+            xj = Jet.variable(float(pot.x), 0, u.orders)
+            want = _reference_residuals(u, z, pot, _coeffs, xj)
+            assert list(map(_bits, got)) == list(map(_bits, want)), pot
+            lifts.append(pot)
+        return got
+
+    monkeypatch.setattr(endpoints, "endpoint_residuals", compared)
+    for pot in _residual_potentials():
+        try:
+            uz_jets(pot, x_order=max(pot.degree, 5) + 1)
+        except EqmapError:
+            continue
+    assert len(set(map(repr, lifts))) > 100
+
+
+def test_fraction_residuals_are_the_full_band_coefficients():
+    rng = random.Random(12)
+    for _ in range(40):
+        x = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+        t = {j: Fraction(rng.randint(-6, 6), rng.randint(1, 50)) for j in rng.sample(range(1, 8), 3)}
+        pot = PotentialSpec(x, t)
+        u, z = Fraction(rng.randint(-5, 5), rng.randint(1, 7)), Fraction(rng.randint(1, 9), rng.randint(1, 7))
+        full = substitute_uniformizer(xvprime_coeffs(pot), u, z)
+        r1, r2 = endpoint_residuals(u, z, pot)
+        assert (r1, r2) == (full.coeff(0) / x, full.coeff(-1) / x - 1)
+        assert (r1, r2) == _reference_residuals(u, z, pot)
+        assert type(r1) is type(r2) is Fraction
+
+
+def _full_band_cases():
+    """The hand-checked substitutions above, then random exact inputs with
+    zero coefficients and zero u, in both modes."""
+    yield [0, 1], 0, 2, "affine"
+    yield [0, 0, 1], 1, 1, "affine"
+    yield [0, 1], 0, 4, "symmetric"
+    yield [7], 2, 3, "affine"
+    rng = random.Random(4)
+    for _ in range(60):
+        coeffs = [Fraction(rng.choice([0, 0, rng.randint(-9, 9)]), rng.randint(1, 4))
+                  for _ in range(rng.randint(1, 8))]
+        u = rng.choice([0, Fraction(rng.randint(-5, 5), rng.randint(1, 6))])
+        mode = rng.choice(["affine", "symmetric"])
+        if mode == "symmetric" and rng.random() < 0.5:
+            z = Fraction(rng.randint(1, 5), rng.randint(1, 5)) ** 2  # sqrt(z) stays exact
+        else:
+            z = Fraction(rng.randint(1, 30), rng.randint(1, 7))
+        yield coeffs, u, z, mode
+
+
+def test_full_band_substitution_equals_laurent_horner():
+    for coeffs, u, z, mode in _full_band_cases():
+        got = substitute_uniformizer(coeffs, u, z, mode=mode)
+        want = _laurent_horner(coeffs, u, z, mode)
+        assert got == want
+        assert set(got.coeffs) == set(want.coeffs)
+        assert not any(_is_zero(v) for v in got.coeffs.values())  # max_exp reads the keys
+        assert got.max_exp == want.max_exp
+        # the same values over floats, the way the h routes call it
+        fgot = substitute_uniformizer([float(c) for c in coeffs], float(u), float(z), mode=mode)
+        fwant = _laurent_horner([float(c) for c in coeffs], float(u), float(z), mode)
+        assert {k: _bits(v) for k, v in fgot.coeffs.items()} == \
+            {k: _bits(v) for k, v in fwant.coeffs.items()}
 
 
 # ---- series at infinity ----------------------------------------------------

@@ -134,6 +134,13 @@ def test_bad_grid_is_named(capsys, argv):
     assert "grid" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("order", ["-2", "0"])
+def test_bad_series_order_is_named(capsys, order):
+    code, out, err = run_cli(capsys, "e1", "--t", "4=0.0", "--series", order)
+    assert code == 1 and out == ""
+    assert "--series" in err and "Traceback" not in err
+
+
 def test_output_file(tmp_path, capsys):
     dest = tmp_path / "out.json"
     code, _, _ = run_cli(capsys, "endpoints", "--x", "1", "--out", str(dest))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from eqmap import coefftables
+from eqmap.algebra import LaurentPoly
 from eqmap.coefftables import (
     build_c_table,
     check_diagonal_conjecture,
@@ -225,3 +226,22 @@ def test_build_c_table_rejects_a_bad_kmax(kmax):
     build_c_table(2)
     with pytest.raises(InvalidParameterError, match="kmax"):
         build_c_table(kmax)
+
+
+def test_binomial_powers_match_repeated_products():
+    # cleared(k) and the (T + 1)**(2k+2) target were built by repeated
+    # LaurentPoly products; the binomial theorem must give the same integers
+    tm, tp = LaurentPoly({1: 1, -1: -1}), LaurentPoly({1: 1, 0: 1})
+    table = build_c_table(12)
+    for k in range(21):
+        acc = LaurentPoly()
+        for m in range(1, k + 2):
+            for bf in (phi_tilde(m), psi_tilde(m)):
+                want = (bf.numerator * tm ** (2 * (k + 1) - bf.denom_power)).shifted(k + 1)
+                got = bf.cleared(k)
+                assert got == want and set(got.coeffs) == set(want.coeffs)
+                assert all(type(v) is int for v in got.coeffs.values())
+                if k <= 12:
+                    acc = acc + want * (table.phi if bf.kind == "phi" else table.psi)(k, m)
+        if k <= 12:  # the rows solve for the repeated-product target
+            assert acc == tp ** (2 * k + 2)

@@ -428,3 +428,26 @@ def test_one_cut_certificate():
     import dataclasses
     bad = dataclasses.replace(h, monomial=np.array([-0.05, 0.0, 1.0]))
     assert not one_cut_certificate(bad, ep.alpha_minus, ep.alpha_plus)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"x_order": 0}, "x_order"),
+    ({"x_order": -1}, "x_order"),
+    ({"x_order": 1.0}, "x_order"),
+    ({"x_order": True}, "x_order"),
+    ({"x_order": "2"}, "x_order"),
+    ({"x_order": 1, "t_order": -1}, "t_order"),
+    ({"x_order": 1, "t_order": 0.5}, "t_order"),
+])
+def test_uz_jets_names_a_bad_order_before_solving(monkeypatch, kwargs, name):
+    def no_solve(pot):
+        raise AssertionError("solved before checking the orders")
+
+    monkeypatch.setattr(endpoints, "solve_endpoints", no_solve)
+    with pytest.raises(InvalidParameterError, match=name):
+        uz_jets(PotentialSpec(1.0, {4: 0.01}), **kwargs)
+
+
+def test_uz_jets_accepts_numpy_int_orders():
+    ep = uz_jets(PotentialSpec(1.0, {4: 0.01}), x_order=np.int64(2), t_order=np.int64(0))
+    assert ep.u_jet.orders == (2,)

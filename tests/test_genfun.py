@@ -7,6 +7,7 @@ import eqmap.endpoints as endpoints
 import eqmap.genfun as genfun
 from eqmap.algebra import Jet
 from eqmap.endpoints import PotentialSpec, endpoint_residuals, solve_endpoints, uz_jets
+from eqmap.errors import InvalidParameterError
 from eqmap.genfun import e1_monomial, e1_series, e1_value, verify_relations
 
 
@@ -239,3 +240,9 @@ def test_relation_suite_odd_valence_has_nonzero_u():
     assert ep.u != 0.0
     residuals = verify_relations(3, 0.05)
     assert max(residuals.values()) < 1e-9
+
+
+@pytest.mark.parametrize("order", [0, -2, 2.0, True, None])
+def test_e1_series_names_a_bad_order(order):
+    with pytest.raises(InvalidParameterError, match="order"):
+        e1_series(PotentialSpec(1.0, {4: 0}), order)
