@@ -6,9 +6,7 @@ torus map generating function cross-checked against brute-force map counts.
 from .algebra import (
     Jet,
     LaurentPoly,
-    LaurentSeriesAtInfinity,
     inv_sqrt_R_series,
-    laurent_zero_coeff,
     substitute_uniformizer,
 )
 from .endpoints import (

@@ -1,5 +1,6 @@
-"""Generic scalar substrate: truncated Taylor jets, Laurent polynomials in a
-uniformizing variable T, and Laurent series at infinity.
+"""Generic scalar substrate: truncated Taylor jets, the truncated-product
+kernel they share with the endpoint solver's Taylor scalar, and Laurent
+polynomials in a uniformizing variable T.
 
 Everything here is written once over a "scalar" supporting field operations.
 Plain Python numbers, ``fractions.Fraction`` and :class:`Jet` instances all
@@ -10,7 +11,9 @@ implementation of every residue-extraction formula.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,9 +24,7 @@ from .errors import SingularJetError
 __all__ = [
     "Jet",
     "LaurentPoly",
-    "LaurentSeriesAtInfinity",
     "inv_sqrt_R_series",
-    "laurent_zero_coeff",
     "substitute_uniformizer",
     "series_times_poly_coeff",
 ]
@@ -35,16 +36,46 @@ def _is_zero(v):
     return v == 0
 
 
-def _generic_sqrt(z):
-    """Square root of a number; perfect-square rationals stay exact."""
-    if isinstance(z, Fraction):
-        rn, rd = math.isqrt(z.numerator), math.isqrt(z.denominator)
-        if rn * rn == z.numerator and rd * rd == z.denominator:
-            return Fraction(rn, rd)
-        z = float(z)
-    if z <= 0:
-        raise ValueError("square root requires a positive argument, got %r" % (z,))
-    return math.sqrt(z)
+def _pair_table(exponents):
+    """Pair table of a truncated product over an ordered list of exponent
+    tuples that holds every exponent below a listed one, such as a box or a
+    triangle: per entry i, the flat tuple (m, src, m, src, ...) of every entry
+    src whose exponent adds to entry i's to give a listed one, entry m."""
+    index = {e: k for k, e in enumerate(exponents)}
+    top = [max(c) for c in zip(*exponents)]
+    table = []
+    for e in exponents:
+        row = []
+        for f in itertools.product(*(range(t - k + 1) for t, k in zip(top, e))):
+            m = index.get(tuple(map(operator.add, e, f)))
+            if m is not None:
+                row += (m, index[f])
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _truncated_product(a, b, table, zero):
+    """Truncated product of the flat coefficient sequences a and b.
+
+    Each entry is summed from ``zero`` over the nonzero entries a[i] in
+    storage order, adding a[i] * b[src] per pair of row i of ``table``, so
+    every sum is rounded as a loop over the entries of a forms it (Griewank &
+    Walther, Evaluating Derivatives, 2008).  Jets and the endpoint solver's
+    Taylor scalar both multiply here, so their products agree bit for bit.
+    """
+    out = [zero] * len(b)
+    for x, row in zip(a, table):
+        if x != 0:  # zero factors add nothing and are skipped
+            pairs = iter(row)
+            for m in pairs:
+                out[m] += x * b[next(pairs)]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _box_table(shape):
+    """Pair table of the row-major jet box ``shape``."""
+    return _pair_table(tuple(np.ndindex(shape)))
 
 
 class Jet:
@@ -161,13 +192,10 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.coeffs * self._like(other))
         a, b = self._operands(other)
-        shape = a.shape
-        i, m, src = _product_triples(shape)
-        a, b = a.ravel(), b.ravel()
-        keep = (a != 0)[i]  # zero factors add nothing and are skipped
-        out = np.zeros(a.size, dtype=np.result_type(a, b))
-        np.add.at(out, m[keep], a[i[keep]] * b[src[keep]])
-        return Jet(out.reshape(shape))
+        dtype = np.result_type(a, b)
+        out = _truncated_product(a.ravel().tolist(), b.ravel().tolist(), _box_table(a.shape),
+                                 0.0 if dtype == np.float64 else 0)
+        return Jet(np.array(out, dtype=dtype).reshape(a.shape))
 
     __rmul__ = __mul__
 
@@ -225,25 +253,6 @@ class Jet:
 
     def __repr__(self):
         return "Jet(orders=%r, coeffs=%r)" % (self.orders, self.coeffs.tolist())
-
-
-@lru_cache(maxsize=None)
-def _product_triples(shape):
-    """Flat index triples (i, m, src) of a truncated product over ``shape``:
-    coefficient m receives a[i] * b[src], in row-major order of i.  np.add.at
-    applies them in that order, so every sum is rounded as a loop over the
-    entries of a forms it (Griewank & Walther, Evaluating Derivatives, 2008)."""
-    flat = np.arange(math.prod(shape)).reshape(shape)
-    i, m, src = [], [], []
-    for idx in np.ndindex(shape):
-        dst = flat[tuple(slice(k, n) for k, n in zip(idx, shape))].ravel()
-        i.append(np.full(dst.size, flat[idx]))
-        m.append(dst)
-        src.append(flat[tuple(slice(0, n - k) for k, n in zip(idx, shape))].ravel())
-    triples = np.concatenate(i), np.concatenate(m), np.concatenate(src)
-    for arr in triples:
-        arr.flags.writeable = False  # shared by every product of this shape
-    return triples
 
 
 class LaurentPoly:
@@ -348,16 +357,8 @@ class LaurentPoly:
         return "LaurentPoly({%s})" % items
 
 
-def laurent_zero_coeff(p):
-    """Coefficient of T**0, the residue-extraction primitive."""
-    return p.coeff(0)
-
-
-def substitute_uniformizer(coeffs, u, z, mode="affine", _band=None):
-    """Evaluate a polynomial P(y) at the uniformizing substitution.
-
-    affine:    y = T + u + z/T
-    symmetric: y = sqrt(z)*T + u + sqrt(z)/T   (requires a number z > 0)
+def substitute_uniformizer(coeffs, u, z, _band=None):
+    """Evaluate a polynomial P(y) at the uniformizing substitution y = T + u + z/T.
 
     ``coeffs`` lists P's coefficients in ascending degree; the scalars may be
     numbers, Fractions or jets.  The result is a LaurentPoly with exponent
@@ -369,22 +370,15 @@ def substitute_uniformizer(coeffs, u, z, mode="affine", _band=None):
     + a[k-1] with the coefficient on the left, and skips zero entries of y,
     so every scalar type gets the bits of Horner's rule over LaurentPoly.
     """
-    if mode == "affine":
-        y1, y_1 = 1, z
-    elif mode == "symmetric":
-        y1 = y_1 = _generic_sqrt(z)
-    else:
-        raise ValueError("mode must be 'affine' or 'symmetric'")
     coeffs = list(coeffs)
     n = len(coeffs)
     if not n:
         return LaurentPoly()
     lo, hi = (1 - n, n - 1) if _band is None else _band
-    # y = y1 T + y0 + y_1/T; a zero entry is skipped, and x * 1 == x exactly,
-    # so the unit coefficient of T is not multiplied (None marks both)
-    y1 = None if type(y1) is int and y1 == 1 else y1
+    # y = T + y0 + y_1/T; a zero entry is skipped (None marks it), and
+    # x * 1 == x exactly, so the unit coefficient of T is not multiplied
     y0 = None if _is_zero(u) else u
-    y_1 = None if _is_zero(y_1) else y_1
+    y_1 = None if _is_zero(z) else z
     # a[j] is the coefficient of T**(top - j), None where no term reached it;
     # a coefficient that sums to zero after + c is dropped, as LaurentPoly drops it
     top, a = 0, [None if _is_zero(coeffs[-1]) else 0 + coeffs[-1]]
@@ -404,8 +398,6 @@ def substitute_uniformizer(coeffs, u, z, mode="affine", _band=None):
                 s = v * y0 if s is None else s + v * y0
             v = q[j + 1]
             if v is not None:
-                if y1 is not None:
-                    v = v * y1
                 s = v if s is None else s + v
             b.append(s)
         top, a = new_top, b
@@ -414,33 +406,9 @@ def substitute_uniformizer(coeffs, u, z, mode="affine", _band=None):
     return LaurentPoly({top - j: v for j, v in enumerate(a) if v is not None})
 
 
-class LaurentSeriesAtInfinity:
-    """Truncated Laurent expansion about y = infinity, descending powers."""
-
-    __slots__ = ("top_degree", "coeffs")
-
-    def __init__(self, top_degree, coeffs):
-        self.top_degree = int(top_degree)
-        self.coeffs = tuple(coeffs)
-
-    def coeff(self, r):
-        i = self.top_degree - r
-        if i < 0:
-            return 0
-        if i >= len(self.coeffs):
-            raise ValueError("series truncated before y**%d" % r)
-        return self.coeffs[i]
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __repr__(self):
-        return "LaurentSeriesAtInfinity(top_degree=%d, coeffs=%r)" % (
-            self.top_degree, list(self.coeffs))
-
-
 def inv_sqrt_R_series(alpha_minus, alpha_plus, n_terms):
-    """Expansion of ((y - a)(y - b))**(-1/2) at infinity: sum_n q_n y**(-n-1).
+    """The first n_terms coefficients q_n of ((y - a)(y - b))**(-1/2) =
+    sum_n q_n y**(-n-1) at infinity.
 
     The coefficients solve Q(y)**2 * (y - a)(y - b) = 1 term by term with
     q_0 = 1; over int/Fraction endpoints the recursion is exact.
@@ -459,14 +427,17 @@ def inv_sqrt_R_series(alpha_minus, alpha_plus, n_terms):
         rest = sum(q[i] * q[n - i] for i in range(1, n))
         q.append((cn - rest) / 2)
         c.append(cn)
-    return LaurentSeriesAtInfinity(top_degree=-1, coeffs=q)
+    return q
 
 
-def series_times_poly_coeff(poly_coeffs, series, r):
-    """Coefficient of y**r in P(y) * S(y), P ascending, S descending at infinity."""
+def series_times_poly_coeff(poly_coeffs, q, r):
+    """Coefficient of y**r in P(y) * sum_n q[n] y**(-n-1), P ascending."""
     total = 0
     for k, a in enumerate(poly_coeffs):
-        if _is_zero(a):
+        n = k - r - 1
+        if _is_zero(a) or n < 0:
             continue
-        total = total + a * series.coeff(r - k)
+        if n >= len(q):
+            raise ValueError("series truncated before y**%d" % (r - k))
+        total = total + a * q[n]
     return total

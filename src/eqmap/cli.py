@@ -29,28 +29,23 @@ from .oracle import census
 __all__ = ["main", "entry", "build_parser"]
 
 
-def _parse_t(pairs, allow_bare=False):
+def _parse_t(pairs):
     t = {}
-    bare = None
     for item in pairs or []:
-        if "=" in item:
-            j, v = item.split("=", 1)
-            t[int(j)] = float(v)
-        elif allow_bare and bare is None:
-            bare = float(item)
-        else:
+        if "=" not in item:
             raise ValueError("--t expects j=value, got %r" % item)
-    return t, bare
+        j, v = item.split("=", 1)
+        t[int(j)] = float(v)
+    return t
 
 
-def _load_potential(args, allow_bare_t=False):
+def _load_potential(args):
     if getattr(args, "potential", None):
         with open(args.potential) as fh:
             data = json.load(fh)
         t = {int(j): float(v) for j, v in data.get("t", {}).items()}
-        return PotentialSpec(float(data.get("x", 1.0)), t), None
-    t, bare = _parse_t(args.t, allow_bare=allow_bare_t)
-    return PotentialSpec(args.x, t), bare
+        return PotentialSpec(float(data.get("x", 1.0)), t)
+    return PotentialSpec(args.x, _parse_t(args.t))
 
 
 def _emit(args, obj, rows=None, header=None):
@@ -79,7 +74,7 @@ def _jet_payload(jet):
 
 
 def cmd_endpoints(args):
-    pot, _ = _load_potential(args)
+    pot = _load_potential(args)
     ep = uz_jets(pot, x_order=max(1, args.order))
     _emit(args, {
         "u": ep.u, "z": ep.z,
@@ -91,7 +86,7 @@ def cmd_endpoints(args):
 
 
 def cmd_h(args):
-    pot, _ = _load_potential(args)
+    pot = _load_potential(args)
     ep = uz_jets(pot, x_order=pot.degree + 1)
     hc = h_classical(pot, ep)
     hg = h_general(pot, ep)
@@ -114,7 +109,7 @@ def cmd_h(args):
 def cmd_density(args):
     if args.grid < 0:
         raise InvalidParameterError("--grid must be non-negative, got %d" % args.grid)
-    pot, _ = _load_potential(args)
+    pot = _load_potential(args)
     em = equilibrium_measure(pot)
     am, ap = em.support
     lam = np.linspace(am, ap, args.grid)
@@ -127,7 +122,7 @@ def cmd_density(args):
 
 
 def cmd_variational(args):
-    pot, _ = _load_potential(args)
+    pot = _load_potential(args)
     em = equilibrium_measure(pot)
     rep = variational_report(em, grid_size=args.grid)
     _emit(args, {
@@ -155,13 +150,7 @@ def cmd_coeffs(args):
 def cmd_e1(args):
     if args.series is not None and args.series < 1:
         raise InvalidParameterError("--series must be at least 1, got %d" % args.series)
-    if args.j is not None:
-        _, bare = _parse_t(args.t, allow_bare=True)
-        if bare is None:
-            raise ValueError("--j needs a bare --t coefficient")
-        pot = PotentialSpec(args.x, {args.j: bare})
-    else:
-        pot, _ = _load_potential(args)
+    pot = _load_potential(args)
     res = e1_value(pot)
     out = {"e1": res.value, "u": res.u, "z": res.z,
            "ux": res.ux, "zx": res.zx, "x": res.x}
@@ -198,7 +187,7 @@ def cmd_census(args):
 
 
 def cmd_correlators(args):
-    pot, _ = _load_potential(args)
+    pot = _load_potential(args)
     ctx = correlator_context(pot)
     y = complex(args.y)
     ky = apply_K(ctx, lambda s: w1_subleading(ctx, s), y)
@@ -270,7 +259,6 @@ def build_parser():
 
     p = sub.add_parser("e1", parents=[pot_parent, out_parent],
                        help="torus map generating function")
-    p.add_argument("--j", type=int, help="single valence; then --t is its bare coefficient")
     p.add_argument("--series", type=int, metavar="ORDER",
                    help="also expand e1 to this order in each valence direction")
     p.set_defaults(fn=cmd_e1)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Jet, substitute_uniformizer
+from .algebra import Jet, _pair_table, _truncated_product, substitute_uniformizer
 from .errors import DegeneratePotentialError, InvalidParameterError, NoOneCutSolutionError
 
 __all__ = [
@@ -46,12 +46,11 @@ class PotentialSpec:
         if not _is_finite(self.x):
             raise InvalidParameterError("face weight x must be finite, got %r" % (self.x,))
         if not self.x > 0:
-            raise ValueError("face weight x must be positive")
+            raise InvalidParameterError("face weight x must be positive, got %r" % (self.x,))
         clean = {}
         for j, v in self.t.items():
+            _require_int("valence", j, 1)
             j = int(j)
-            if j < 1:
-                raise ValueError("valences must be >= 1, got %d" % j)
             if not _is_finite(v):
                 raise InvalidParameterError("coefficient t%d must be finite, got %r" % (j, v))
             clean[j] = v
@@ -98,8 +97,9 @@ def xvprime_coeffs(pot):
     return c
 
 
-def _require_order(name, value, least):
-    """Refuse a truncation order that is not an int >= least, naming it."""
+def _require_int(name, value, least):
+    """Refuse a truncation order, valence or count that is not an int >= least,
+    naming it."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
         raise InvalidParameterError("%s must be an int >= %d, got %r" % (name, least, value))
 
@@ -176,8 +176,8 @@ class EndpointSolution:
 class _UZTaylor(tuple):
     """Taylor polynomial in the (u, z) offsets of total order n = 1 or 2: the float
     entries u**i z**j (i + j <= n) in the row-major order of the (n+1, n+1) Jet box.
-    A product sums each entry from 0.0 over the left factor's nonzero entries in
-    that order, as Jet.__mul__ does, so every entry is rounded as in the Jet."""
+    Products run through Jet.__mul__'s kernel over that triangle, so every entry
+    is rounded as in the Jet."""
 
     __slots__ = ()
 
@@ -203,12 +203,7 @@ class _UZTaylor(tuple):
     def __mul__(self, other):
         if not isinstance(other, _UZTaylor):
             return _UZTaylor(map(float(other).__rmul__, self))  # a * float(other)
-        out = [0.0] * len(other)
-        for a, pairs in zip(self, _UZ_PAIRS[len(other)]):
-            if a != 0:
-                for m, src in pairs:
-                    out[m] += a * other[src]
-        return _UZTaylor(out)
+        return _UZTaylor(_truncated_product(self, other, _UZ_TABLES[len(other)], 0.0))
 
     __rmul__ = __mul__
 
@@ -216,11 +211,10 @@ class _UZTaylor(tuple):
         return _UZTaylor(map(float(other).__rtruediv__, self))  # a / float(other)
 
 
-# per entry of a left factor, the (product entry, right entry) pairs, keyed by
-# the entry count: entries (1, z, u) at order 1, (1, z, z2, u, uz, u2) at order 2
-_UZ_PAIRS = {3: (((0, 0), (1, 1), (2, 2)), ((1, 0),), ((2, 0),)),
-             6: (((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5)), ((1, 0), (2, 1), (4, 3)),
-                 ((2, 0),), ((3, 0), (4, 1), (5, 3)), ((4, 0),), ((5, 0),))}
+# pair tables of the triangles i + j <= n, keyed by the entry count: entries
+# (1, z, u) at order 1, (1, z, z2, u, uz, u2) at order 2
+_UZ_TABLES = {(n + 1) * (n + 2) // 2: _pair_table(
+    tuple(e for e in np.ndindex(n + 1, n + 1) if sum(e) <= n)) for n in (1, 2)}
 
 
 def _uz_residuals(u, z, n, pot, **kwargs):
@@ -419,8 +413,8 @@ def uz_jets(pot, x_order, t_order=0):
     residual kills the lowest remaining order using the exact base-point
     Jacobian, so sum(orders) + 1 passes suffice.
     """
-    _require_order("x_order", x_order, 1)
-    _require_order("t_order", t_order, 0)
+    _require_int("x_order", x_order, 1)
+    _require_int("t_order", t_order, 0)
     base = solve_endpoints(pot)
     tkeys = sorted(pot.t) if t_order > 0 else []
     orders = (x_order,) + (t_order,) * len(tkeys)

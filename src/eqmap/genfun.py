@@ -12,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Jet
-from .endpoints import (PotentialSpec, _require_order, endpoint_residuals, solve_endpoints,
+from .endpoints import (PotentialSpec, _require_int, endpoint_residuals, solve_endpoints,
                         uz_jets)
-from .errors import OutsideOneCutError
+from .errors import InvalidParameterError, OutsideOneCutError
 
 __all__ = [
     "E1Result",
@@ -94,28 +94,29 @@ def e1_series(pot, order):
     """Expand e1 to the given order in every valence direction of ``pot``.
 
     Built exactly at x = 1 and t = 0, where u = 0, z = 1 and the endpoint
-    Jacobian is the identity: (u, z) are lifted as exact rational jets in the
+    Jacobian is the identity: (u, z) are lifted as exact integer jets in the
     t-offsets, and u_x, z_x follow from the scaling relations
     2 u_x = u + E u and 2 z_x = 2 z + E z, E = sum_j (j - 2) t_j d/dt_j.
     Since e1(x, t) = e1(1, {t_j x**((j - 2)/2)}), the coefficient of
     prod_j t_j**k_j gains x**F, F = sum_j k_j (j - 2)/2 the face count E - V
     of the torus maps it counts.
     """
-    _require_order("order", order, 1)
+    _require_int("order", order, 1)
     if not pot.t:
-        raise ValueError("potential carries no perturbation directions")
+        raise InvalidParameterError("potential carries no perturbation directions")
     if any(v != 0 for v in pot.t.values()):
-        raise ValueError("e1_series expects a family based at t = 0; "
-                         "mark directions with zero coefficients")
+        raise InvalidParameterError("e1_series expects a family based at t = 0, got t = %r; "
+                                    "mark directions with zero coefficients" % (pot.t,))
     valences = tuple(sorted(pot.t))
     orders = (order,) * len(valences)
     coeffs = [0] * pot.degree
     coeffs[1] = 1  # valence 2 adds to the Gaussian term
     for i, j in enumerate(valences):
         coeffs[j - 1] = coeffs[j - 1] + j * Jet.variable(0, i, orders)
+    # a unit face weight of type int keeps every entry of the lift an int
     U, Z = Jet.constant(0, orders), Jet.constant(1, orders)
     for _ in range(sum(orders)):  # each pass kills the lowest order left
-        r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _xinv=Fraction(1))
+        r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _xinv=1)
         U, Z = U - r1, Z - r2
 
     # E multiplies the coefficient of prod_j t_j**k_j by sum_j k_j (j - 2)

@@ -315,10 +315,11 @@ def verify_even_residue_formula(pot, ep, m):
         g = zxinv * g.dx(0)
     lhs = float(g.constant_term)
 
+    # with T = sqrt(z) S, T + z/T = sqrt(z) (S + 1/S): [S^k] is sqrt(z)**k [T^k]
     s = math.sqrt(ep.z)
     w = [float(c) for c in xvprime_coeffs(pot)]
-    p = substitute_uniformizer(w, 0.0, ep.z, mode="symmetric")
-    p = p * LaurentPoly({1: 1.0, -1: 1.0})
+    p = substitute_uniformizer(w, 0.0, ep.z)
+    p = LaurentPoly({k: v * s**k for k, v in p.coeffs.items()}) * LaurentPoly({1: 1.0, -1: 1.0})
     rhs = (2.0 ** (m - 1) * double_factorial(2 * m - 1) * s ** (1 - 2 * m)
            * _tzero_div_kernel(p, 2 * m))
     return _rel_close(lhs, rhs)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefftables import double_factorial
+from .endpoints import _require_int
 from .errors import CensusSizeError, EqmapError
 
 __all__ = [
@@ -41,11 +42,10 @@ class VertexProfile:
     def of(cls, spec):
         if isinstance(spec, VertexProfile):
             return spec
-        items = tuple(sorted((int(j), int(k)) for j, k in dict(spec).items()))
-        for j, k in items:
-            if j < 1 or k < 1:
-                raise ValueError("valences and counts must be positive")
-        return cls(items)
+        for j, k in dict(spec).items():
+            _require_int("valence", j, 1)
+            _require_int("vertex count", k, 1)
+        return cls(tuple(sorted((int(j), int(k)) for j, k in dict(spec).items())))
 
     @property
     def half_edges(self):

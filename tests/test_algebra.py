@@ -9,10 +9,8 @@ from eqmap.acceptance import one_cut_corpus
 from eqmap.algebra import (
     Jet,
     LaurentPoly,
-    _generic_sqrt,
     _is_zero,
     inv_sqrt_R_series,
-    laurent_zero_coeff,
     series_times_poly_coeff,
     substitute_uniformizer,
 )
@@ -31,11 +29,11 @@ from eqmap.errors import EqmapError, SingularJetError
 
 def test_zero_coeff_reads_off_constant():
     p = LaurentPoly({1: 1, 0: 3, -1: 1})
-    assert laurent_zero_coeff(p) == 3
+    assert p.coeff(0) == 3
 
 
 def test_zero_coeff_absent_exponent():
-    assert laurent_zero_coeff(LaurentPoly({2: 1})) == 0
+    assert LaurentPoly({2: 1}).coeff(0) == 0
 
 
 def test_zero_coeff_of_t_times_cubed_substitution():
@@ -46,35 +44,25 @@ def test_zero_coeff_of_t_times_cubed_substitution():
     expected = sum(
         math.comb(3, k) * z**k for k in range(4) if 3 - 2 * k + 1 == 0
     )
-    assert laurent_zero_coeff(p) == expected == 3 * z**2
+    assert p.coeff(0) == expected == 3 * z**2
 
 
 def test_zero_coeff_shift_picks_any_coefficient():
     rng = random.Random(0)
     p = LaurentPoly({k: rng.randint(-5, 5) for k in range(-3, 4)})
     for r in range(-3, 4):
-        assert laurent_zero_coeff(p.shifted(-r)) == p.coeff(r)
+        assert p.shifted(-r).coeff(0) == p.coeff(r)
 
 
 def test_substitute_affine_linear():
-    p = substitute_uniformizer([0, 1], u=0, z=2, mode="affine")
+    p = substitute_uniformizer([0, 1], u=0, z=2)
     assert p == LaurentPoly({1: 1, -1: 2})
 
 
 def test_substitute_affine_square():
     # (T + 1 + 1/T)^2 expanded by hand
-    p = substitute_uniformizer([0, 0, 1], u=1, z=1, mode="affine")
+    p = substitute_uniformizer([0, 0, 1], u=1, z=1)
     assert p == LaurentPoly({2: 1, 1: 2, 0: 3, -1: 2, -2: 1})
-
-
-def test_substitute_symmetric_linear():
-    p = substitute_uniformizer([0, 1], u=0, z=4, mode="symmetric")
-    assert p == LaurentPoly({1: Fraction(2), -1: Fraction(2)})
-
-
-def test_substitute_symmetric_rejects_nonpositive_z():
-    with pytest.raises(ValueError):
-        substitute_uniformizer([0, 1], u=0.0, z=-1.0, mode="symmetric")
 
 
 def test_substitution_zero_coeff_symmetric_under_T_to_z_over_T():
@@ -84,11 +72,25 @@ def test_substitution_zero_coeff_symmetric_under_T_to_z_over_T():
         u = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
         z = Fraction(rng.randint(1, 6), rng.randint(1, 4))
         coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 6))]
-        p = substitute_uniformizer(coeffs, u, z, mode="affine")
+        p = substitute_uniformizer(coeffs, u, z)
         # T -> z/T leaves the substituted polynomial invariant, which pins
         # every negative coefficient to a positive one
         for k in range(0, p.max_exp + 1):
             assert p.coeff(-k) == p.coeff(k) * z**k
+
+
+def test_sqrt_z_rescaling_gives_the_symmetric_substitution():
+    # with T = s S and z = s**2, T + z/T = s (S + 1/S): verify_even_residue_formula
+    # reads P(s (S + 1/S)) as [T^k] P(T + z/T) times s**k
+    rng = random.Random(6)
+    for _ in range(20):
+        s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 8))]
+        want = LaurentPoly()
+        for c in reversed(coeffs):
+            want = want * LaurentPoly({1: s, -1: s}) + c
+        p = substitute_uniformizer(coeffs, 0, s * s)
+        assert LaurentPoly({k: v * s**k for k, v in p.coeffs.items()}) == want
 
 
 # ---- jets ----------------------------------------------------------------
@@ -227,7 +229,7 @@ def _random_float_jet(rng, shape):
     return Jet(c)
 
 
-@pytest.mark.parametrize("shape", [(8,), (2, 2), (3, 3), (2, 3, 2)])
+@pytest.mark.parametrize("shape", [(8,), (2, 2), (3, 3), (2, 3, 2), (3, 3, 3, 3)])
 def test_float_jet_product_matches_slice_loop_bit_for_bit(shape):
     rng = np.random.default_rng(len(shape) * 10 + shape[0])
     for _ in range(25):
@@ -290,14 +292,10 @@ def test_solver_path_matches_slice_loop_bit_for_bit(monkeypatch):
 # ---- the dense Horner kernel -------------------------------------------------
 
 
-def _laurent_horner(coeffs, u, z, mode="affine"):
+def _laurent_horner(coeffs, u, z):
     """Horner's rule with one LaurentPoly per step, the way substitute_uniformizer
     evaluated before its dense kernel; the kernel must reproduce it bit for bit."""
-    if mode == "affine":
-        y = LaurentPoly({1: 1, 0: u, -1: z})
-    else:
-        s = _generic_sqrt(z)
-        y = LaurentPoly({1: s, 0: u, -1: s})
+    y = LaurentPoly({1: 1, 0: u, -1: z})
     out = LaurentPoly()
     for c in reversed(list(coeffs)):
         out = out * y + c
@@ -402,62 +400,55 @@ def test_fraction_residuals_are_the_full_band_coefficients():
 
 def _full_band_cases():
     """The hand-checked substitutions above, then random exact inputs with
-    zero coefficients and zero u, in both modes."""
-    yield [0, 1], 0, 2, "affine"
-    yield [0, 0, 1], 1, 1, "affine"
-    yield [0, 1], 0, 4, "symmetric"
-    yield [7], 2, 3, "affine"
+    zero coefficients and zero u."""
+    yield [0, 1], 0, 2
+    yield [0, 0, 1], 1, 1
+    yield [7], 2, 3
     rng = random.Random(4)
     for _ in range(60):
         coeffs = [Fraction(rng.choice([0, 0, rng.randint(-9, 9)]), rng.randint(1, 4))
                   for _ in range(rng.randint(1, 8))]
         u = rng.choice([0, Fraction(rng.randint(-5, 5), rng.randint(1, 6))])
-        mode = rng.choice(["affine", "symmetric"])
-        if mode == "symmetric" and rng.random() < 0.5:
-            z = Fraction(rng.randint(1, 5), rng.randint(1, 5)) ** 2  # sqrt(z) stays exact
-        else:
-            z = Fraction(rng.randint(1, 30), rng.randint(1, 7))
-        yield coeffs, u, z, mode
+        z = Fraction(rng.randint(1, 30), rng.randint(1, 7))
+        yield coeffs, u, z
 
 
 def test_full_band_substitution_equals_laurent_horner():
-    for coeffs, u, z, mode in _full_band_cases():
-        got = substitute_uniformizer(coeffs, u, z, mode=mode)
-        want = _laurent_horner(coeffs, u, z, mode)
+    for coeffs, u, z in _full_band_cases():
+        got = substitute_uniformizer(coeffs, u, z)
+        want = _laurent_horner(coeffs, u, z)
         assert got == want
         assert set(got.coeffs) == set(want.coeffs)
         assert not any(_is_zero(v) for v in got.coeffs.values())  # max_exp reads the keys
         assert got.max_exp == want.max_exp
         # the same values over floats, the way the h routes call it
-        fgot = substitute_uniformizer([float(c) for c in coeffs], float(u), float(z), mode=mode)
-        fwant = _laurent_horner([float(c) for c in coeffs], float(u), float(z), mode)
+        fgot = substitute_uniformizer([float(c) for c in coeffs], float(u), float(z))
+        fwant = _laurent_horner([float(c) for c in coeffs], float(u), float(z))
         assert {k: _bits(v) for k, v in fgot.coeffs.items()} == \
             {k: _bits(v) for k, v in fwant.coeffs.items()}
 
 
-# ---- series at infinity ----------------------------------------------------
+# ---- the series of ((y - a)(y - b))**(-1/2) at infinity --------------------
 
 
 def test_inv_sqrt_series_semicircle_endpoints():
-    s = inv_sqrt_R_series(-2, 2, 4)
-    assert list(s.coeffs) == [1, 0, 2, 0]
+    assert inv_sqrt_R_series(-2, 2, 4) == [1, 0, 2, 0]
 
 
 def test_inv_sqrt_series_degenerate_is_inverse_y():
-    s = inv_sqrt_R_series(0, 0, 6)
-    assert list(s.coeffs) == [1, 0, 0, 0, 0, 0]
+    assert inv_sqrt_R_series(0, 0, 6) == [1, 0, 0, 0, 0, 0]
 
 
 def test_inv_sqrt_series_odd_terms_vanish_for_symmetric_endpoints():
     s = inv_sqrt_R_series(Fraction(-5, 3), Fraction(5, 3), 9)
-    assert all(s.coeffs[i] == 0 for i in range(1, 9, 2))
+    assert all(s[i] == 0 for i in range(1, 9, 2))
 
 
 def test_inv_sqrt_series_square_is_exact_inverse():
     # Q(y)^2 (y-a)(y-b) = 1 + O(y^-n) exactly in rational arithmetic
     a, b = Fraction(-3, 2), Fraction(5, 4)
     n = 10
-    q = list(inv_sqrt_R_series(a, b, n).coeffs)
+    q = inv_sqrt_R_series(a, b, n)
     s, p = a + b, a * b
     # c_m = sum_{i+j=m} q_i q_j, then Q^2 R2 coefficient of y^-m must vanish
     c = [sum(q[i] * q[m - i] for i in range(m + 1)) for m in range(n)]
@@ -472,3 +463,5 @@ def test_series_times_poly_coeff():
     # y * (y^-1 + 2 y^-3) has coefficient 2 at y^-2 and 1 at y^0
     assert series_times_poly_coeff([0, 1], s, 0) == 1
     assert series_times_poly_coeff([0, 1], s, -2) == 2
+    with pytest.raises(ValueError, match="truncated"):
+        series_times_poly_coeff([0, 1], s, -4)

@@ -40,9 +40,17 @@ def test_potential_file(tmp_path, capsys):
 
 
 def test_e1_monomial_flag(capsys):
-    code, out, _ = run_cli(capsys, "e1", "--j", "4", "--t", "0.01")
+    code, out, _ = run_cli(capsys, "e1", "--t", "4=0.01")
     assert code == 0
     assert json.loads(out)["e1"] == pytest.approx(-0.007767930066688, abs=1e-12)
+
+
+def test_j_flag_is_gone(capsys):
+    # a single valence is spelled --t J=V like any other potential
+    with pytest.raises(SystemExit) as info:
+        cli.main(["e1", "--j", "4", "--t", "0.01"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --j" in capsys.readouterr().err
 
 
 def test_e1_series_output(capsys):

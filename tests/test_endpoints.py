@@ -213,6 +213,26 @@ def test_potential_rejects_non_finite_parameters(x, t, name):
     assert isinstance(info.value, EqmapError) and isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("x,t,bad", [
+    (0.0, {}, "0.0"),
+    (-1.0, {4: 0.01}, "-1.0"),
+    (1.0, {0: 0.1}, "0"),
+    (1.0, {4.5: 0.01}, "4.5"),
+    (1.0, {4.0: 0.01}, "4.0"),
+    (1.0, {-2: 0.01}, "-2"),
+])
+def test_potential_refuses_a_bad_face_weight_or_valence_by_name(x, t, bad):
+    # a fractional valence is refused, not truncated to its integer part
+    with pytest.raises(EqmapError, match="must be") as info:
+        PotentialSpec(x, t)
+    assert isinstance(info.value, InvalidParameterError) and bad in str(info.value)
+
+
+def test_potential_stores_numpy_int_valences_as_ints():
+    t = PotentialSpec(1.0, {np.int64(3): 0.02}).t
+    assert t == {3: 0.02} and type(next(iter(t))) is int
+
+
 def test_potential_accepts_large_rationals():
     pot = PotentialSpec(Fraction(10**400), {4: Fraction(1, 10**400)})
     assert pot.t == {4: Fraction(1, 10**400)}
@@ -310,6 +330,20 @@ def test_uz_taylor_arithmetic_matches_box_jets(n):
         assert (sa == 0) is zero
     assert endpoints._UZTaylor((0.0, -0.0, 0.0)) == 0
     assert not endpoints._UZTaylor((0.0, 0.0, 1e-300)) == 0
+
+
+# per entry of a left factor, the (product entry, right entry) pairs, keyed by
+# the entry count: entries (1, z, u) at order 1, (1, z, z2, u, uz, u2) at order 2;
+# the hand-written table the (u, z) scalar multiplied with before the shared kernel
+_UZ_PAIRS = {3: (((0, 0), (1, 1), (2, 2)), ((1, 0),), ((2, 0),)),
+             6: (((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5)), ((1, 0), (2, 1), (4, 3)),
+                 ((2, 0),), ((3, 0), (4, 1), (5, 3)), ((4, 0),), ((5, 0),))}
+
+
+def test_uz_triangle_tables_reproduce_the_pair_literal():
+    got = {k: tuple(tuple(zip(row[::2], row[1::2])) for row in table)
+           for k, table in endpoints._UZ_TABLES.items()}
+    assert got == _UZ_PAIRS
 
 
 def test_solve_endpoints_multiplies_no_jet(monkeypatch):

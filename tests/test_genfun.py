@@ -7,7 +7,7 @@ import eqmap.endpoints as endpoints
 import eqmap.genfun as genfun
 from eqmap.algebra import Jet
 from eqmap.endpoints import PotentialSpec, endpoint_residuals, solve_endpoints, uz_jets
-from eqmap.errors import InvalidParameterError
+from eqmap.errors import EqmapError, InvalidParameterError
 from eqmap.genfun import e1_monomial, e1_series, e1_value, verify_relations
 
 
@@ -103,6 +103,30 @@ def test_e1_series_quartic_low_orders():
 def test_e1_series_requires_zero_base():
     with pytest.raises(ValueError):
         e1_series(PotentialSpec(1.0, {4: 0.01}), order=2)
+
+
+@pytest.mark.parametrize("t,name", [({}, "no perturbation directions"), ({4: 0.01}, "0.01")])
+def test_e1_series_names_a_failed_precondition(t, name):
+    with pytest.raises(EqmapError, match=name) as info:
+        e1_series(PotentialSpec(1.0, t), order=2)
+    assert isinstance(info.value, InvalidParameterError)
+
+
+def test_e1_series_lifts_over_python_ints(monkeypatch):
+    # at x = 1, t = 0 every Taylor coefficient of (u, z) is a signed map count;
+    # the lift carries them as ints and makes no Fraction before the final steps
+    seen = []
+
+    def recorded(u, z, pot, **kwargs):
+        r1, r2 = endpoint_residuals(u, z, pot, **kwargs)
+        seen.extend((u, z, r1, r2))
+        return r1, r2
+
+    monkeypatch.setattr(genfun, "endpoint_residuals", recorded)
+    ser = e1_series(PotentialSpec(1, {3: 0, 4: 0}), 4)
+    assert len(seen) == 4 * 8
+    assert all(type(c) is int for v in seen for c in (v.coeffs.flat if isinstance(v, Jet) else [v]))
+    assert ser.coeff({4: 1}) == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_e1_series_against_finite_differences_of_e1_value():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from eqmap.endpoints import PotentialSpec
-from eqmap.errors import CensusSizeError
+from eqmap.errors import CensusSizeError, EqmapError
 from eqmap.genfun import e1_series
 from eqmap.oracle import census, e1_coeff_from_census
 
@@ -44,6 +44,16 @@ def test_two_one_valent_vertices():
 def test_odd_half_edge_total_gives_empty_census():
     cens = census({3: 1})
     assert cens.entries == {} and cens.total_matchings == 0
+
+
+@pytest.mark.parametrize("profile,bad", [
+    ({4.5: 1}, "4.5"), ({0: 2}, "0"), ({4: 0}, "0"), ({4: 1.5}, "1.5"), ({-4: 1}, "-4"),
+    ({4: 2.0}, "2.0")])
+def test_census_refuses_a_bad_profile_by_name(profile, bad):
+    # a fractional valence is refused, not counted as its integer part
+    with pytest.raises(EqmapError, match="must be an int") as info:
+        census(profile)
+    assert isinstance(info.value, ValueError) and bad in str(info.value)
 
 
 def test_census_size_bound():

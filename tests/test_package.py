@@ -26,7 +26,7 @@ def test_package_has_no_assert_statements():
 
 # the Newton tolerance, the continuation step cap, the table argument and the
 # fixed grid, window and relative tolerances are constants, not options; the
-# census has no worker count
+# census has no worker count, and the uniformizing substitution has one mode
 SIGNATURES = {
     eqmap.solve_endpoints: ["pot"],
     eqmap.uz_jets: ["pot", "x_order", "t_order"],
@@ -43,6 +43,7 @@ SIGNATURES = {
     endpoints._locate_fold: ["pot", "u", "z", "s0"],
     acceptance._corpus_with_jets: [],
     eqmap.census: ["profile"],
+    eqmap.substitute_uniformizer: ["coeffs", "u", "z", "_band"],
 }
 
 
