@@ -172,8 +172,13 @@ def cmd_census(args):
     for spec in args.profile:
         profile = {}
         for part in spec.split(","):
-            j, k = part.split(":")
-            profile[int(j)] = int(k)
+            try:
+                j, k = map(int, part.split(":"))
+            except ValueError:
+                raise InvalidParameterError("--profile part %r is not J:K" % part) from None
+            if j in profile:
+                raise InvalidParameterError("--profile part %r repeats valence %d" % (part, j))
+            profile[j] = k
         cens = census(profile)
         out.append({
             "profile": {str(j): k for j, k in cens.profile.valences},

@@ -43,10 +43,7 @@ class PotentialSpec:
     t: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not _is_finite(self.x):
-            raise InvalidParameterError("face weight x must be finite, got %r" % (self.x,))
-        if not self.x > 0:
-            raise InvalidParameterError("face weight x must be positive, got %r" % (self.x,))
+        _require_face_weight(self.x)
         clean = {}
         for j, v in self.t.items():
             _require_int("valence", j, 1)
@@ -95,6 +92,14 @@ def xvprime_coeffs(pot):
     c = _perturbation_coeffs(pot)
     c[1] = c[1] + 1
     return c
+
+
+def _require_face_weight(x):
+    """Refuse a face weight that is not finite and positive, naming it."""
+    if not _is_finite(x):
+        raise InvalidParameterError("face weight x must be finite, got %r" % (x,))
+    if not x > 0:
+        raise InvalidParameterError("face weight x must be positive, got %r" % (x,))
 
 
 def _require_int(name, value, least):

@@ -9,6 +9,11 @@ pairings of the matrix integral, so dividing by the automorphisms of the
 valence classes turns a genus-1 slice directly into a series coefficient of
 the torus generating function; that is the cross-check the rest of the
 package is tested against.
+
+The enumeration is exhaustive, by orbits of the first pairing: relabellings
+commuting with sigma and fixing half-edge 0 keep faces and components, as
+does the mirror r (r sigma r^-1 = sigma^-1, r(0) = 0), since sigma r alpha
+r^-1 is conjugate to (sigma alpha)^-1; partners of 0 in one orbit count alike.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .coefftables import double_factorial
-from .endpoints import _require_int
-from .errors import CensusSizeError, EqmapError
+from .endpoints import _require_face_weight, _require_int
+from .errors import CensusSizeError, EqmapError, InvalidParameterError
 
 __all__ = [
     "VertexProfile",
@@ -107,8 +113,11 @@ def census(profile):
     MAX_HALF_EDGES are refused (the matching count (H-1)!! explodes).
     One serial recursion pairs the first free half-edge with each other free
     one and carries the faces (open paths of sigma o alpha) and the
-    components (a union-find over vertices) as it goes, undoing both on
-    backtrack.
+    components (a union-find over vertices), undoing both on backtrack.
+    At the root it pairs half-edge 0 with one partner per orbit (offsets d
+    and j0 - d at its vertex; all half-edges of the other vertices of one
+    valence) and weights the leaves by the orbit size.  The sizes sum to
+    n - 1, so the (n-1)!! total check still covers every partner.
     """
     profile = VertexProfile.of(profile)
     n = profile.half_edges
@@ -131,6 +140,11 @@ def census(profile):
     by_faces = [0] * (n + 1)  # connected gluings per face count
     disconnected = 0
     free = list(range(n))  # free[k:] are the unpaired half-edges
+    j0 = profile.valences[0][0]
+    ends = list(accumulate(j * k for j, k in profile.valences))
+    orbits = [(d, 2 - (2 * d == j0)) for d in range(1, j0 // 2 + 1)]
+    orbits += [(a, b - a) for a, b in zip([j0] + ends, ends) if b > a]
+    spans = [range(k + 1, n) for k in range(n)]  # spans[0]: one orbit's representative
 
     def find(v):
         while root[v] != v:
@@ -146,13 +160,13 @@ def census(profile):
             # connected when its union leaves one component
             if components == 1 or (components == 2 and
                                    find(vertex_of[h]) != find(vertex_of[p])):
-                by_faces[faces + (2 if head[h] == sigma[p] else 1)] += 1
+                by_faces[faces + (2 if head[h] == sigma[p] else 1)] += weight
             else:
-                disconnected += 1
+                disconnected += weight
             return
         sh = sigma[h]
         a = find(vertex_of[h])
-        for i in range(k + 1, n):
+        for i in spans[k]:
             p = free[i]
             free[i], free[k + 1] = free[k + 1], p
             sp = sigma[p]
@@ -185,7 +199,9 @@ def census(profile):
                 tail[s1], head[e1] = h, sp
             free[k + 1], free[i] = free[i], p
 
-    rec(0, 0, n_vertices)
+    for rep, weight in orbits:
+        spans[0] = (rep,)
+        rec(0, 0, n_vertices)
     entries = {}
     for faces, cnt in enumerate(by_faces):
         if cnt:
@@ -211,8 +227,12 @@ def e1_coeff_from_census(profile, x=1.0, census_table=None):
     Fraction (x is taken at its exact binary value).
     """
     profile = VertexProfile.of(profile)
+    _require_face_weight(x)
     if census_table is None:
         census_table = census(profile)
+    elif census_table.profile != profile:
+        raise InvalidParameterError("census_table is for profile %r, not %r" % (
+            dict(census_table.profile.valences), dict(profile.valences)))
     factor = Fraction(1)
     for _, k in profile.valences:
         factor *= Fraction((-1) ** k, math.factorial(k))

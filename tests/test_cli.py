@@ -70,6 +70,19 @@ def test_census_json(capsys):
     assert {"genus": 1, "faces": 1, "count": 1} in data["entries"]
 
 
+def test_census_refuses_a_repeated_valence(capsys):
+    # 4:2,4:1 once printed the census of {4: 1}
+    code, out, err = run_cli(capsys, "census", "--profile", "4:2,4:1")
+    assert code == 1 and out == ""
+    assert "'4:1'" in err and "repeats valence 4" in err
+
+
+def test_census_refuses_a_part_that_is_not_j_colon_k(capsys):
+    code, out, err = run_cli(capsys, "census", "--profile", "4")
+    assert code == 1 and out == ""
+    assert "'4'" in err and "J:K" in err
+
+
 def test_h_routes_agree(capsys):
     code, out, _ = run_cli(capsys, "h", "--t", "4=0.01")
     data = json.loads(out)

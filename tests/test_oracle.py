@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from eqmap.endpoints import PotentialSpec
-from eqmap.errors import CensusSizeError, EqmapError
+from eqmap.errors import CensusSizeError, EqmapError, InvalidParameterError
 from eqmap.genfun import e1_series
 from eqmap.oracle import census, e1_coeff_from_census
 
@@ -235,3 +235,106 @@ def test_census_matches_brute_force_up_to_ten_half_edges():
         entries, disconnected = brute_force_census(profile)
         assert (cens.entries, cens.disconnected) == (entries, disconnected), profile
         assert cens.connected == sum(entries.values())
+
+
+def serial_census(profile):
+    """Reference census without root orbits: one recursion pairs the first
+    free half-edge with every other free one, carrying the open paths of
+    sigma o alpha and an undone union-find over vertices.  Returns
+    (entries, disconnected)."""
+    sigma, vertex_of, n_vertices = [], [], 0
+    for j, k in sorted(profile.items()):
+        for _ in range(k):
+            base = len(sigma)
+            sigma += [base + (i + 1) % j for i in range(j)]
+            vertex_of += [n_vertices] * j
+            n_vertices += 1
+    n = len(sigma)
+    head, tail, free = list(range(n)), list(range(n)), list(range(n))
+    root, size = list(range(n_vertices)), [1] * n_vertices
+    by_faces, disconnected = [0] * (n + 1), [0]
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    def rec(k, faces, components):
+        h = free[k]
+        if k == n - 2:
+            p = free[k + 1]
+            if components == 1 or (components == 2 and
+                                   find(vertex_of[h]) != find(vertex_of[p])):
+                by_faces[faces + (2 if head[h] == sigma[p] else 1)] += 1
+            else:
+                disconnected[0] += 1
+            return
+        sh = sigma[h]
+        a = find(vertex_of[h])
+        for i in range(k + 1, n):
+            p = free[i]
+            free[i], free[k + 1] = free[k + 1], p
+            sp = sigma[p]
+            f = faces
+            s1, e1 = head[h], tail[sp]
+            if s1 == sp:
+                f += 1
+            else:
+                tail[s1], head[e1] = e1, s1
+            s2, e2 = head[p], tail[sh]
+            if s2 == sh:
+                f += 1
+            else:
+                tail[s2], head[e2] = e2, s2
+            b = find(vertex_of[p])
+            if a == b:
+                rec(k + 2, f, components)
+            else:
+                big, small = (a, b) if size[a] >= size[b] else (b, a)
+                root[small] = big
+                size[big] += size[small]
+                rec(k + 2, f, components - 1)
+                root[small] = small
+                size[big] -= size[small]
+            if s2 != sh:
+                tail[s2], head[e2] = p, sh
+            if s1 != sp:
+                tail[s1], head[e1] = h, sp
+            free[k + 1], free[i] = free[i], p
+
+    rec(0, 0, n_vertices)
+    entries = {((2 - n_vertices + n // 2 - f) // 2, f): c for f, c in enumerate(by_faces) if c}
+    return entries, disconnected[0]
+
+
+def test_root_orbit_census_equals_serial_recursion_at_twelve_half_edges():
+    # every profile of 12 half-edges, against the unweighted recursion; the
+    # brute-force test above covers every profile up to 10
+    profiles = list(partitions(12, 12))
+    assert len(profiles) == 77
+    for profile in profiles:
+        cens = census(profile)
+        entries, disconnected = serial_census(profile)
+        assert (cens.entries, cens.disconnected) == (entries, disconnected), profile
+        assert cens.connected == sum(entries.values())
+
+
+def test_census_of_four_quartic_vertices():
+    cens = census({4: 4})
+    assert cens.total_matchings == dfact(15)
+    assert (cens.connected, cens.disconnected) == (1880064, 146961)
+    # 145152 = 378 rooted planar quadrangulations with 4 faces * 4! 4^4 / 16
+    assert cens.entries == {(0, 6): 145152, (1, 4): 964224, (2, 2): 770688}
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), 0.0, -1.0])
+def test_e1_coeff_refuses_a_bad_face_weight(x):
+    with pytest.raises(InvalidParameterError, match="face weight x"):
+        e1_coeff_from_census({4: 2}, x)
+
+
+def test_e1_coeff_refuses_a_census_of_another_profile():
+    # a {4: 1} census read as {4: 2} once gave 1/2; the coefficient is 30
+    with pytest.raises(InvalidParameterError, match=r"\{4: 1\}.*\{4: 2\}"):
+        e1_coeff_from_census({4: 2}, 1.0, census({4: 1}))
+    assert e1_coeff_from_census({4: 2}, 1.0, census({4: 2})) == 30
