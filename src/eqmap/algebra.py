@@ -1,12 +1,12 @@
-"""Generic scalar substrate: truncated Taylor jets, the truncated-product
-kernel they share with the endpoint solver's Taylor scalar, and Laurent
-polynomials in a uniformizing variable T.
+"""Generic scalar substrate: truncated Taylor jets, the truncated product they
+share with the endpoint layer's Taylor scalar (straight-line Python generated
+once per pair table), and Laurent polynomials in a uniformizing variable T.
 
 Everything here is written once over a "scalar" supporting field operations.
-Plain Python numbers, ``fractions.Fraction`` and :class:`Jet` instances all
-flow through the same code paths, so exact rational verification, float
-evaluation, and automatic propagation of Taylor coefficients share a single
-implementation of every residue-extraction formula.
+Plain Python numbers, ``fractions.Fraction``, :class:`Jet` and the Taylor
+scalar all flow through the same code paths, so exact rational verification,
+float evaluation, and automatic propagation of Taylor coefficients share a
+single implementation of every residue-extraction formula.
 """
 
 from __future__ import annotations
@@ -54,8 +54,12 @@ def _pair_table(exponents):
     return tuple(table)
 
 
-def _truncated_product(a, b, table, zero):
-    """Truncated product of the flat coefficient sequences a and b.
+_BLOCK = 128  # pairs per compiled piece: compiling holds memory per statement
+
+
+def _truncated_product(table):
+    """The truncated product over ``table`` as straight-line Python code: a
+    function of the flat coefficient sequences a and b and a ``zero``.
 
     Each entry is summed from ``zero`` over the nonzero entries a[i] in
     storage order, adding a[i] * b[src] per pair of row i of ``table``, so
@@ -63,19 +67,40 @@ def _truncated_product(a, b, table, zero):
     Walther, Evaluating Derivatives, 2008).  Jets and the endpoint solver's
     Taylor scalar both multiply here, so their products agree bit for bit.
     """
-    out = [zero] * len(b)
-    for x, row in zip(a, table):
-        if x != 0:  # zero factors add nothing and are skipped
-            pairs = iter(row)
-            for m in pairs:
-                out[m] += x * b[next(pairs)]
-    return out
+    n = len(table)
+    pairs = [(i, m, src) for i, row in enumerate(table) for m, src in zip(row[::2], row[1::2])]
+    if len(pairs) <= _BLOCK:  # one piece, the entries of b and the sums in locals
+        b, o = (["%s%d" % (v, k) for k in range(n)] for v in "bo")
+        head = ["def f(a, b, zero):", "    %s, = b" % ", ".join(b), "    %s = zero" % " = ".join(o)]
+        return _compiled(head, pairs, "o%d", "b%d", "    return [%s]" % ", ".join(o))
+    pieces = [_compiled(["def f(a, b, o):"], pairs[k:k + _BLOCK], "o[%d]", "b[%d]")
+              for k in range(0, len(pairs), _BLOCK)]
+
+    def product(a, b, zero):
+        o = [zero] * n
+        for piece in pieces:
+            piece(a, b, o)
+        return o
+    return product
+
+
+def _compiled(head, pairs, out, src, tail=""):
+    """Compile f: head, then per (i, m, src) entry m += x * b[src] if x = a[i] != 0, then tail."""
+    lines, row = head, None
+    for i, m, s in pairs:
+        if i != row:
+            row = i
+            lines += ["    x = a[%d]" % i, "    if x != 0:"]
+        lines.append("        %s += x * %s" % (out % m, src % s))
+    namespace = {}
+    exec(compile("\n".join(lines + [tail]), "<truncated product>", "exec"), namespace)
+    return namespace["f"]
 
 
 @lru_cache(maxsize=None)
-def _box_table(shape):
-    """Pair table of the row-major jet box ``shape``."""
-    return _pair_table(tuple(np.ndindex(shape)))
+def _box_product(shape):
+    """Truncated product of the row-major jet box ``shape``."""
+    return _truncated_product(_pair_table(tuple(np.ndindex(shape))))
 
 
 class Jet:
@@ -193,8 +218,8 @@ class Jet:
             return Jet(self.coeffs * self._like(other))
         a, b = self._operands(other)
         dtype = np.result_type(a, b)
-        out = _truncated_product(a.ravel().tolist(), b.ravel().tolist(), _box_table(a.shape),
-                                 0.0 if dtype == np.float64 else 0)
+        out = _box_product(a.shape)(a.ravel().tolist(), b.ravel().tolist(),
+                                    0.0 if dtype == np.float64 else 0)
         return Jet(np.array(out, dtype=dtype).reshape(a.shape))
 
     __rmul__ = __mul__

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Jet, _pair_table, _truncated_product, substitute_uniformizer
+from .algebra import Jet, _box_product, _pair_table, _truncated_product, substitute_uniformizer
 from .errors import DegeneratePotentialError, InvalidParameterError, NoOneCutSolutionError
 
 __all__ = [
@@ -43,14 +43,11 @@ class PotentialSpec:
     t: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _require_face_weight(self.x)
+        object.__setattr__(self, "x", _require_face_weight(self.x))
         clean = {}
         for j, v in self.t.items():
             _require_int("valence", j, 1)
-            j = int(j)
-            if not _is_finite(v):
-                raise InvalidParameterError("coefficient t%d must be finite, got %r" % (j, v))
-            clean[j] = v
+            clean[int(j)] = _real("coefficient t%d" % j, v)
         object.__setattr__(self, "t", clean)
 
     @property
@@ -79,9 +76,15 @@ class PotentialSpec:
         return PotentialSpec(self.x, {j: v * factor for j, v in self.t.items()})
 
 
-def _is_finite(v):
-    # rationals are finite however large; float() of a huge Fraction overflows
-    return isinstance(v, (int, Fraction)) or math.isfinite(v)
+def _real(name, v):
+    """v as a finite Python int, float or Fraction, or refused naming it; a numpy
+    scalar converts exactly, or stays numpy (a long double) and is refused."""
+    v = v.item() if isinstance(v, np.generic) else v
+    if isinstance(v, bool) or not isinstance(v, (int, float, Fraction)):
+        raise InvalidParameterError("%s must be an int, float or Fraction, got %r" % (name, v))
+    if isinstance(v, float) and not math.isfinite(v):  # rationals are finite however large
+        raise InvalidParameterError("%s must be finite, got %r" % (name, v))
+    return v
 
 
 def xvprime_coeffs(pot):
@@ -95,11 +98,11 @@ def xvprime_coeffs(pot):
 
 
 def _require_face_weight(x):
-    """Refuse a face weight that is not finite and positive, naming it."""
-    if not _is_finite(x):
-        raise InvalidParameterError("face weight x must be finite, got %r" % (x,))
+    """x as a finite positive Python number; anything else is refused, naming it."""
+    x = _real("face weight x", x)
     if not x > 0:
         raise InvalidParameterError("face weight x must be positive, got %r" % (x,))
+    return x
 
 
 def _require_int(name, value, least):
@@ -178,57 +181,69 @@ class EndpointSolution:
             raise ValueError("endpoint jets must carry x-order >= %d" % n)
 
 
-class _UZTaylor(tuple):
-    """Taylor polynomial in the (u, z) offsets of total order n = 1 or 2: the float
-    entries u**i z**j (i + j <= n) in the row-major order of the (n+1, n+1) Jet box.
-    Products run through Jet.__mul__'s kernel over that triangle, so every entry
-    is rounded as in the Jet."""
+class _Taylor:
+    """Truncated Taylor polynomial: a flat list of Python floats and the
+    truncated product of its layout, a jet box or the triangle u**i z**j
+    (i + j <= n) in the row-major order of the (n+1, n+1) box.  Every entry
+    is rounded as in a float64 Jet: products run through the Jet's kernel,
+    and sums, scalar products and quotients work entry by entry."""
 
-    __slots__ = ()
+    __slots__ = ("c", "mul")
+
+    def __init__(self, c, mul):
+        self.c, self.mul = c, mul
+
+    @classmethod
+    def of(cls, jet):
+        """The scalar holding a float64 jet's entries, over its box."""
+        return cls(jet.coeffs.ravel().tolist(), _box_product(jet.coeffs.shape))
 
     def __eq__(self, other):  # LaurentPoly drops a coefficient == 0: all entries zero
-        return isinstance(other, (int, float, Fraction)) and self[0] == other and not any(self[1:])
+        return (isinstance(other, (int, float, Fraction)) and self.c[0] == other
+                and not any(self.c[1:]))
 
     def __add__(self, other):
-        if isinstance(other, _UZTaylor):
-            return _UZTaylor(map(operator.add, self, other))
-        return _UZTaylor((self[0] + other,) + self[1:])
+        if isinstance(other, _Taylor):
+            return _Taylor(list(map(operator.add, self.c, other.c)), self.mul)
+        return _Taylor([self.c[0] + other] + self.c[1:], self.mul)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _UZTaylor(map(operator.neg, self))
+        return _Taylor(list(map(operator.neg, self.c)), self.mul)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, _UZTaylor) else -1 * other)
+        return self + (-other if isinstance(other, _Taylor) else -1 * other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, _UZTaylor):
-            return _UZTaylor(map(float(other).__rmul__, self))  # a * float(other)
-        return _UZTaylor(_truncated_product(self, other, _UZ_TABLES[len(other)], 0.0))
+        if isinstance(other, _Taylor):
+            return _Taylor(self.mul(self.c, other.c, 0.0), self.mul)
+        other = float(other)
+        return _Taylor([a * other for a in self.c], self.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return _UZTaylor(map(float(other).__rtruediv__, self))  # a / float(other)
+        other = float(other)
+        return _Taylor([a / other for a in self.c], self.mul)
 
 
-# pair tables of the triangles i + j <= n, keyed by the entry count: entries
-# (1, z, u) at order 1, (1, z, z2, u, uz, u2) at order 2
-_UZ_TABLES = {(n + 1) * (n + 2) // 2: _pair_table(
-    tuple(e for e in np.ndindex(n + 1, n + 1) if sum(e) <= n)) for n in (1, 2)}
+# products over the triangles i + j <= n, entries (1, z, u) at order 1 and
+# (1, z, z2, u, uz, u2) at order 2
+_UZ_PRODUCTS = {n: _truncated_product(_pair_table(
+    tuple(e for e in np.ndindex(n + 1, n + 1) if sum(e) <= n))) for n in (1, 2)}
 
 
 def _uz_residuals(u, z, n, pot, **kwargs):
     """Value, d/du, d/dz and, at n = 2, d2/du2, d2/dudz, d2/dz2 of both endpoint
     residuals at (u, z), bit-identical to order-(n, n) jets."""
     k = (n + 1) * (n + 2) // 2
-    U = _UZTaylor((float(u),) + (0.0,) * n + (1.0,) + (0.0,) * (k - n - 2))
-    Z = _UZTaylor((float(z), 1.0) + (0.0,) * (k - 2))
-    cs = [r if isinstance(r, _UZTaylor) else (float(r),) + (0.0,) * (k - 1)  # no offset reached r
+    U = _Taylor([float(u)] + [0.0] * n + [1.0] + [0.0] * (k - n - 2), _UZ_PRODUCTS[n])
+    Z = _Taylor([float(z), 1.0] + [0.0] * (k - 2), _UZ_PRODUCTS[n])
+    cs = [r.c if isinstance(r, _Taylor) else [float(r)] + [0.0] * (k - 1)  # no offset reached r
           for r in endpoint_residuals(U, Z, pot, **kwargs)]
     return [[c[0], c[n + 1], c[1]] + ([2 * c[5], c[4], 2 * c[2]] if n == 2 else []) for c in cs]
 
@@ -425,33 +440,33 @@ def uz_jets(pot, x_order, t_order=0):
     orders = (x_order,) + (t_order,) * len(tkeys)
     names = ("x",) + tuple("t%d" % j for j in tkeys)
 
-    xinv = Jet.variable(float(pot.x), 0, orders).reciprocal()
+    # the lift runs over Taylor scalars of the jet box; U and Z become jets at the end
+    xinv = _Taylor.of(Jet.variable(float(pot.x), 0, orders).reciprocal())
     coeffs = [0] * pot.degree
     coeffs[1] = 1
     for j, tj in pot.t.items():
         if j in tkeys:
-            tj = Jet.variable(float(tj), 1 + tkeys.index(j), orders)
+            tj = _Taylor.of(Jet.variable(float(tj), 1 + tkeys.index(j), orders))
         coeffs[j - 1] = coeffs[j - 1] + j * tj
 
     _, jac = _residual_and_jacobian(base.u, base.z, pot)
     det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
     if not np.isfinite(det) or abs(det) < 1e-14:
         raise DegeneratePotentialError("endpoint Jacobian singular at the base point")
-    inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
+    inv = (np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det).tolist()
 
-    U = Jet.constant(base.u, orders)
-    Z = Jet.constant(base.z, orders)
+    U, Z = (_Taylor.of(Jet.constant(v, orders)) for v in (base.u, base.z))
     for _ in range(sum(orders) + 1):
         r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _xinv=xinv)
-        U = U - (inv[0, 0] * r1 + inv[0, 1] * r2)
-        Z = Z - (inv[1, 0] * r1 + inv[1, 1] * r2)
+        U = U - (inv[0][0] * r1 + inv[0][1] * r2)
+        Z = Z - (inv[1][0] * r1 + inv[1][1] * r2)
 
     r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _xinv=xinv)
-    worst = max(np.max(np.abs(r1.coeffs.astype(float))),
-                np.max(np.abs(r2.coeffs.astype(float))))
+    worst = max(np.max(np.abs(r1.c)), np.max(np.abs(r2.c)))
     if worst > 1e-7:
         raise DegeneratePotentialError(
             "jet propagation failed to converge (residual %.3g)" % worst)
+    U, Z = (Jet(np.array(v.c).reshape([o + 1 for o in orders])) for v in (U, Z))
     return dataclasses.replace(base, u_jet=U, z_jet=Z, jet_vars=names)
 
 

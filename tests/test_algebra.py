@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,10 +7,13 @@ import numpy as np
 import pytest
 
 from eqmap.acceptance import one_cut_corpus
+import eqmap.algebra as algebra
 from eqmap.algebra import (
     Jet,
     LaurentPoly,
     _is_zero,
+    _pair_table,
+    _truncated_product,
     inv_sqrt_R_series,
     series_times_poly_coeff,
     substitute_uniformizer,
@@ -17,8 +21,9 @@ from eqmap.algebra import (
 import eqmap.endpoints as endpoints
 from eqmap.endpoints import (
     PotentialSpec,
+    _UZ_PRODUCTS,
+    _Taylor,
     _perturbation_coeffs,
-    _UZTaylor,
     endpoint_residuals,
     solve_endpoints,
     uz_jets,
@@ -261,11 +266,75 @@ def test_exact_jet_product_matches_slice_loop():
         assert (prod.coeffs == _slice_loop_mul(a, b).coeffs).all()
 
 
+def _loop_product(a, b, table, zero):
+    """The truncated product as a loop over the pair table, the kernel that the
+    generated straight-line code replaced: the same pairs in the same order,
+    zero left entries skipped, every entry summed from ``zero``."""
+    out = [zero] * len(b)
+    for x, row in zip(a, table):
+        if x != 0:
+            pairs = iter(row)
+            for m in pairs:
+                out[m] += x * b[next(pairs)]
+    return out
+
+
+def _triangle(n):
+    return tuple(e for e in np.ndindex(n + 1, n + 1) if sum(e) <= n)
+
+
+@pytest.mark.parametrize("exponents", [
+    _triangle(1), _triangle(2), tuple(np.ndindex(8)), tuple(np.ndindex(3, 3)),
+    tuple(np.ndindex(3, 3, 3, 3)), tuple(np.ndindex(16)), tuple(np.ndindex(2, 3, 4))],
+    ids=["triangle1", "triangle2", "box8", "box3x3", "box3x3x3x3", "box16", "box2x3x4"])
+def test_generated_product_matches_the_loop(exponents):
+    table = _pair_table(exponents)
+    product = _truncated_product(table)
+    n, rng = len(table), random.Random(len(table))
+
+    def draw():
+        k = rng.random()
+        if k < 0.3:
+            return rng.choice([0.0, -0.0])
+        if k < 0.33:  # a zero left entry is skipped, not multiplied into inf
+            return rng.choice([math.inf, -math.inf])
+        return rng.choice([-1, 1]) * rng.uniform(0.1, 10) * 10.0 ** rng.randint(-6, 6)
+
+    for _ in range(40):
+        a, b = [draw() for _ in range(n)], [draw() for _ in range(n)]
+        got = product(a, b, 0.0)
+        assert [v.hex() for v in got] == [v.hex() for v in _loop_product(a, b, table, 0.0)]
+        ints = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(2)]
+        got, want = product(*ints, 0), _loop_product(*ints, table, 0)
+        assert got == want and all(type(v) is int for v in got)
+        fracs = [[Fraction(v, rng.randint(1, 7)) for v in row] for row in ints]
+        got, want = product(*fracs, 0), _loop_product(*fracs, table, 0)
+        assert got == want and list(map(type, got)) == list(map(type, want))
+    if len(exponents) >= 16:  # these run in several compiled pieces
+        assert sum(len(row) for row in table) // 2 > algebra._BLOCK
+
+
+def _loop_products(monkeypatch):
+    """Point every truncated product of the solver path at the loop: the jet
+    product, the triangles of Newton and the fold search, and the lift's box."""
+    def loop(table):
+        return lambda a, b, zero: _loop_product(a, b, table, zero)
+
+    monkeypatch.setattr(Jet, "__mul__", _slice_loop_mul)
+    monkeypatch.setattr(Jet, "__rmul__", _slice_loop_mul)
+    monkeypatch.setattr(endpoints, "_UZ_PRODUCTS", {n: loop(_pair_table(_triangle(n)))
+                                                    for n in (1, 2)})
+    monkeypatch.setattr(endpoints, "_box_product",
+                        lambda shape: loop(_pair_table(tuple(np.ndindex(shape)))))
+
+
 def test_solver_path_matches_slice_loop_bit_for_bit(monkeypatch):
-    """Newton's residual and Jacobian, the fold search and one x-jet lift on
-    five corpus members, with the engine's product and with the slice loop."""
+    """Newton's residual and Jacobian, the fold search, one x-jet lift and one
+    t-jet lift on five corpus members and e1, with the generated products and
+    with the loops."""
     from eqmap.acceptance import one_cut_corpus
     from eqmap.endpoints import PotentialSpec, _locate_fold, _residual_and_jacobian, uz_jets
+    from eqmap.genfun import e1_value
 
     pots = one_cut_corpus(5)
     folds = [PotentialSpec(1.0, {4: -1.5 / 48}), PotentialSpec(1.0, {3: 0.05, 4: -1.5 / 48})]
@@ -277,6 +346,9 @@ def test_solver_path_matches_slice_loop_bit_for_bit(monkeypatch):
             r, jac = _residual_and_jacobian(ep.u, ep.z, pot)
             out += [float(v).hex() for v in (ep.u, ep.z, *r, *jac.flat)]
             out += _hex(ep.u_jet) + _hex(ep.z_jet)
+            tj = uz_jets(pot, x_order=2, t_order=1)
+            out += _hex(tj.u_jet) + _hex(tj.z_jet)
+            out += [float(v).hex() for v in dataclasses.astuple(e1_value(pot))]
         for pot in pots + folds:
             s = _locate_fold(pot, 0.0, float(pot.x), 0.0)
             out.append(None if s is None else s.hex())
@@ -284,8 +356,7 @@ def test_solver_path_matches_slice_loop_bit_for_bit(monkeypatch):
 
     fast = fingerprint()
     assert None not in fast[-2:]  # both fold searches converge
-    monkeypatch.setattr(Jet, "__mul__", _slice_loop_mul)
-    monkeypatch.setattr(Jet, "__rmul__", _slice_loop_mul)
+    _loop_products(monkeypatch)
     assert fingerprint() == fast
 
 
@@ -310,11 +381,11 @@ def _reference_residuals(u, z, pot, coeffs=None, x=None):
 
 
 def _bits(v):
-    """Type and float.hex of every entry of a scalar, a (u, z) Taylor scalar or a jet."""
+    """Type and float.hex of every entry of a scalar, a Taylor scalar or a jet."""
     if isinstance(v, Jet):
         return "jet", str(v.coeffs.dtype), [float(e).hex() for e in v.coeffs.flat]
-    if isinstance(v, tuple):
-        return type(v).__name__, [e.hex() for e in v]
+    if isinstance(v, _Taylor):
+        return type(v).__name__, [e.hex() for e in v.c]
     return type(v).__name__, float(v).hex()
 
 
@@ -353,8 +424,8 @@ def test_endpoint_residuals_match_laurent_horner_on_floats_and_taylor_scalars():
             assert list(map(_bits, endpoint_residuals(u, z, pot))) == list(map(_bits, want))
             for n in (1, 2):
                 k = (n + 1) * (n + 2) // 2
-                U = _UZTaylor((u,) + (0.0,) * n + (1.0,) + (0.0,) * (k - n - 2))
-                Z = _UZTaylor((z, 1.0) + (0.0,) * (k - 2))
+                U = _Taylor([u] + [0.0] * n + [1.0] + [0.0] * (k - n - 2), _UZ_PRODUCTS[n])
+                Z = _Taylor([z, 1.0] + [0.0] * (k - 2), _UZ_PRODUCTS[n])
                 for coeffs in (None, perturbation):  # Newton's and the fold search's
                     got = endpoint_residuals(U, Z, pot, _coeffs=coeffs)
                     want = _reference_residuals(U, Z, pot, coeffs)
@@ -368,10 +439,11 @@ def test_x_jet_lift_matches_laurent_horner_pass_by_pass(monkeypatch):
 
     def compared(u, z, pot, _coeffs=None, _xinv=None):
         got = endpoint_residuals(u, z, pot, _coeffs=_coeffs, _xinv=_xinv)
-        if isinstance(u, Jet):
-            xj = Jet.variable(float(pot.x), 0, u.orders)
-            want = _reference_residuals(u, z, pot, _coeffs, xj)
-            assert list(map(_bits, got)) == list(map(_bits, want)), pot
+        if isinstance(u, _Taylor) and u.mul is algebra._box_product((len(u.c),)):  # a lift pass
+            # the reference runs over jets holding the scalars' entries
+            xj = Jet.variable(float(pot.x), 0, (len(u.c) - 1,))
+            want = _reference_residuals(Jet(np.array(u.c)), Jet(np.array(z.c)), pot, _coeffs, xj)
+            assert [_bits(Jet(np.array(r.c))) for r in got] == list(map(_bits, want)), pot
             lifts.append(pot)
         return got
 

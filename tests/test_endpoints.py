@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from eqmap.errors import (
     InvalidParameterError,
     NoOneCutSolutionError,
 )
+from eqmap.genfun import e1_value
 from eqmap.hfunc import h_classical
 
 
@@ -233,6 +235,28 @@ def test_potential_stores_numpy_int_valences_as_ints():
     assert t == {3: 0.02} and type(next(iter(t))) is int
 
 
+def test_potential_converts_numpy_scalars_and_refuses_non_numbers():
+    # an np.float64 coefficient once broadcast over the solver's Taylor scalar
+    def bits(pot):
+        ep, jets, e1 = solve_endpoints(pot), uz_jets(pot, x_order=3), e1_value(pot)
+        assert type(e1.log_argument) is float
+        return (_hex([ep.u, ep.z, ep.residual_norm]), _hex(jets.u_jet.coeffs),
+                _hex(jets.z_jet.coeffs), _hex(dataclasses.astuple(e1)))
+
+    for x, t in [(np.float64(1.1), {3: np.float64(0.02), 4: np.float64(0.01)}),
+                 (np.float32(0.9), {4: np.float32(0.01), 6: np.float32(0.001)}),
+                 (np.int64(2), {2: np.int64(0), 4: np.int64(1)})]:
+        pot = PotentialSpec(x, t)
+        assert type(pot.x) is type(x.item())
+        assert [type(v) for v in pot.t.values()] == [type(v.item()) for v in t.values()]
+        assert bits(pot) == bits(PotentialSpec(x.item(), {j: v.item() for j, v in t.items()}))
+    for bad in [True, np.bool_(False), 1j, np.complex128(1), "1", None]:
+        with pytest.raises(InvalidParameterError, match="face weight x"):
+            PotentialSpec(bad, {4: 0.01})
+        with pytest.raises(InvalidParameterError, match="t4"):
+            PotentialSpec(1.0, {3: 0.01, 4: bad})
+
+
 def test_potential_accepts_large_rationals():
     pot = PotentialSpec(Fraction(10**400), {4: Fraction(1, 10**400)})
     assert pot.t == {4: Fraction(1, 10**400)}
@@ -312,10 +336,11 @@ def test_uz_taylor_arithmetic_matches_box_jets(n):
 
     def pair():
         jet = Jet(np.array([[draw() for _ in range(n + 1)] for _ in range(n + 1)]))
-        return jet, endpoints._UZTaylor(tuple(float(jet.coeffs[m]) for m in kept))
+        return jet, endpoints._Taylor([float(jet.coeffs[m]) for m in kept],
+                                      endpoints._UZ_PRODUCTS[n])
 
     def same(jet, scalar):
-        return _hex([jet.coeffs[m] for m in kept]) == _hex(scalar)
+        return _hex([jet.coeffs[m] for m in kept]) == _hex(scalar.c)
 
     for _ in range(300):
         (ja, sa), (jb, sb) = pair(), pair()
@@ -328,8 +353,8 @@ def test_uz_taylor_arithmetic_matches_box_jets(n):
         assert same(0 + ja, 0 + sa)
         zero = not any(float(ja.coeffs[m]) != 0 for m in kept)
         assert (sa == 0) is zero
-    assert endpoints._UZTaylor((0.0, -0.0, 0.0)) == 0
-    assert not endpoints._UZTaylor((0.0, 0.0, 1e-300)) == 0
+    assert endpoints._Taylor([0.0, -0.0, 0.0], endpoints._UZ_PRODUCTS[1]) == 0
+    assert not endpoints._Taylor([0.0, 0.0, 1e-300], endpoints._UZ_PRODUCTS[1]) == 0
 
 
 # per entry of a left factor, the (product entry, right entry) pairs, keyed by
@@ -341,9 +366,18 @@ _UZ_PAIRS = {3: (((0, 0), (1, 1), (2, 2)), ((1, 0),), ((2, 0),)),
 
 
 def test_uz_triangle_tables_reproduce_the_pair_literal():
-    got = {k: tuple(tuple(zip(row[::2], row[1::2])) for row in table)
-           for k, table in endpoints._UZ_TABLES.items()}
-    assert got == _UZ_PAIRS
+    # the scalar's triangle products against a loop over the literal pairs
+    rng = random.Random(4)
+    for n, k in ((1, 3), (2, 6)):
+        for _ in range(200):
+            a, b = ([rng.choice([0.0, -0.0, rng.uniform(-9, 9)]) for _ in range(k)]
+                    for _ in range(2))
+            want = [0.0] * k
+            for x, row in zip(a, _UZ_PAIRS[k]):
+                if x != 0:
+                    for m, src in row:
+                        want[m] += x * b[src]
+            assert _hex(endpoints._UZ_PRODUCTS[n](a, b, 0.0)) == _hex(want)
 
 
 def test_solve_endpoints_multiplies_no_jet(monkeypatch):
@@ -362,7 +396,7 @@ def test_solve_endpoints_multiplies_no_jet(monkeypatch):
     assert info.value.s_star is not None
     assert products == []
     uz_jets(PotentialSpec(1.0, {4: 0.01}), x_order=2)
-    assert products  # the jet lift still multiplies jets
+    assert products  # the lift still forms its x-jet's reciprocal as a jet
 
 
 def test_uz_jets_gue_linear_z():
@@ -428,7 +462,8 @@ def test_uz_jets_lifts_through_endpoint_residuals(monkeypatch):
     lifts = []
 
     def counted(u, z, pot, **kwargs):
-        if isinstance(u, Jet) and u.orders == orders:
+        box = endpoints._box_product(tuple(o + 1 for o in orders))
+        if isinstance(u, endpoints._Taylor) and u.mul is box:
             lifts.append(None)
         return endpoint_residuals(u, z, pot, **kwargs)
 
