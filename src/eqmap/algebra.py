@@ -1,12 +1,15 @@
-"""Generic scalar substrate: truncated Taylor jets, the truncated product they
-share with the endpoint layer's Taylor scalar (straight-line Python generated
-once per pair table), and Laurent polynomials in a uniformizing variable T.
+"""Generic scalar substrate: truncated Taylor jets over the truncated
+product they all share (straight-line Python generated once per layout), and
+Laurent polynomials in a uniformizing variable T.
 
 Everything here is written once over a "scalar" supporting field operations.
-Plain Python numbers, ``fractions.Fraction``, :class:`Jet` and the Taylor
-scalar all flow through the same code paths, so exact rational verification,
-float evaluation, and automatic propagation of Taylor coefficients share a
-single implementation of every residue-extraction formula.
+Plain Python numbers, ``fractions.Fraction`` and :class:`Jet` all flow
+through the same code paths, so exact rational verification, float
+evaluation, and automatic propagation of Taylor coefficients share a single
+implementation of every residue-extraction formula.  A jet is a flat list of
+Python numbers over a layout of exponents: the row-major box of its orders,
+or a triangle of the endpoint solver's (u, z) offsets; floats give fast
+float64 arithmetic, ints and Fractions exact arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SingularJetError
+from .errors import InvalidParameterError, SingularJetError
 
 __all__ = [
     "Jet",
@@ -32,7 +35,7 @@ __all__ = [
 
 def _is_zero(v):
     if isinstance(v, Jet):
-        return not np.count_nonzero(v.coeffs)
+        return not any(v.c)
     return v == 0
 
 
@@ -64,8 +67,8 @@ def _truncated_product(table):
     Each entry is summed from ``zero`` over the nonzero entries a[i] in
     storage order, adding a[i] * b[src] per pair of row i of ``table``, so
     every sum is rounded as a loop over the entries of a forms it (Griewank &
-    Walther, Evaluating Derivatives, 2008).  Jets and the endpoint solver's
-    Taylor scalar both multiply here, so their products agree bit for bit.
+    Walther, Evaluating Derivatives, 2008).  Every jet product in the package
+    runs here, float and exact alike.
     """
     n = len(table)
     pairs = [(i, m, src) for i, row in enumerate(table) for m, src in zip(row[::2], row[1::2])]
@@ -97,42 +100,91 @@ def _compiled(head, pairs, out, src, tail=""):
     return namespace["f"]
 
 
+class _Layout:
+    """Where a jet keeps its entries: an ordered tuple of exponents that holds
+    every exponent below a listed one, each exponent's position in it, and
+    the largest exponent per variable.  ``_layout`` makes one per tuple, so
+    layouts compare by identity."""
+
+    __slots__ = ("exps", "index", "orders")
+
+    def __init__(self, exps):
+        self.exps = exps
+        self.index = {e: k for k, e in enumerate(exps)}
+        self.orders = tuple(map(max, zip(*exps)))
+
+
+_layout = lru_cache(maxsize=None)(_Layout)
+
+
+def _box(orders):
+    """The layout of the row-major jet box of ``orders``."""
+    return _layout(tuple(itertools.product(*(range(o + 1) for o in orders))))
+
+
+class _Products(dict):
+    """The truncated product of each layout, made on its first use."""
+
+    def __missing__(self, lay):
+        product = self[lay] = _truncated_product(_pair_table(lay.exps))
+        return product
+
+
+_PRODUCTS = _Products()
+
+
 @lru_cache(maxsize=None)
-def _box_product(shape):
-    """Truncated product of the row-major jet box ``shape``."""
-    return _truncated_product(_pair_table(tuple(np.ndindex(shape))))
+def _common(la, lb):
+    """The layout of the exponents both layouts hold, and their positions in each."""
+    if len(la.orders) != len(lb.orders):
+        raise ValueError("jets over different variable sets")
+    lay = _layout(tuple(e for e in la.exps if e in lb.index))
+    return lay, [la.index[e] for e in lay.exps], [lb.index[e] for e in lay.exps]
+
+
+def _jet(c, lay, f64):
+    """The jet holding the entries ``c`` over the layout ``lay``."""
+    jet = object.__new__(Jet)
+    jet.c, jet.lay, jet.f64 = c, lay, f64
+    return jet
+
+
+def _constant(value, lay, f64):
+    """The jet of ``value`` alone over the layout ``lay``, of floats if ``f64``."""
+    zero = 0.0 if f64 else 0
+    return _jet([float(value) if f64 else value] + [zero] * (len(lay.exps) - 1), lay, f64)
 
 
 class Jet:
-    """Dense truncated Taylor expansion around a base point.
+    """Truncated Taylor expansion around a base point.
 
-    ``coeffs[k0, k1, ...]`` is the coefficient of ``offset0**k0 * offset1**k1
-    * ...``; the all-zero index holds the value at the base point.  The
-    truncation order in each variable is the array extent minus one.  Binary
-    operations truncate to the elementwise minimum of the operand orders, so
-    information never silently exceeds what both operands carry.
+    The entries ``c`` form a flat list over the layout ``lay``: the entry of
+    the exponent (k0, k1, ...) is the coefficient of ``offset0**k0 *
+    offset1**k1 * ...``, and the first, of (0, 0, ...), is the value at the
+    base point.  Jets made here use the row-major box of their truncation
+    orders; the endpoint solver's (u, z) jets use triangles.  Binary
+    operations truncate to the exponents both operands hold (for boxes, the
+    elementwise minimum of the orders), so information never silently
+    exceeds what both operands carry.
 
-    Jets built from a float are stored as float64 arrays, those built from an
-    int or Fraction as object arrays, and every operation keeps the storage.
+    Jets built from a float hold Python floats (``f64``), which round as
+    float64 arrays do, and take a scalar as float(scalar), which moves no
+    bit: Python's float * Fraction is float(c) * x.  Those built from an int
+    or Fraction hold those and stay exact.  Every operation keeps the kind,
+    and ``coeffs`` shows the entries as a float64 or an object array.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("c", "lay", "f64")
 
     def __init__(self, coeffs):
-        if isinstance(coeffs, np.ndarray) and coeffs.ndim and coeffs.dtype in (np.float64, object):
-            self.coeffs = coeffs
-            return
-        arr = np.array(coeffs, dtype=object)
-        if arr.ndim == 0:
-            arr = arr.reshape((1,))
-        self.coeffs = arr
+        self.f64 = isinstance(coeffs, np.ndarray) and coeffs.dtype == np.float64
+        arr = np.array(coeffs, dtype=np.float64 if self.f64 else object, ndmin=1)
+        self.c = arr.ravel().tolist()
+        self.lay = _box(tuple(n - 1 for n in arr.shape))
 
     @classmethod
     def constant(cls, value, orders):
-        arr = np.zeros(tuple(o + 1 for o in orders),
-                       dtype=np.float64 if isinstance(value, float) else object)
-        arr[(0,) * len(orders)] = value
-        return cls(arr)
+        return _constant(value, _box(orders), isinstance(value, float))
 
     @classmethod
     def variable(cls, value, index, orders):
@@ -140,70 +192,69 @@ class Jet:
         if orders[index] < 1:
             raise ValueError("variable %d needs truncation order >= 1" % index)
         jet = cls.constant(value, orders)
-        jet.coeffs[tuple(int(k == index) for k in range(len(orders)))] = 1
+        unit = tuple(int(k == index) for k in range(len(orders)))
+        jet.c[jet.lay.index[unit]] = 1.0 if jet.f64 else 1
         return jet
 
     @property
     def orders(self):
-        return tuple(n - 1 for n in self.coeffs.shape)
+        return self.lay.orders
 
     @property
     def constant_term(self):
-        return self.coeffs[(0,) * self.coeffs.ndim]
+        return self.c[0]
+
+    @property
+    def coeffs(self):
+        """The entries as a read-only array of shape orders + 1, float64 for
+        a float jet and object otherwise; exponents off the layout read 0."""
+        arr = np.zeros(tuple(o + 1 for o in self.orders), dtype=np.float64 if self.f64 else object)
+        arr[tuple(zip(*self.lay.exps))] = self.c
+        arr.flags.writeable = False
+        return arr
 
     def partial(self, index):
         """Partial derivative value: k! times the coefficient of the k-th offset power."""
         index = tuple(index)
-        factor = 1
-        for k in index:
-            factor *= math.factorial(k)
-        return self.coeffs[index] * factor
+        m = self.lay.index.get(index)
+        if m is None:
+            raise InvalidParameterError("jet index %r is not held by a jet of orders %r"
+                                        % (index, self.orders))
+        return self.c[m] * math.prod(map(math.factorial, index))
 
     def dx(self, var=0):
         """Derivative jet with respect to one variable; its order drops by one."""
-        n = self.coeffs.shape[var]
-        if n < 2:
-            raise ValueError("jet carries no derivative information in variable %d" % var)
-        sl = [slice(None)] * self.coeffs.ndim
-        sl[var] = slice(1, None)
-        shifted = self.coeffs[tuple(sl)]
-        shape = [1] * self.coeffs.ndim
-        shape[var] = n - 1
-        mult = np.arange(1, n, dtype=self.coeffs.dtype).reshape(shape)
-        return Jet(shifted * mult)
+        if var not in range(len(self.orders)) or self.orders[var] < 1:
+            raise InvalidParameterError("a jet of orders %r carries no derivative information "
+                                        "in variable %r" % (self.orders, var))
+        # the entry of exponent e moves to e - 1 in var, times e[var]
+        src = [(k, e) for k, e in enumerate(self.lay.exps) if e[var]]
+        lay = _layout(tuple(e[:var] + (e[var] - 1,) + e[var + 1:] for _, e in src))
+        return _jet([self.c[k] * e[var] for k, e in src], lay, self.f64)
 
     # ---- arithmetic -----------------------------------------------------
 
     def _operands(self, other):
-        """Both coefficient arrays, truncated to the common orders."""
-        a, b = self.coeffs, other.coeffs
-        if a.shape == b.shape:
-            return a, b
-        if a.ndim != b.ndim:
-            raise ValueError("jets over different variable sets")
-        box = tuple(slice(0, min(x, y)) for x, y in zip(a.shape, b.shape))
-        return a[box], b[box]
-
-    def _like(self, value):
-        """A scalar in this jet's storage.  float64 storage takes float(value),
-        which moves no bit: Python's float * Fraction is float(c) * x."""
-        return value if self.coeffs.dtype == object else float(value)
+        """Both entry lists over the exponents both jets hold, and their layout."""
+        lay, pa, pb = _common(self.lay, other.lay)
+        a, b = self.c, other.c
+        return [a[i] for i in pa], [b[i] for i in pb], lay
 
     def __add__(self, other):
+        if isinstance(other, Jet):
+            a, b, lay = self.c, other.c, self.lay
+            if lay is not other.lay:
+                a, b, lay = self._operands(other)
+            return _jet(list(map(operator.add, a, b)), lay, self.f64 and other.f64)
         if isinstance(other, LaurentPoly):
             return NotImplemented
-        if isinstance(other, Jet):
-            a, b = self._operands(other)
-            return Jet(a + b)
-        out = self.coeffs.copy()
-        zero = (0,) * out.ndim
-        out[zero] = out[zero] + other
-        return Jet(out)
+        c = self.c
+        return _jet([c[0] + (float(other) if self.f64 else other)] + c[1:], self.lay, self.f64)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.coeffs)
+        return _jet(list(map(operator.neg, self.c)), self.lay, self.f64)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -1 * other)
@@ -212,24 +263,27 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Jet):
+            a, b, lay = self.c, other.c, self.lay
+            if lay is not other.lay:
+                a, b, lay = self._operands(other)
+            f64 = self.f64 and other.f64
+            return _jet(_PRODUCTS[lay](a, b, 0.0 if f64 else 0), lay, f64)
         if isinstance(other, LaurentPoly):
             return NotImplemented
-        if not isinstance(other, Jet):
-            return Jet(self.coeffs * self._like(other))
-        a, b = self._operands(other)
-        dtype = np.result_type(a, b)
-        out = _box_product(a.shape)(a.ravel().tolist(), b.ravel().tolist(),
-                                    0.0 if dtype == np.float64 else 0)
-        return Jet(np.array(out, dtype=dtype).reshape(a.shape))
+        other = float(other) if self.f64 else other
+        return _jet([v * other for v in self.c], self.lay, self.f64)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.reciprocal()
-        if isinstance(other, int) and self.coeffs.dtype == object:
+        if self.f64:
+            other = float(other)
+        elif isinstance(other, int):
             other = Fraction(other)  # int entries stay exact
-        return Jet(self.coeffs / self._like(other))
+        return _jet([v / other for v in self.c], self.lay, self.f64)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -237,7 +291,7 @@ class Jet:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("jet powers must be nonnegative integers")
-        out = Jet.constant(self._like(1), self.orders)
+        out = _constant(1, self.lay, self.f64)
         for _ in range(n):
             out = out * self
         return out
@@ -266,7 +320,7 @@ class Jet:
     def _nilpotent_series(self, eta, coeff):
         """sum_k coeff(k) * eta**k for eta with zero constant term."""
         total = sum(eta.orders)
-        out = Jet.constant(eta._like(coeff(0)), eta.orders)
+        out = _constant(coeff(0), eta.lay, eta.f64)
         p = eta
         for k in range(1, total + 1):
             c = coeff(k)

@@ -69,8 +69,7 @@ def _emit(args, obj, rows=None, header=None):
 
 
 def _jet_payload(jet):
-    return {"orders": list(jet.orders),
-            "coeffs": np.asarray(jet.coeffs, dtype=float).tolist()}
+    return {"orders": list(jet.orders), "coeffs": jet.coeffs.astype(float).tolist()}
 
 
 def cmd_endpoints(args):

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Jet, _box_product, _pair_table, _truncated_product, substitute_uniformizer
+from .algebra import Jet, _jet, _layout, substitute_uniformizer
 from .errors import DegeneratePotentialError, InvalidParameterError, NoOneCutSolutionError
 
 __all__ = [
@@ -87,12 +86,13 @@ def _real(name, v):
     return v
 
 
-def xvprime_coeffs(pot):
+def xvprime_coeffs(pot, _t=None):
     """Ascending coefficients of x*V'(y) = y + sum_j j*t_j*y**(j-1).
 
     Integer base entries keep the list exact when the t_j are Fractions.
+    ``_t`` maps valences of ``pot`` to jets that stand in for their t_j.
     """
-    c = _perturbation_coeffs(pot)
+    c = _perturbation_coeffs(pot, _t)
     c[1] = c[1] + 1
     return c
 
@@ -112,11 +112,11 @@ def _require_int(name, value, least):
         raise InvalidParameterError("%s must be an int >= %d, got %r" % (name, least, value))
 
 
-def _perturbation_coeffs(pot):
+def _perturbation_coeffs(pot, t=None):
     """Ascending coefficients of sum_j j*t_j*y**(j-1), the part of x*V'(y)
-    that the homotopy t -> s*t scales."""
+    that the homotopy t -> s*t scales; ``t`` maps valences to stand-ins for their t_j."""
     c = [0] * pot.degree
-    for j, tj in pot.t.items():
+    for j, tj in {**pot.t, **(t or {})}.items():
         c[j - 1] = c[j - 1] + j * tj
     return c
 
@@ -181,69 +181,20 @@ class EndpointSolution:
             raise ValueError("endpoint jets must carry x-order >= %d" % n)
 
 
-class _Taylor:
-    """Truncated Taylor polynomial: a flat list of Python floats and the
-    truncated product of its layout, a jet box or the triangle u**i z**j
-    (i + j <= n) in the row-major order of the (n+1, n+1) box.  Every entry
-    is rounded as in a float64 Jet: products run through the Jet's kernel,
-    and sums, scalar products and quotients work entry by entry."""
-
-    __slots__ = ("c", "mul")
-
-    def __init__(self, c, mul):
-        self.c, self.mul = c, mul
-
-    @classmethod
-    def of(cls, jet):
-        """The scalar holding a float64 jet's entries, over its box."""
-        return cls(jet.coeffs.ravel().tolist(), _box_product(jet.coeffs.shape))
-
-    def __eq__(self, other):  # LaurentPoly drops a coefficient == 0: all entries zero
-        return (isinstance(other, (int, float, Fraction)) and self.c[0] == other
-                and not any(self.c[1:]))
-
-    def __add__(self, other):
-        if isinstance(other, _Taylor):
-            return _Taylor(list(map(operator.add, self.c, other.c)), self.mul)
-        return _Taylor([self.c[0] + other] + self.c[1:], self.mul)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Taylor(list(map(operator.neg, self.c)), self.mul)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, _Taylor) else -1 * other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, _Taylor):
-            return _Taylor(self.mul(self.c, other.c, 0.0), self.mul)
-        other = float(other)
-        return _Taylor([a * other for a in self.c], self.mul)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = float(other)
-        return _Taylor([a / other for a in self.c], self.mul)
-
-
-# products over the triangles i + j <= n, entries (1, z, u) at order 1 and
-# (1, z, z2, u, uz, u2) at order 2
-_UZ_PRODUCTS = {n: _truncated_product(_pair_table(
-    tuple(e for e in np.ndindex(n + 1, n + 1) if sum(e) <= n))) for n in (1, 2)}
+# the (u, z) jet layouts of Newton and the fold search, the triangles i + j <= n:
+# entries (1, z, u) at order 1 and (1, z, z2, u, uz, u2) at order 2
+_UZ_LAYOUTS = {n: _layout(tuple(e for e in np.ndindex(n + 1, n + 1) if sum(e) <= n))
+               for n in (1, 2)}
 
 
 def _uz_residuals(u, z, n, pot, **kwargs):
     """Value, d/du, d/dz and, at n = 2, d2/du2, d2/dudz, d2/dz2 of both endpoint
-    residuals at (u, z), bit-identical to order-(n, n) jets."""
-    k = (n + 1) * (n + 2) // 2
-    U = _Taylor([float(u)] + [0.0] * n + [1.0] + [0.0] * (k - n - 2), _UZ_PRODUCTS[n])
-    Z = _Taylor([float(z), 1.0] + [0.0] * (k - 2), _UZ_PRODUCTS[n])
-    cs = [r.c if isinstance(r, _Taylor) else [float(r)] + [0.0] * (k - 1)  # no offset reached r
+    residuals at (u, z), bit-identical to order-(n, n) box jets."""
+    lay = _UZ_LAYOUTS[n]
+    k = len(lay.exps)
+    U = _jet([float(u)] + [0.0] * n + [1.0] + [0.0] * (k - n - 2), lay, True)
+    Z = _jet([float(z), 1.0] + [0.0] * (k - 2), lay, True)
+    cs = [r.c if isinstance(r, Jet) else [float(r)] + [0.0] * (k - 1)  # no offset reached r
           for r in endpoint_residuals(U, Z, pot, **kwargs)]
     return [[c[0], c[n + 1], c[1]] + ([2 * c[5], c[4], 2 * c[2]] if n == 2 else []) for c in cs]
 
@@ -440,14 +391,9 @@ def uz_jets(pot, x_order, t_order=0):
     orders = (x_order,) + (t_order,) * len(tkeys)
     names = ("x",) + tuple("t%d" % j for j in tkeys)
 
-    # the lift runs over Taylor scalars of the jet box; U and Z become jets at the end
-    xinv = _Taylor.of(Jet.variable(float(pot.x), 0, orders).reciprocal())
-    coeffs = [0] * pot.degree
-    coeffs[1] = 1
-    for j, tj in pot.t.items():
-        if j in tkeys:
-            tj = _Taylor.of(Jet.variable(float(tj), 1 + tkeys.index(j), orders))
-        coeffs[j - 1] = coeffs[j - 1] + j * tj
+    xinv = Jet.variable(float(pot.x), 0, orders).reciprocal()
+    coeffs = xvprime_coeffs(pot, {j: Jet.variable(float(pot.t[j]), 1 + i, orders)
+                                  for i, j in enumerate(tkeys)})
 
     _, jac = _residual_and_jacobian(base.u, base.z, pot)
     det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
@@ -455,19 +401,27 @@ def uz_jets(pot, x_order, t_order=0):
         raise DegeneratePotentialError("endpoint Jacobian singular at the base point")
     inv = (np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det).tolist()
 
-    U, Z = (_Taylor.of(Jet.constant(v, orders)) for v in (base.u, base.z))
-    for _ in range(sum(orders) + 1):
-        r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _xinv=xinv)
-        U = U - (inv[0][0] * r1 + inv[0][1] * r2)
-        Z = Z - (inv[1][0] * r1 + inv[1][1] * r2)
-
+    U, Z = _lift(base.u, base.z, orders, pot, coeffs, xinv, inv, sum(orders) + 1)
     r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _xinv=xinv)
-    worst = max(np.max(np.abs(r1.c)), np.max(np.abs(r2.c)))
-    if worst > 1e-7:
+    worst = np.max(np.abs(r1.c + r2.c))  # NaN if any entry is, and NaN fails the gate
+    if not worst <= 1e-7:
         raise DegeneratePotentialError(
             "jet propagation failed to converge (residual %.3g)" % worst)
-    U, Z = (Jet(np.array(v.c).reshape([o + 1 for o in orders])) for v in (U, Z))
     return dataclasses.replace(base, u_jet=U, z_jet=Z, jet_vars=names)
+
+
+def _lift(u, z, orders, pot, coeffs, xinv, inv, passes):
+    """Jets of the given orders of the endpoint solution (u, z), lifted through
+    the residuals of ``coeffs`` and ``xinv`` (see endpoint_residuals): each
+    pass subtracts ``inv``, the inverse Jacobian at the base point, times the
+    residuals, and so kills the lowest order left."""
+    U, Z = Jet.constant(u, orders), Jet.constant(z, orders)
+    (a, b), (c, d) = inv
+    for _ in range(passes):
+        r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _xinv=xinv)
+        U = U - (a * r1 + b * r2)
+        Z = Z - (c * r1 + d * r2)
+    return U, Z
 
 
 def one_cut_certificate(h, alpha_minus, alpha_plus):

@@ -11,9 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Jet
-from .endpoints import (PotentialSpec, _require_int, endpoint_residuals, solve_endpoints,
-                        uz_jets)
+from .algebra import Jet, _jet
+from .endpoints import PotentialSpec, _lift, _require_int, solve_endpoints, uz_jets, xvprime_coeffs
 from .errors import InvalidParameterError, OutsideOneCutError
 
 __all__ = [
@@ -109,28 +108,21 @@ def e1_series(pot, order):
                                     "mark directions with zero coefficients" % (pot.t,))
     valences = tuple(sorted(pot.t))
     orders = (order,) * len(valences)
-    coeffs = [0] * pot.degree
-    coeffs[1] = 1  # valence 2 adds to the Gaussian term
-    for i, j in enumerate(valences):
-        coeffs[j - 1] = coeffs[j - 1] + j * Jet.variable(0, i, orders)
-    # a unit face weight of type int keeps every entry of the lift an int
-    U, Z = Jet.constant(0, orders), Jet.constant(1, orders)
-    for _ in range(sum(orders)):  # each pass kills the lowest order left
-        r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _xinv=1)
-        U, Z = U - r1, Z - r2
+    coeffs = xvprime_coeffs(pot, {j: Jet.variable(0, i, orders) for i, j in enumerate(valences)})
+    # a unit face weight and the identity Jacobian of type int keep every
+    # entry of the lift an int; each pass kills the lowest order left
+    U, Z = _lift(0, 1, orders, pot, coeffs, 1, ((1, 0), (0, 1)), sum(orders))
 
     # E multiplies the coefficient of prod_j t_j**k_j by sum_j k_j (j - 2)
-    shape = U.coeffs.shape
-    weight = np.array([sum(k * (j - 2) for k, j in zip(idx, valences))
-                       for idx in np.ndindex(shape)], dtype=object).reshape(shape)
-    ux = (U + Jet(U.coeffs * weight)) / 2
-    zx = Z + Jet(Z.coeffs * weight) / 2
+    weight = [sum(k * (j - 2) for k, j in zip(e, valences)) for e in U.lay.exps]
+    ux = (U + _jet([v * w for v, w in zip(U.c, weight)], U.lay, U.f64)) / 2
+    zx = Z + _jet([v * w for v, w in zip(Z.c, weight)], Z.lay, Z.f64) / 2
     e1 = ((zx * zx - Z * (ux * ux)) / (Z * Z)).log()
     # F = weight/2 is fractional only for an odd half-edge count, whose
     # coefficient is an exact zero
     x = Fraction(pot.x)
-    series = {idx: float(e1.coeffs[idx] * x ** Fraction(weight[idx], 2) / 24)
-              for idx in np.ndindex(shape)}
+    series = {e: float(v * x ** Fraction(w, 2) / 24)
+              for e, v, w in zip(e1.lay.exps, e1.c, weight)}
     return SeriesInT(valences, order, pot.x, series)
 
 

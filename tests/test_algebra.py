@@ -8,28 +8,28 @@ import pytest
 
 from eqmap.acceptance import one_cut_corpus
 import eqmap.algebra as algebra
+import eqmap.endpoints as endpoints
 from eqmap.algebra import (
     Jet,
     LaurentPoly,
     _is_zero,
+    _jet,
     _pair_table,
     _truncated_product,
     inv_sqrt_R_series,
     series_times_poly_coeff,
     substitute_uniformizer,
 )
-import eqmap.endpoints as endpoints
 from eqmap.endpoints import (
     PotentialSpec,
-    _UZ_PRODUCTS,
-    _Taylor,
+    _UZ_LAYOUTS,
     _perturbation_coeffs,
     endpoint_residuals,
     solve_endpoints,
     uz_jets,
     xvprime_coeffs,
 )
-from eqmap.errors import EqmapError, SingularJetError
+from eqmap.errors import EqmapError, InvalidParameterError, SingularJetError
 
 
 def test_zero_coeff_reads_off_constant():
@@ -122,7 +122,7 @@ def test_jet_product_difference_of_squares():
 
 def test_jet_partial_extraction_includes_factorials():
     j = Jet.constant(0, (3,))
-    arr = j.coeffs
+    arr = j.coeffs.copy()  # coeffs is read-only
     arr[2] = 5.0
     assert Jet(arr).partial((2,)) == pytest.approx(10.0)
 
@@ -148,6 +148,25 @@ def test_jet_mul_div_round_trip():
 def test_jet_reciprocal_rejects_zero_constant():
     with pytest.raises(SingularJetError):
         Jet([0.0, 1.0]).reciprocal()
+
+
+@pytest.mark.parametrize("index,orders", [
+    ((1,), (2, 1)), ((1, 0, 0), (2, 1)), ((-1, 0), (2, 1)), ((0, -1), (2, 1)),
+    ((3, 0), (2, 1)), ((0, 2), (2, 1)), ((2, 0), (1, 1))])
+def test_jet_partial_refuses_an_index_outside_the_orders_by_name(index, orders):
+    # a flat entry list has no shape to catch a short, negative or long index
+    jet = Jet.variable(0.5, 0, orders)
+    with pytest.raises(InvalidParameterError) as info:
+        jet.partial(index)
+    assert str(index) in str(info.value) and "orders %r" % (orders,) in str(info.value)
+
+
+@pytest.mark.parametrize("var,orders", [(5, (2, 1)), (2, (2, 1)), (-1, (2, 1)), (1, (2, 0))])
+def test_jet_dx_refuses_a_variable_outside_the_orders_by_name(var, orders):
+    jet = Jet.variable(0.5, 0, orders)
+    with pytest.raises(InvalidParameterError) as info:
+        jet.dx(var)
+    assert "variable %d" % var in str(info.value) and "orders %r" % (orders,) in str(info.value)
 
 
 def test_jet_derivative_consumes_one_order():
@@ -314,18 +333,19 @@ def test_generated_product_matches_the_loop(exponents):
         assert sum(len(row) for row in table) // 2 > algebra._BLOCK
 
 
-def _loop_products(monkeypatch):
-    """Point every truncated product of the solver path at the loop: the jet
-    product, the triangles of Newton and the fold search, and the lift's box."""
-    def loop(table):
-        return lambda a, b, zero: _loop_product(a, b, table, zero)
+class _LoopProducts(dict):
+    """The loop over each layout's pair table, in place of its generated product."""
 
-    monkeypatch.setattr(Jet, "__mul__", _slice_loop_mul)
-    monkeypatch.setattr(Jet, "__rmul__", _slice_loop_mul)
-    monkeypatch.setattr(endpoints, "_UZ_PRODUCTS", {n: loop(_pair_table(_triangle(n)))
-                                                    for n in (1, 2)})
-    monkeypatch.setattr(endpoints, "_box_product",
-                        lambda shape: loop(_pair_table(tuple(np.ndindex(shape)))))
+    def __missing__(self, lay):
+        table = _pair_table(lay.exps)
+        product = self[lay] = lambda a, b, zero: _loop_product(a, b, table, zero)
+        return product
+
+
+def _loop_products(monkeypatch):
+    """Point every layout's truncated product at the loop: the jet boxes of the
+    lift and the h routes, and the triangles of Newton and the fold search."""
+    monkeypatch.setattr(algebra, "_PRODUCTS", _LoopProducts())
 
 
 def test_solver_path_matches_slice_loop_bit_for_bit(monkeypatch):
@@ -381,11 +401,10 @@ def _reference_residuals(u, z, pot, coeffs=None, x=None):
 
 
 def _bits(v):
-    """Type and float.hex of every entry of a scalar, a Taylor scalar or a jet."""
+    """Type and float.hex of every entry of a scalar or a jet, with the jet's
+    kind and layout."""
     if isinstance(v, Jet):
-        return "jet", str(v.coeffs.dtype), [float(e).hex() for e in v.coeffs.flat]
-    if isinstance(v, _Taylor):
-        return type(v).__name__, [e.hex() for e in v.c]
+        return "jet", v.f64, v.lay.exps, [float(e).hex() for e in v.c]
     return type(v).__name__, float(v).hex()
 
 
@@ -422,10 +441,10 @@ def test_endpoint_residuals_match_laurent_horner_on_floats_and_taylor_scalars():
         for u, z in _residual_points(pot):
             want = _reference_residuals(u, z, pot)
             assert list(map(_bits, endpoint_residuals(u, z, pot))) == list(map(_bits, want))
-            for n in (1, 2):
-                k = (n + 1) * (n + 2) // 2
-                U = _Taylor([u] + [0.0] * n + [1.0] + [0.0] * (k - n - 2), _UZ_PRODUCTS[n])
-                Z = _Taylor([z, 1.0] + [0.0] * (k - 2), _UZ_PRODUCTS[n])
+            for n, lay in _UZ_LAYOUTS.items():
+                k = len(lay.exps)
+                U = _jet([u] + [0.0] * n + [1.0] + [0.0] * (k - n - 2), lay, True)
+                Z = _jet([z, 1.0] + [0.0] * (k - 2), lay, True)
                 for coeffs in (None, perturbation):  # Newton's and the fold search's
                     got = endpoint_residuals(U, Z, pot, _coeffs=coeffs)
                     want = _reference_residuals(U, Z, pot, coeffs)
@@ -439,11 +458,10 @@ def test_x_jet_lift_matches_laurent_horner_pass_by_pass(monkeypatch):
 
     def compared(u, z, pot, _coeffs=None, _xinv=None):
         got = endpoint_residuals(u, z, pot, _coeffs=_coeffs, _xinv=_xinv)
-        if isinstance(u, _Taylor) and u.mul is algebra._box_product((len(u.c),)):  # a lift pass
-            # the reference runs over jets holding the scalars' entries
-            xj = Jet.variable(float(pot.x), 0, (len(u.c) - 1,))
-            want = _reference_residuals(Jet(np.array(u.c)), Jet(np.array(z.c)), pot, _coeffs, xj)
-            assert [_bits(Jet(np.array(r.c))) for r in got] == list(map(_bits, want)), pot
+        if isinstance(u, Jet) and len(u.orders) == 1:  # a lift pass over x-jets
+            xj = Jet.variable(float(pot.x), 0, u.orders)
+            want = _reference_residuals(u, z, pot, _coeffs, xj)
+            assert list(map(_bits, got)) == list(map(_bits, want)), pot
             lifts.append(pot)
         return got
 

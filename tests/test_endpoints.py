@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import eqmap.algebra as algebra
 import eqmap.endpoints as endpoints
-from eqmap.algebra import Jet, inv_sqrt_R_series, series_times_poly_coeff
+from eqmap.algebra import Jet, _is_zero, _jet, inv_sqrt_R_series, series_times_poly_coeff
 from eqmap.endpoints import (
     PotentialSpec,
     endpoint_residuals,
@@ -236,7 +237,7 @@ def test_potential_stores_numpy_int_valences_as_ints():
 
 
 def test_potential_converts_numpy_scalars_and_refuses_non_numbers():
-    # an np.float64 coefficient once broadcast over the solver's Taylor scalar
+    # an np.float64 coefficient once broadcast over the solver's (u, z) arithmetic
     def bits(pot):
         ep, jets, e1 = solve_endpoints(pot), uz_jets(pot, x_order=3), e1_value(pot)
         assert type(e1.log_argument) is float
@@ -269,7 +270,7 @@ def test_gaussian_point_degenerate_for_huge_face_weight():
 
 
 def _jet_residual_and_jacobian(u, z, pot):
-    """The order-(1, 1) Jet route that the (u, z) Taylor scalar replaced."""
+    """The order-(1, 1) box-jet route that the (u, z) triangle jets replaced."""
     rs = endpoint_residuals(Jet.variable(float(u), 0, (1, 1)), Jet.variable(float(z), 1, (1, 1)), pot)
     rs = [r if isinstance(r, Jet) else Jet.constant(r, (1, 1)) for r in rs]
     return ([float(r.constant_term) for r in rs],
@@ -334,13 +335,15 @@ def test_uz_taylor_arithmetic_matches_box_jets(n):
             return rng.choice([math.inf, -math.inf])
         return rng.choice([-1, 1]) * rng.uniform(0.1, 10) * 10.0 ** rng.randint(-6, 6)
 
-    def pair():
-        jet = Jet(np.array([[draw() for _ in range(n + 1)] for _ in range(n + 1)]))
-        return jet, endpoints._Taylor([float(jet.coeffs[m]) for m in kept],
-                                      endpoints._UZ_PRODUCTS[n])
+    triangle = endpoints._UZ_LAYOUTS[n]
 
-    def same(jet, scalar):
-        return _hex([jet.coeffs[m] for m in kept]) == _hex(scalar.c)
+    def pair():
+        box = Jet(np.array([[draw() for _ in range(n + 1)] for _ in range(n + 1)]))
+        return box, _jet([float(box.coeffs[m]) for m in kept], triangle, True)
+
+    def same(box, tri):
+        assert tri.lay is triangle and box.orders == (n, n)
+        return _hex([box.coeffs[m] for m in kept]) == _hex(tri.c)
 
     for _ in range(300):
         (ja, sa), (jb, sb) = pair(), pair()
@@ -352,21 +355,21 @@ def test_uz_taylor_arithmetic_matches_box_jets(n):
         assert same(ja + q, sa + q) and same(ja - q, sa - q) and same(q - ja, q - sa)
         assert same(0 + ja, 0 + sa)
         zero = not any(float(ja.coeffs[m]) != 0 for m in kept)
-        assert (sa == 0) is zero
-    assert endpoints._Taylor([0.0, -0.0, 0.0], endpoints._UZ_PRODUCTS[1]) == 0
-    assert not endpoints._Taylor([0.0, 0.0, 1e-300], endpoints._UZ_PRODUCTS[1]) == 0
+        assert _is_zero(sa) is zero
+    assert _is_zero(_jet([0.0, -0.0, 0.0], endpoints._UZ_LAYOUTS[1], True))
+    assert not _is_zero(_jet([0.0, 0.0, 1e-300], endpoints._UZ_LAYOUTS[1], True))
 
 
 # per entry of a left factor, the (product entry, right entry) pairs, keyed by
 # the entry count: entries (1, z, u) at order 1, (1, z, z2, u, uz, u2) at order 2;
-# the hand-written table the (u, z) scalar multiplied with before the shared kernel
+# the hand-written table the (u, z) jets multiplied with before the shared kernel
 _UZ_PAIRS = {3: (((0, 0), (1, 1), (2, 2)), ((1, 0),), ((2, 0),)),
              6: (((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5)), ((1, 0), (2, 1), (4, 3)),
                  ((2, 0),), ((3, 0), (4, 1), (5, 3)), ((4, 0),), ((5, 0),))}
 
 
 def test_uz_triangle_tables_reproduce_the_pair_literal():
-    # the scalar's triangle products against a loop over the literal pairs
+    # the triangle layouts' products against a loop over the literal pairs
     rng = random.Random(4)
     for n, k in ((1, 3), (2, 6)):
         for _ in range(200):
@@ -377,15 +380,17 @@ def test_uz_triangle_tables_reproduce_the_pair_literal():
                 if x != 0:
                     for m, src in row:
                         want[m] += x * b[src]
-            assert _hex(endpoints._UZ_PRODUCTS[n](a, b, 0.0)) == _hex(want)
+            assert _hex(algebra._PRODUCTS[endpoints._UZ_LAYOUTS[n]](a, b, 0.0)) == _hex(want)
 
 
 def test_solve_endpoints_multiplies_no_jet(monkeypatch):
-    products = []
+    # Newton and the fold search multiply over the (u, z) triangles alone,
+    # never over a jet box; the lift multiplies over the box of its orders
+    layouts = []
     mul = Jet.__mul__
 
     def counted(self, other):
-        products.append(None)
+        layouts.extend(v.lay for v in (self, other) if isinstance(v, Jet))
         return mul(self, other)
 
     monkeypatch.setattr(Jet, "__mul__", counted)
@@ -394,9 +399,10 @@ def test_solve_endpoints_multiplies_no_jet(monkeypatch):
     with pytest.raises(NoOneCutSolutionError) as info:
         solve_endpoints(PotentialSpec(1.0, {3: 0.05, 4: -0.03}))
     assert info.value.s_star is not None
-    assert products == []
+    assert set(layouts) == set(endpoints._UZ_LAYOUTS.values())
+    layouts.clear()
     uz_jets(PotentialSpec(1.0, {4: 0.01}), x_order=2)
-    assert products  # the lift still forms its x-jet's reciprocal as a jet
+    assert algebra._box((2,)) in layouts
 
 
 def test_uz_jets_gue_linear_z():
@@ -462,8 +468,7 @@ def test_uz_jets_lifts_through_endpoint_residuals(monkeypatch):
     lifts = []
 
     def counted(u, z, pot, **kwargs):
-        box = endpoints._box_product(tuple(o + 1 for o in orders))
-        if isinstance(u, endpoints._Taylor) and u.mul is box:
+        if isinstance(u, Jet) and u.lay is algebra._box(orders):
             lifts.append(None)
         return endpoint_residuals(u, z, pot, **kwargs)
 
@@ -520,3 +525,36 @@ def test_uz_jets_names_a_bad_order_before_solving(monkeypatch, kwargs, name):
 def test_uz_jets_accepts_numpy_int_orders():
     ep = uz_jets(PotentialSpec(1.0, {4: 0.01}), x_order=np.int64(2), t_order=np.int64(0))
     assert ep.u_jet.orders == (2,)
+
+
+def test_uz_jets_refuses_nan_jets():
+    # at a tiny face weight the x-jet reciprocal overflows and the lift
+    # produces NaN entries, which the convergence gate must refuse
+    with pytest.raises(DegeneratePotentialError, match="residual nan"):
+        uz_jets(PotentialSpec(1e-100, {4: 0.01}), x_order=3)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_jet_gate_refuses_a_nan_in_either_residual(monkeypatch, which):
+    # `worst > 1e-7` passed a NaN, and max() dropped one that came second
+    lift_calls = []
+
+    def nan_at_gate(u, z, pot, **kwargs):
+        r = list(endpoint_residuals(u, z, pot, **kwargs))
+        if kwargs.get("_xinv") is not None:  # a lift pass or the gate
+            lift_calls.append(None)
+            if len(lift_calls) == 4:  # the gate, after the 3 passes of an order-2 lift
+                r[which] = r[which] + math.nan
+        return tuple(r)
+
+    monkeypatch.setattr(endpoints, "endpoint_residuals", nan_at_gate)
+    with pytest.raises(DegeneratePotentialError, match="residual nan"):
+        uz_jets(PotentialSpec(1.0, {4: 0.01}), x_order=2)
+
+
+@pytest.mark.parametrize("k", [2, 3, -1])
+def test_endpoint_derivative_outside_the_jets_is_refused_by_name(k):
+    ep = uz_jets(PotentialSpec(1.0, {4: 0.01}), x_order=1, t_order=1)
+    for derivative in (ep.du, ep.dz):
+        with pytest.raises(InvalidParameterError, match=r"\(%d, 0\).*orders \(1, 1\)" % k):
+            derivative(k)

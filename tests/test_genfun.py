@@ -122,7 +122,7 @@ def test_e1_series_lifts_over_python_ints(monkeypatch):
         seen.extend((u, z, r1, r2))
         return r1, r2
 
-    monkeypatch.setattr(genfun, "endpoint_residuals", recorded)
+    monkeypatch.setattr(endpoints, "endpoint_residuals", recorded)  # the shared lift's
     ser = e1_series(PotentialSpec(1, {3: 0, 4: 0}), 4)
     assert len(seen) == 4 * 8
     assert all(type(c) is int for v in seen for c in (v.coeffs.flat if isinstance(v, Jet) else [v]))
@@ -182,7 +182,7 @@ def test_e1_series_jets_stay_exact(monkeypatch):
         return jet_log(self)
 
     jet_log = Jet.log
-    monkeypatch.setattr(genfun, "endpoint_residuals", recorded)
+    monkeypatch.setattr(endpoints, "endpoint_residuals", recorded)  # the shared lift's
     monkeypatch.setattr(Jet, "log", recorded_log)
     e1_series(PotentialSpec(1.3, {3: 0, 4: 0}), order=2)
     assert len(seen) == 2 * 4 + 1  # (U, Z) of each pass, then the log argument

@@ -60,3 +60,20 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_import_makes_no_jet_product():
+    # truncated products are made per layout on first use: a fresh import
+    # makes none, and a solve that runs into its fold (Newton, then the fold
+    # search) makes the two (u, z) triangles and no jet box
+    code = ("import eqmap\nfrom eqmap import algebra, endpoints\n"
+            "print(len(algebra._PRODUCTS))\n"
+            "try:\n"
+            "    eqmap.solve_endpoints(eqmap.PotentialSpec(1.0, {3: 0.05, 4: -0.03}))\n"
+            "except eqmap.errors.NoOneCutSolutionError:\n"
+            "    pass\n"
+            "print(set(algebra._PRODUCTS) == set(endpoints._UZ_LAYOUTS.values()))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(eqmap.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "True"]
