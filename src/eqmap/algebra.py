@@ -7,9 +7,9 @@ Plain Python numbers, ``fractions.Fraction`` and :class:`Jet` all flow
 through the same code paths, so exact rational verification, float
 evaluation, and automatic propagation of Taylor coefficients share a single
 implementation of every residue-extraction formula.  A jet is a flat list of
-Python numbers over a layout of exponents: the row-major box of its orders,
-or a triangle of the endpoint solver's (u, z) offsets; floats give fast
-float64 arithmetic, ints and Fractions exact arithmetic.
+Python numbers over a layout of exponents, such as the row-major box of its
+orders or a triangle of the endpoint solver's (u, z) offsets; floats give
+fast float64 arithmetic, ints and Fractions exact arithmetic.
 """
 
 from __future__ import annotations
@@ -87,6 +87,20 @@ def _truncated_product(table):
     return product
 
 
+def _product_by(lay, b):
+    """f(a, y, s=None): the truncated product over ``lay`` of float entries a by
+    the entries ``b``, expressions in one float y, summed as the layout's
+    product sums them; given entries s, s plus that product."""
+    table = _pair_table(lay.exps)
+    pairs = [(i, m, src) for i, row in enumerate(table) for m, src in zip(row[::2], row[1::2])]
+    names, o = (["%s%d" % (v, k) for k in range(len(table))] for v in "bo")
+    head = ["def f(a, y, s=None):", "    %s = %s" % (", ".join(names), ", ".join(b)),
+            "    %s = 0.0" % " = ".join(o)]
+    plus = ", ".join("s[%d] + %s" % (k, v) for k, v in enumerate(o))
+    tail = "    if s is None:\n        return [%s]\n    return [%s]" % (", ".join(o), plus)
+    return _compiled(head, pairs, "o%d", "b%d", tail)
+
+
 def _compiled(head, pairs, out, src, tail=""):
     """Compile f: head, then per (i, m, src) entry m += x * b[src] if x = a[i] != 0, then tail."""
     lines, row = head, None
@@ -162,7 +176,7 @@ class Jet:
     the exponent (k0, k1, ...) is the coefficient of ``offset0**k0 *
     offset1**k1 * ...``, and the first, of (0, 0, ...), is the value at the
     base point.  Jets made here use the row-major box of their truncation
-    orders; the endpoint solver's (u, z) jets use triangles.  Binary
+    orders; a (u, z) triangle of the endpoint solver is a layout too.  Binary
     operations truncate to the exponents both operands hold (for boxes, the
     elementwise minimum of the orders), so information never silently
     exceeds what both operands carry.

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Jet, _jet, _layout, substitute_uniformizer
+from .algebra import Jet, _layout, _product_by, substitute_uniformizer
 from .errors import DegeneratePotentialError, InvalidParameterError, NoOneCutSolutionError
 
 __all__ = [
@@ -182,36 +184,89 @@ class EndpointSolution:
 
 
 # the (u, z) jet layouts of Newton and the fold search, the triangles i + j <= n:
-# entries (1, z, u) at order 1 and (1, z, z2, u, uz, u2) at order 2
+# entries (1, z, u) at order 1 and (1, z, z2, u, uz, u2) at order 2; the
+# kernel below runs on their entry lists
 _UZ_LAYOUTS = {n: _layout(tuple(e for e in np.ndindex(n + 1, n + 1) if sum(e) <= n))
                for n in (1, 2)}
 
 
-def _uz_residuals(u, z, n, pot, **kwargs):
-    """Value, d/du, d/dz and, at n = 2, d2/du2, d2/dudz, d2/dz2 of both endpoint
-    residuals at (u, z), bit-identical to order-(n, n) box jets."""
+@lru_cache(maxsize=None)
+def _uz_products(n):
+    """The products of an order-n triangle's entries by U = (u, 0, 1, ...) and by
+    Z = (z, 1, 0, ...), as f(a, u, s=None) and f(a, z, s=None) (see _product_by)."""
     lay = _UZ_LAYOUTS[n]
-    k = len(lay.exps)
-    U = _jet([float(u)] + [0.0] * n + [1.0] + [0.0] * (k - n - 2), lay, True)
-    Z = _jet([float(z), 1.0] + [0.0] * (k - 2), lay, True)
-    cs = [r.c if isinstance(r, Jet) else [float(r)] + [0.0] * (k - 1)  # no offset reached r
-          for r in endpoint_residuals(U, Z, pot, **kwargs)]
-    return [[c[0], c[n + 1], c[1]] + ([2 * c[5], c[4], 2 * c[2]] if n == 2 else []) for c in cs]
+    return tuple(_product_by(lay, ["y"] + ["1.0" if e == unit else "0.0" for e in lay.exps[1:]])
+                 for unit in ((1, 0), (0, 1)))
 
 
-def _residual_and_jacobian(u, z, pot):
-    """Residual vector and (u, z)-Jacobian at a numeric point."""
-    (a, a_u, a_z), (b, b_u, b_z) = _uz_residuals(u, z, 1, pot)
-    return np.array([a, b]), np.array([[a_u, a_z], [b_u, b_z]])
+def _uz_residuals(u, z, n, pot, _coeffs=None):
+    """Value, d/du, d/dz and, at n = 2, d2/du2, d2/dudz, d2/dz2 of both endpoint
+    residuals at (u, z), bit-identical to order-(n, n) box jets: the band Horner
+    of substitute_uniformizer over plain floats, each coefficient None, a number
+    or the entry list of a triangle jet, with the jet route's every rounding,
+    zero skip and zero drop."""
+    mul_u, mul_z = _uz_products(n)
+    u, z = float(u), float(z)
+    k = len(_UZ_LAYOUTS[n].exps)
+    U = [u] + [0.0] * n + [1.0] + [0.0] * (k - n - 2)
+    Z = [z, 1.0] + [0.0] * (k - 2)
+    coeffs = xvprime_coeffs(pot) if _coeffs is None else _coeffs
+    top, a = 0, [None if coeffs[-1] == 0 else 0 + coeffs[-1]]
+    for i in range(len(coeffs) - 2, -1, -1):
+        new_top = min(top + 1, i)
+        q = [None, None] + a + [None, None]  # q[top - e + 2] is T**e
+        b = []
+        for j in range(top - new_top + 2, top - max(top - len(a), -1 - i) + 3):
+            v = q[j - 1]
+            s = None if v is None else mul_z(v, z) if type(v) is list else [e * float(v) for e in Z]
+            v = q[j]
+            if type(v) is list:
+                s = mul_u(v, u, s)
+            elif v is not None:
+                p = [e * float(v) for e in U]
+                s = p if s is None else list(map(operator.add, s, p))
+            v = q[j + 1]
+            if v is not None and s is not None:
+                s = list(map(operator.add, s, v)) if type(v) is list else [s[0] + float(v)] + s[1:]
+            b.append(v if s is None else s)
+        top, a = new_top, b
+        v = a[top]
+        if type(v) is list:
+            v = [v[0] + float(coeffs[i])] + v[1:]
+            a[top] = v if any(v) else None
+        else:
+            v = (0 if v is None else v) + coeffs[i]
+            a[top] = None if v == 0 else v
+    out = []
+    for m, v in enumerate((a + [None])[:2]):  # T**0, then T**-1, which has 1 subtracted
+        if type(v) is list and any(v):
+            c = [e / float(pot.x) for e in v]
+            c[0] -= m
+        else:  # zero, or a number that no offset reached
+            c = [float((0 if v is None or type(v) is list else v) / pot.x - m)] + [0.0] * (k - 1)
+        out.append([c[0], c[n + 1], c[1]] + ([2 * c[5], c[4], 2 * c[2]] if n == 2 else []))
+    return out
+
+
+def _residual_and_jacobian(u, z, pot, _coeffs=None):
+    """Residuals (r1, r2) and Jacobian ((r1_u, r1_z), (r2_u, r2_z)) at a point, as floats."""
+    (a, a_u, a_z), (b, b_u, b_z) = _uz_residuals(u, z, 1, pot, _coeffs)
+    return (a, b), ((a_u, a_z), (b_u, b_z))
 
 
 def _newton_step(r, jac):
     """Newton correction jac^-1 r by Cramer's rule, or None if jac is singular."""
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    if not np.isfinite(det) or abs(det) < 1e-300:
+    (a, b), (c, d) = jac
+    det = a * d - b * c
+    if not math.isfinite(det) or abs(det) < 1e-300:
         return None
-    return ((r[0] * jac[1, 1] - r[1] * jac[0, 1]) / det,
-            (r[1] * jac[0, 0] - r[0] * jac[1, 0]) / det)
+    return (r[0] * d - r[1] * b) / det, (r[1] * a - r[0] * c) / det
+
+
+def _max_abs(r):
+    """max(|r1|, |r2|), NaN if either is: Python's max drops a NaN that comes second."""
+    a, b = abs(r[0]), abs(r[1])
+    return a if a >= b or a != a else b
 
 
 # float64 rounding, not the caller, limits convergence: a looser tolerance
@@ -220,15 +275,12 @@ _NEWTON_TOL = 1e-12
 _MAX_CONTINUATION_STEPS = 64
 
 
-def _residual_norm(u, z, pot):
-    return float(np.max(np.abs(endpoint_residuals(u, z, pot))))
-
-
 def _newton(pot, u, z):
+    coeffs = xvprime_coeffs(pot)
     initial = None
     for it in range(30):
-        r, jac = _residual_and_jacobian(u, z, pot)
-        rn = float(np.max(np.abs(r)))
+        r, jac = _residual_and_jacobian(u, z, pot, _coeffs=coeffs)
+        rn = _max_abs(r)
         if initial is None:
             initial = rn
         if rn < _NEWTON_TOL:
@@ -237,22 +289,22 @@ def _newton(pot, u, z):
             step = _newton_step(r, jac)
             if step is not None:
                 u2, z2 = u - step[0], z - step[1]
-                if np.isfinite(u2) and np.isfinite(z2) and z2 > 0:
-                    rn2 = _residual_norm(u2, z2, pot)
+                if math.isfinite(u2) and math.isfinite(z2) and z2 > 0:
+                    rn2 = _max_abs(endpoint_residuals(u2, z2, pot, _coeffs=coeffs))
                     if rn2 <= rn:
                         return u2, z2, rn2, True
             return u, z, rn, True
         # quadratic convergence means a basin point is done in a handful of
         # iterations; anything still above its starting residual is diverging
         if rn > 1e6 or (it > 10 and rn > initial):
-            return u, z, np.inf, False
+            return u, z, math.inf, False
         step = _newton_step(r, jac)
         if step is None:
-            return u, z, np.inf, False
+            return u, z, math.inf, False
         u, z = u - step[0], z - step[1]
-        if not (np.isfinite(u) and np.isfinite(z)) or z <= 0:
-            return u, z, np.inf, False
-    rn = _residual_norm(u, z, pot)
+        if not (math.isfinite(u) and math.isfinite(z)) or z <= 0:
+            return u, z, math.inf, False
+    rn = _max_abs(endpoint_residuals(u, z, pot, _coeffs=coeffs))
     return u, z, rn, rn < _NEWTON_TOL
 
 
@@ -395,11 +447,11 @@ def uz_jets(pot, x_order, t_order=0):
     coeffs = xvprime_coeffs(pot, {j: Jet.variable(float(pot.t[j]), 1 + i, orders)
                                   for i, j in enumerate(tkeys)})
 
-    _, jac = _residual_and_jacobian(base.u, base.z, pot)
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    if not np.isfinite(det) or abs(det) < 1e-14:
+    _, ((a, b), (c, d)) = _residual_and_jacobian(base.u, base.z, pot)
+    det = a * d - b * c
+    if not math.isfinite(det) or abs(det) < 1e-14:
         raise DegeneratePotentialError("endpoint Jacobian singular at the base point")
-    inv = (np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det).tolist()
+    inv = [[d / det, -b / det], [-c / det, a / det]]
 
     U, Z = _lift(base.u, base.z, orders, pot, coeffs, xinv, inv, sum(orders) + 1)
     r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _xinv=xinv)
@@ -429,11 +481,13 @@ def one_cut_certificate(h, alpha_minus, alpha_plus):
 
     Checks positivity on a dense grid, then confirms the absence of real
     roots of h (and of sign dips between grid points, via the real critical
-    points of h) inside [alpha_minus, alpha_plus].
+    points of h) inside [alpha_minus, alpha_plus].  A NaN value of h is not
+    positive, and a non-finite endpoint is refused by name.
     """
+    alpha_minus, alpha_plus = _real("alpha_minus", alpha_minus), _real("alpha_plus", alpha_plus)
     lam = np.linspace(alpha_minus, alpha_plus, 512)
     vals = h.value(lam)
-    if np.min(vals) <= 0:
+    if not np.min(vals) > 0:
         return False
     desc = np.asarray(h.monomial, dtype=float)[::-1]
     if len(desc) > 1:
@@ -445,6 +499,6 @@ def one_cut_certificate(h, alpha_minus, alpha_plus):
         crit = np.roots(np.polyder(desc))
         crit = crit[np.abs(crit.imag) < 1e-9].real
         inside = crit[(crit >= alpha_minus) & (crit <= alpha_plus)]
-        if inside.size and np.min(h.value(inside)) <= 0:
+        if inside.size and not np.min(h.value(inside)) > 0:
             return False
     return True

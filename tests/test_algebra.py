@@ -342,10 +342,28 @@ class _LoopProducts(dict):
         return product
 
 
+def _loop_uz_products(n):
+    """The loop over the order-n triangle's pair table, by U = (u, 0, 1, ...)
+    and by Z = (z, 1, 0, ...), in place of the generated products."""
+    exps = _UZ_LAYOUTS[n].exps
+    table = _pair_table(exps)
+
+    def by(unit):
+        fixed = [1.0 if e == unit else 0.0 for e in exps[1:]]
+
+        def product(a, y, s=None):
+            out = _loop_product(a, [y] + fixed, table, 0.0)
+            return out if s is None else [v + w for v, w in zip(s, out)]
+        return product
+    return by((1, 0)), by((0, 1))
+
+
 def _loop_products(monkeypatch):
     """Point every layout's truncated product at the loop: the jet boxes of the
-    lift and the h routes, and the triangles of Newton and the fold search."""
+    lift and the h routes, and the products by U and Z of Newton and the fold
+    search."""
     monkeypatch.setattr(algebra, "_PRODUCTS", _LoopProducts())
+    monkeypatch.setattr(endpoints, "_uz_products", _loop_uz_products)
 
 
 def test_solver_path_matches_slice_loop_bit_for_bit(monkeypatch):
@@ -364,7 +382,7 @@ def test_solver_path_matches_slice_loop_bit_for_bit(monkeypatch):
         for pot in pots:
             ep = uz_jets(pot, x_order=max(pot.degree, 5) + 1)
             r, jac = _residual_and_jacobian(ep.u, ep.z, pot)
-            out += [float(v).hex() for v in (ep.u, ep.z, *r, *jac.flat)]
+            out += [float(v).hex() for v in (ep.u, ep.z, *r, *jac[0], *jac[1])]
             out += _hex(ep.u_jet) + _hex(ep.z_jet)
             tj = uz_jets(pot, x_order=2, t_order=1)
             out += _hex(tj.u_jet) + _hex(tj.z_jet)

@@ -108,6 +108,22 @@ def test_solve_beyond_critical_quartic_raises():
         solve_endpoints(PotentialSpec(1.0, {4: -0.1}))
 
 
+def _count_residuals(monkeypatch):
+    """A list that grows by one per residual evaluation: endpoint_residuals
+    and the plain-float kernel of Newton and the fold search."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("endpoint_residuals", "_uz_residuals"):
+        monkeypatch.setattr(endpoints, name, counted(getattr(endpoints, name)))
+    return calls
+
+
 @pytest.mark.parametrize("x", [0.8, 1.0, 1.2])
 @pytest.mark.parametrize("c", [1.1, 1.5, 2.0])
 @pytest.mark.parametrize("j", [4, 6])
@@ -115,13 +131,7 @@ def test_fold_located_at_critical_coupling(monkeypatch, j, c, x):
     # pure quartic: z + 12 t z**2 = x folds at t = -1/(48 x) (Bessis-Itzykson-
     # Zuber); pure sextic: z + 60 t z**3 = x folds at t = -1/(405 x**2)
     t_c = -1 / (48 * x) if j == 4 else -1 / (405 * x * x)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return endpoint_residuals(*args, **kwargs)
-
-    monkeypatch.setattr(endpoints, "endpoint_residuals", counted)
+    calls = _count_residuals(monkeypatch)
     with pytest.raises(NoOneCutSolutionError) as info:
         solve_endpoints(PotentialSpec(x, {j: c * t_c}))
     err = info.value
@@ -129,7 +139,7 @@ def test_fold_located_at_critical_coupling(monkeypatch, j, c, x):
     assert err.t_star[j] == pytest.approx(t_c, rel=1e-10)
     assert err.s_star == pytest.approx(1 / c, rel=1e-10)
     assert repr(err.s_star) in str(err) and repr(err.t_star) in str(err)
-    assert len(calls) <= 100
+    assert "_uz_residuals" in calls and len(calls) <= 100
 
 
 def test_newton_builds_no_jacobian_it_does_not_use(monkeypatch):
@@ -139,9 +149,9 @@ def test_newton_builds_no_jacobian_it_does_not_use(monkeypatch):
     points = []
     full = endpoints._residual_and_jacobian
 
-    def counted(u, z, pot):
+    def counted(u, z, pot, **kwargs):
         points.append((u, z))
-        return full(u, z, pot)
+        return full(u, z, pot, **kwargs)
 
     monkeypatch.setattr(endpoints, "_residual_and_jacobian", counted)
     ep = solve_endpoints(PotentialSpec(1.0, {4: 0.01}))
@@ -166,13 +176,7 @@ def test_fold_beyond_target_is_not_declared(monkeypatch):
                                       ({1: 0.3, 2: -0.5}, 1.0)])
 def test_non_confining_quadratic_named_before_any_residual(monkeypatch, t, s_zero):
     # (1/2 + s t2) y**2 loses its confinement at s = -1/(2 t2) <= 1
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return endpoint_residuals(*args, **kwargs)
-
-    monkeypatch.setattr(endpoints, "endpoint_residuals", counted)
+    calls = _count_residuals(monkeypatch)
     with pytest.raises(NoOneCutSolutionError) as info:
         solve_endpoints(PotentialSpec(1.0, t))
     assert calls == []
@@ -269,14 +273,6 @@ def test_gaussian_point_degenerate_for_huge_face_weight():
         solve_endpoints(PotentialSpec(1e8, {4: 0.01}))
 
 
-def _jet_residual_and_jacobian(u, z, pot):
-    """The order-(1, 1) box-jet route that the (u, z) triangle jets replaced."""
-    rs = endpoint_residuals(Jet.variable(float(u), 0, (1, 1)), Jet.variable(float(z), 1, (1, 1)), pot)
-    rs = [r if isinstance(r, Jet) else Jet.constant(r, (1, 1)) for r in rs]
-    return ([float(r.constant_term) for r in rs],
-            [[float(r.partial((1, 0))), float(r.partial((0, 1)))] for r in rs])
-
-
 _FOLD_PARTIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
@@ -304,19 +300,34 @@ def _scalar_route_points():
     yield PotentialSpec(1.0, {1: 0.3, 2: -0.5}), 0.0, 1.0
 
 
+def _box_jet_partials(u, z, n, pot, coeffs):
+    """The order-(n, n) box-jet route: value, d/du, d/dz and, at n = 2, the
+    second partials of both residuals of ``coeffs``."""
+    rs = endpoint_residuals(Jet.variable(float(u), 0, (n, n)), Jet.variable(float(z), 1, (n, n)),
+                            pot, _coeffs=coeffs)
+    return [[r.partial(k) if isinstance(r, Jet) else (r if k == (0, 0) else 0.0)
+             for k in _FOLD_PARTIALS[:3 * n]] for r in rs]
+
+
 def test_scalar_jacobian_and_fold_partials_bit_identical_to_jets():
-    for pot, u, z in _scalar_route_points():
+    from test_algebra import _residual_points, _residual_potentials
+
+    points = list(_scalar_route_points())
+    # explicit 0.0 and -0.0 coefficients, a Fraction face weight, even potentials
+    points += [(pot, u, z) for pot in _residual_potentials() for u, z in _residual_points(pot)]
+    special = [math.inf, -math.inf, math.nan]
+    points += [(pot, u, z) for pot, _, _ in points[::40]
+               for u, z in [(v, 1.0) for v in special] + [(0.3, v) for v in special]
+               + [(v, v) for v in special]]
+    for pot, u, z in points:
         r, jac = endpoints._residual_and_jacobian(u, z, pot)
-        want_r, want_jac = _jet_residual_and_jacobian(u, z, pot)
-        assert _hex(r) == _hex(want_r) and _hex(jac) == _hex(want_jac), (pot, u, z)
-        # the fold search's order-2 data: partials of the perturbation part
-        coeffs = endpoints._perturbation_coeffs(pot)
-        got = endpoints._uz_residuals(u, z, 2, pot, _coeffs=coeffs)
-        p1, p2 = endpoint_residuals(Jet.variable(u, 0, (2, 2)), Jet.variable(z, 1, (2, 2)), pot,
-                                    _coeffs=coeffs)
-        want = [[p.partial(k) if isinstance(p, Jet) else (p if k == (0, 0) else 0.0)
-                 for k in _FOLD_PARTIALS] for p in (p1, p2)]
-        assert _hex(got) == _hex(want), (pot, u, z)
+        (a, a_u, a_z), (b, b_u, b_z) = _box_jet_partials(u, z, 1, pot, None)
+        assert _hex(r + jac[0] + jac[1]) == _hex([a, b, a_u, a_z, b_u, b_z]), (pot, u, z)
+        # Newton's coefficients and the fold search's perturbation part
+        for coeffs in (None, endpoints._perturbation_coeffs(pot)):
+            for n in (1, 2):
+                got = endpoints._uz_residuals(u, z, n, pot, _coeffs=coeffs)
+                assert _hex(got) == _hex(_box_jet_partials(u, z, n, pot, coeffs)), (pot, u, z, n)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -381,26 +392,49 @@ def test_uz_triangle_tables_reproduce_the_pair_literal():
                     for m, src in row:
                         want[m] += x * b[src]
             assert _hex(algebra._PRODUCTS[endpoints._UZ_LAYOUTS[n]](a, b, 0.0)) == _hex(want)
+    # the products by U = (u, 0, 1, ...) and Z = (z, 1, 0, ...) of Newton and
+    # the fold search, with infinities and NaN that meet the zero entries
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    for n, k in ((1, 3), (2, 6)):
+        exps = endpoints._UZ_LAYOUTS[n].exps
+        for _ in range(200):
+            a = [rng.choice(special + [rng.uniform(-9, 9)] * 3) for _ in range(k)]
+            y = rng.choice(special + [rng.uniform(-9, 9)] * 3)
+            for product, unit in zip(endpoints._uz_products(n), ((1, 0), (0, 1))):
+                b = [y] + [1.0 if e == unit else 0.0 for e in exps[1:]]
+                want = [0.0] * k
+                for x, row in zip(a, _UZ_PAIRS[k]):
+                    if x != 0:
+                        for m, src in row:
+                            want[m] += x * b[src]
+                assert _hex(product(a, y)) == _hex(want)
+                s = [rng.choice(special + [rng.uniform(-9, 9)] * 3) for _ in range(k)]
+                assert _hex(product(a, y, s)) == _hex([v + w for v, w in zip(s, want)])
 
 
 def test_solve_endpoints_multiplies_no_jet(monkeypatch):
-    # Newton and the fold search multiply over the (u, z) triangles alone,
-    # never over a jet box; the lift multiplies over the box of its orders
+    # Newton and the fold search run on plain floats: a solve, also one that
+    # runs into its fold, builds no jet and multiplies none; the lift
+    # multiplies over the box of its orders
     layouts = []
-    mul = Jet.__mul__
+    mul, make = Jet.__mul__, algebra._jet
 
     def counted(self, other):
         layouts.extend(v.lay for v in (self, other) if isinstance(v, Jet))
         return mul(self, other)
 
+    def made(c, lay, f64):
+        layouts.append(lay)
+        return make(c, lay, f64)
+
     monkeypatch.setattr(Jet, "__mul__", counted)
     monkeypatch.setattr(Jet, "__rmul__", counted)
+    monkeypatch.setattr(algebra, "_jet", made)
     solve_endpoints(PotentialSpec(1.0, {3: 0.02, 4: 0.01, 5: -0.002, 6: 0.001}))
     with pytest.raises(NoOneCutSolutionError) as info:
         solve_endpoints(PotentialSpec(1.0, {3: 0.05, 4: -0.03}))
     assert info.value.s_star is not None
-    assert set(layouts) == set(endpoints._UZ_LAYOUTS.values())
-    layouts.clear()
+    assert layouts == []
     uz_jets(PotentialSpec(1.0, {4: 0.01}), x_order=2)
     assert algebra._box((2,)) in layouts
 
@@ -502,6 +536,41 @@ def test_one_cut_certificate():
     import dataclasses
     bad = dataclasses.replace(h, monomial=np.array([-0.05, 0.0, 1.0]))
     assert not one_cut_certificate(bad, ep.alpha_minus, ep.alpha_plus)
+
+
+def test_one_cut_certificate_refuses_nan():
+    # NaN <= 0 is False, so a NaN h or endpoint used to pass every check
+    class NanValued:
+        monomial = np.array([1.0])
+
+        def value(self, lam):
+            return np.full_like(lam, math.nan)
+
+    assert not one_cut_certificate(NanValued(), -1.0, 1.0)
+    pot = PotentialSpec(1.0, {4: 0.01})
+    ep = solve_endpoints(pot)
+    h = h_classical(pot, ep)
+    nan_h = dataclasses.replace(h, monomial=np.array([math.nan, 0.0, 1.0]))
+    assert not one_cut_certificate(nan_h, -1.0, 1.0)
+    for lo, hi, name in ((math.nan, 1.0, "alpha_minus"), (-1.0, math.nan, "alpha_plus"),
+                         (-math.inf, 1.0, "alpha_minus"), (-1.0, math.inf, "alpha_plus")):
+        with pytest.raises(InvalidParameterError, match=name):
+            one_cut_certificate(h, lo, hi)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_newton_never_accepts_a_nan_residual(monkeypatch, which):
+    # Python's max(1e-17, nan) is 1e-17: a residual NaN in one entry alone,
+    # next to one below the tolerance, must not read as converged
+    def nan_residual(u, z, pot, **kwargs):
+        r = [1e-17, 1e-17]
+        r[which] = math.nan
+        return tuple(r), ((1.0, 0.0), (0.0, 1.0))
+
+    monkeypatch.setattr(endpoints, "_residual_and_jacobian", nan_residual)
+    assert endpoints._newton(PotentialSpec(1.0, {4: 0.01}), 0.0, 1.0)[3] is False
+    with pytest.raises(NoOneCutSolutionError):
+        solve_endpoints(PotentialSpec(1.0, {4: 0.01}))
 
 
 @pytest.mark.parametrize("kwargs,name", [

@@ -44,6 +44,7 @@ SIGNATURES = {
     acceptance._corpus_with_jets: [],
     eqmap.census: ["profile"],
     eqmap.substitute_uniformizer: ["coeffs", "u", "z", "_band"],
+    endpoints._uz_residuals: ["u", "z", "n", "pot", "_coeffs"],
 }
 
 
@@ -63,17 +64,18 @@ def test_import_loads_no_process_pool():
 
 
 def test_import_makes_no_jet_product():
-    # truncated products are made per layout on first use: a fresh import
-    # makes none, and a solve that runs into its fold (Newton, then the fold
-    # search) makes the two (u, z) triangles and no jet box
+    # truncated products are made on first use: a fresh import makes none,
+    # and a solve that runs into its fold (Newton, then the fold search)
+    # makes no jet product, only the products by U and Z of the two (u, z)
+    # triangles
     code = ("import eqmap\nfrom eqmap import algebra, endpoints\n"
-            "print(len(algebra._PRODUCTS))\n"
+            "print(len(algebra._PRODUCTS), endpoints._uz_products.cache_info().currsize)\n"
             "try:\n"
             "    eqmap.solve_endpoints(eqmap.PotentialSpec(1.0, {3: 0.05, 4: -0.03}))\n"
             "except eqmap.errors.NoOneCutSolutionError:\n"
             "    pass\n"
-            "print(set(algebra._PRODUCTS) == set(endpoints._UZ_LAYOUTS.values()))\n")
+            "print(len(algebra._PRODUCTS), endpoints._uz_products.cache_info().currsize)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(eqmap.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["0", "True"]
+    assert out.split() == ["0", "0", "0", "2"]
