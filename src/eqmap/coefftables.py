@@ -159,23 +159,27 @@ def _solve_row(k):
     return tuple(sol[: k + 1]), tuple(sol[k + 1:])
 
 
+_CACHE_STRIDE = 64  # build_c_table recurses at most this deep, plus kmax / this
+
+
 @lru_cache(maxsize=None, typed=True)
 def build_c_table(kmax):
     """Exact expansion coefficients for k = 0..kmax.
 
-    Built row by row: clearing denominators in the defining identity gives,
-    for each k, a small consistent integer system of 4k+3 equations in
-    2(k+1) unknowns, solved exactly.  The cache is typed, so ``True`` and
-    ``2.0`` reach the check instead of the entries of ``1`` and ``2``.
+    Row k comes from clearing denominators in the defining identity: a small
+    consistent integer system of 4k+3 equations in 2(k+1) unknowns, solved
+    exactly.  The table is build_c_table(kmax - 1) plus one new row, taken
+    through this same cache, so tables of growing kmax solve each row once
+    and ``cache_clear()`` forgets every row.  The cache is typed, so ``True``
+    and ``2.0`` reach the check instead of the entries of ``1`` and ``2``.
     """
     if not isinstance(kmax, int) or isinstance(kmax, bool) or kmax < 0:
         raise InvalidParameterError("kmax must be a nonnegative int, got %r" % (kmax,))
-    c_phi, c_psi = [], []
-    for k in range(kmax + 1):
-        row_phi, row_psi = _solve_row(k)
-        c_phi.append(row_phi)
-        c_psi.append(row_psi)
-    return CoeffTable(kmax, tuple(c_phi), tuple(c_psi))
+    if kmax > _CACHE_STRIDE:  # cache a lower table first, so the recursion stays shallow
+        build_c_table(kmax - _CACHE_STRIDE)
+    lower = build_c_table(kmax - 1) if kmax else CoeffTable(-1, (), ())
+    row_phi, row_psi = _solve_row(kmax)
+    return CoeffTable(kmax, lower.c_phi + (row_phi,), lower.c_psi + (row_psi,))
 
 
 def reconstruction_holds(table, k):

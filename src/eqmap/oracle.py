@@ -2,18 +2,19 @@
 around labeled vertices, keep the connected ones, and stratify them by genus
 and face count.
 
-For a vertex set with fixed cyclic orders (the rotation permutation sigma)
-and a matching involution alpha, the faces are the cycles of sigma o alpha
-and the genus follows from V - E + F = 2 - 2g.  The counts are the Wick
-pairings of the matrix integral, so dividing by the automorphisms of the
-valence classes turns a genus-1 slice directly into a series coefficient of
-the torus generating function; that is the cross-check the rest of the
-package is tested against.
+For fixed cyclic orders (the rotation sigma) and a matching alpha, the faces
+are the cycles of sigma o alpha and V - E + F = 2 - 2g gives the genus.  The
+counts are the Wick pairings of the matrix integral: divided by the
+automorphisms of the valence classes, a genus-1 slice is a series coefficient
+of the torus generating function, the cross-check the package is tested against.
 
-The enumeration is exhaustive, by orbits of the first pairing: relabellings
-commuting with sigma and fixing half-edge 0 keep faces and components, as
-does the mirror r (r sigma r^-1 = sigma^-1, r(0) = 0), since sigma r alpha
-r^-1 is conjugate to (sigma alpha)^-1; partners of 0 in one orbit count alike.
+The enumeration walks orbits at every depth.  A vertex is touched once one
+of its half-edges is paired or being paired.  Relabellings that commute with
+sigma and fix every touched vertex keep the partial matching, faces and
+components, and permute and rotate the untouched vertices of one valence j,
+so the partners on those form one orbit of size j * (their number).  At the
+root the mirror r (r sigma r^-1 = sigma^-1, r(0) = 0) also pairs the offsets
+d and j0 - d of half-edge 0, as sigma r alpha r^-1 is conjugate to (sigma alpha)^-1.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 from .coefftables import double_factorial
@@ -32,10 +34,11 @@ __all__ = [
     "MapCensus",
     "census",
     "e1_coeff_from_census",
-    "MAX_HALF_EDGES",
+    "MAX_WALK_STEPS",
 ]
 
-MAX_HALF_EDGES = 16
+# 0.3-1.5 us per step, measured over 40 walks of 12-24 half-edges on a 2-core x86-64
+MAX_WALK_STEPS = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,7 @@ class MapCensus:
     entries: dict  # (genus, faces) -> count
     connected: int
     disconnected: int
+    leaves: int  # leaves the walk visited; each stands for its orbit's matchings
 
     @property
     def total_matchings(self):
@@ -79,94 +83,78 @@ class MapCensus:
         return {f: c for (g, f), c in self.entries.items() if g == genus}
 
 
-def _rotation(profile):
-    """Successor map of the fixed cyclic orders; half-edges are numbered
-    consecutively vertex by vertex."""
-    sigma = []
-    start = 0
-    for j, k in profile.valences:
-        for _ in range(k):
-            sigma.extend(start + (i + 1) % j for i in range(j))
-            start += j
-    return sigma
-
-
-def _vertex_of(sigma):
-    """Vertex index of each half-edge, recovered from the rotation cycles."""
-    n = len(sigma)
-    owner = [-1] * n
-    v = 0
-    for h in range(n):
-        if owner[h] < 0:
-            cur = h
-            while owner[cur] < 0:
-                owner[cur] = v
-                cur = sigma[cur]
-            v += 1
-    return owner
-
-
 def census(profile):
-    """Full census for a valence profile.
+    """Full census for a valence profile (empty for an odd half-edge total).
 
-    An odd half-edge total yields the empty census; totals beyond
-    MAX_HALF_EDGES are refused (the matching count (H-1)!! explodes).
-    One serial recursion pairs the first free half-edge with each other free
-    one and carries the faces (open paths of sigma o alpha) and the
-    components (a union-find over vertices), undoing both on backtrack.
-    At the root it pairs half-edge 0 with one partner per orbit (offsets d
-    and j0 - d at its vertex; all half-edges of the other vertices of one
-    valence) and weights the leaves by the orbit size.  The sizes sum to
-    n - 1, so the (n-1)!! total check still covers every partner.
+    One serial recursion pairs a free half-edge h of a touched vertex with
+    each partner on a touched vertex and with one representative per class of
+    untouched vertices, whose leaves count with the orbit size; the (n-1)!!
+    total check covers every partner.  It carries the faces (open paths of
+    sigma o alpha) and the components (a union-find over vertices), undone on
+    backtrack.  A walk predicted to take over MAX_WALK_STEPS steps is refused.
     """
     profile = VertexProfile.of(profile)
     n = profile.half_edges
-    if n % 2 == 1:
-        return MapCensus(profile, {}, 0, 0)
-    if n > MAX_HALF_EDGES:
-        raise CensusSizeError("%d half-edges exceed the enumeration bound %d"
-                              % (n, MAX_HALF_EDGES))
-    if n == 0:
-        return MapCensus(profile, {}, 0, 0)
-    sigma = _rotation(profile)
-    vertex_of = _vertex_of(sigma)
+    if n % 2 == 1 or n == 0:
+        return MapCensus(profile, {}, 0, 0, 0)
+    if n > 256:  # the walk recurses about 2.5 frames deep per half-edge
+        raise CensusSizeError("%d half-edges exceed the walk's recursion bound 256" % n)
+    valence, count = zip(*profile.valences)
+    j0, start = valence[0], (count[0] - 1, *count[1:])
+    predicted, steps = _walk(valence, j0, start)
+    if j0 > 2:  # the root walks j0 // 2 of the j0 - 1 partners on its own vertex
+        below, skipped = _walk(valence, j0 - 2, start), j0 - 1 - j0 // 2
+        predicted, steps = predicted - skipped * below[0], steps - skipped * (below[1] + 1)
+    _walk.cache_clear()  # another profile shares no state with this one
+    if steps > MAX_WALK_STEPS:
+        raise CensusSizeError("the census walk of %r would take %d steps, over the bound %d"
+                              % (dict(profile.valences), steps, MAX_WALK_STEPS))
     n_vertices = profile.n_vertices
+    sigma, vertex_of = [], []  # successor map of the cyclic orders; vertex of each half-edge
+    for v, j in enumerate(j for j, k in profile.valences for _ in range(k)):
+        sigma += [len(sigma) + (i + 1) % j for i in range(j)]
+        vertex_of += [v] * j
     # open paths of phi = sigma o alpha: head[e] is the first half-edge of the
     # path ending at e, tail[s] the last half-edge of the path starting at s
-    head = list(range(n))
-    tail = list(range(n))
-    root = list(range(n_vertices))  # union-find over vertices, unions undone
-    size = [1] * n_vertices
-    by_faces = [0] * (n + 1)  # connected gluings per face count
-    disconnected = 0
-    free = list(range(n))  # free[k:] are the unpaired half-edges
-    j0 = profile.valences[0][0]
-    ends = list(accumulate(j * k for j, k in profile.valences))
-    orbits = [(d, 2 - (2 * d == j0)) for d in range(1, j0 // 2 + 1)]
-    orbits += [(a, b - a) for a, b in zip([j0] + ends, ends) if b > a]
-    spans = [range(k + 1, n) for k in range(n)]  # spans[0]: one orbit's representative
+    head, tail = list(range(n)), list(range(n))
+    root, size = list(range(n_vertices)), [1] * n_vertices  # union-find, unions undone
+    by_faces, disconnected, leaves = [0] * (n + 1), 0, 0  # connected gluings per face count
+    # free[k:m] are the free half-edges of touched vertices, spans[m][k] the
+    # partners of free[k] among them; class c's touched vertices are its first touched[c]
+    free = list(range(n))
+    first = [0, *accumulate(j * k for j, k in profile.valences)]
+    touched, untouched, m, weight = [0] * len(count), n_vertices, 0, 1
+    spans = [[range(k + 1, m) for k in range(m)] for m in range(n + 1)]
 
     def find(v):
         while root[v] != v:
             v = root[v]
         return v
 
-    def rec(k, faces, components):
-        nonlocal disconnected
-        h = free[k]
-        if k == n - 2:  # the last pair is forced
-            p = free[k + 1]
-            # it closes two faces when h's path starts at sigma(p); the map is
-            # connected when its union leaves one component
-            if components == 1 or (components == 2 and
-                                   find(vertex_of[h]) != find(vertex_of[p])):
-                by_faces[faces + (2 if head[h] == sigma[p] else 1)] += weight
+    def touch(c, k, faces, components, span, scale):  # class c's next vertex; walk on from k
+        nonlocal untouched, m, weight
+        j, t, m0, w0 = valence[c], touched[c], m, weight
+        free[m0:m0 + j] = range(first[c] + t * j, first[c] + t * j + j)
+        touched[c], untouched, m, weight = t + 1, untouched - 1, m0 + j, w0 * scale
+        rec(k, faces, components, span)
+        touched[c], untouched, m, weight = t, untouched + 1, m0, w0
+
+    def rec(k, faces, components, span=None):
+        nonlocal disconnected, leaves
+        if k == n:
+            leaves += 1
+            if components == 1:
+                by_faces[faces] += weight
             else:
                 disconnected += weight
             return
-        sh = sigma[h]
-        a = find(vertex_of[h])
-        for i in spans[k]:
+        if k == m:  # no touched half-edge is free
+            c = next(c for c, t in enumerate(touched) if t < count[c])
+            return touch(c, k, faces, components, span, 1)
+        h = free[k]
+        sh, a = sigma[h], components > 1 and find(vertex_of[h])  # h's component, if several
+        last = k == n - 4 and m == n
+        for i in span or spans[m][k]:
             p = free[i]
             free[i], free[k + 1] = free[k + 1], p
             sp = sigma[p]
@@ -183,39 +171,70 @@ def census(profile):
                 f += 1
             else:
                 tail[s2], head[e2] = e2, s2
-            b = find(vertex_of[p])
-            if a == b:
-                rec(k + 2, f, components)
-            else:
+            if components > 1 and a != (b := find(vertex_of[p])):  # one component: b is a
                 big, small = (a, b) if size[a] >= size[b] else (b, a)
                 root[small] = big
                 size[big] += size[small]
                 rec(k + 2, f, components - 1)
                 root[small] = small
                 size[big] -= size[small]
+            elif last:  # the pair q, r left is forced: two faces close when q's
+                # path starts at sigma(r); one component left means connected
+                q, r = free[k + 2], free[k + 3]
+                leaves += 1
+                if components == 1 or components == 2 and find(vertex_of[q]) != find(vertex_of[r]):
+                    by_faces[f + (2 if head[q] == sigma[r] else 1)] += weight
+                else:
+                    disconnected += weight
+            else:
+                rec(k + 2, f, components)
             if s2 != sh:
                 tail[s2], head[e2] = p, sh
             if s1 != sp:
                 tail[s1], head[e1] = h, sp
             free[k + 1], free[i] = free[i], p
+        if untouched and not span:  # one representative per class of untouched vertices
+            for c, t in enumerate(touched):
+                if t < count[c]:
+                    touch(c, k, faces, components, (m,), valence[c] * (count[c] - t))
 
-    for rep, weight in orbits:
-        spans[0] = (rep,)
-        rec(0, 0, n_vertices)
+    half = (j0 + 1) // 2  # the root's offsets d < j0 / 2 stand for d and j0 - d
+    spans[j0][0] = range(half, j0 // 2 + 1)
+    if half > 1:
+        touch(0, 0, 0, n_vertices, range(1, half), 2)
+    touch(0, 0, 0, n_vertices, None, 1)
     entries = {}
     for faces, cnt in enumerate(by_faces):
         if cnt:
             g2 = 2 - n_vertices + n // 2 - faces
             if g2 % 2 or g2 < 0:
-                raise EqmapError("Euler characteristic gives 2g = %d for a "
-                                 "connected gluing" % g2)
+                raise EqmapError("Euler characteristic gives 2g = %d for a connected gluing" % g2)
             entries[(g2 // 2, faces)] = cnt
-    out = MapCensus(profile, entries, sum(entries.values()), disconnected)
+    out = MapCensus(profile, entries, sum(entries.values()), disconnected, leaves)
     expected = double_factorial(n - 1)
-    if out.total_matchings != expected:
-        raise EqmapError("census enumerated %d matchings of %d half-edges, expected %d"
-                         % (out.total_matchings, n, expected))
+    if out.total_matchings != expected or leaves != predicted:
+        raise EqmapError("census enumerated %d matchings of %d half-edges over %d leaves, expected "
+                         "%d over %d" % (out.total_matchings, n, leaves, expected, predicted))
     return out
+
+
+@lru_cache(maxsize=None)
+def _walk(valence, r, untouched):
+    """(leaves, steps) of the census walk from a node, fixed by its r free
+    touched half-edges and its untouched vertices per valence class.  A step
+    is one pairing; touching a vertex costs four steps (measured)."""
+    leaves = steps = 0
+    for c, u in enumerate(untouched):
+        if u:
+            below = _walk(valence, r + valence[c] - 2 if r else valence[c],
+                          untouched[:c] + (u - 1,) + untouched[c + 1:])
+            if r == 0:  # the next untouched vertex is touched
+                return below[0], below[1] + 4
+            leaves, steps = leaves + below[0], steps + below[1] + 5
+    if r > 1:
+        below = _walk(valence, r - 2, untouched)
+        leaves, steps = leaves + (r - 1) * below[0], steps + (r - 1) * (below[1] + 1)
+    return leaves or 1, steps  # a node with no partner is a complete matching
 
 
 def e1_coeff_from_census(profile, x=1.0, census_table=None):

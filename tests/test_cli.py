@@ -83,6 +83,20 @@ def test_census_refuses_a_part_that_is_not_j_colon_k(capsys):
     assert "'4'" in err and "J:K" in err
 
 
+def test_census_reaches_past_sixteen_half_edges(capsys):
+    code, out, err = run_cli(capsys, "census", "--profile", "3:6")
+    data = json.loads(out)
+    assert code == 0 and err == ""
+    assert data["connected"] + data["disconnected"] == math.prod(range(1, 18, 2))
+
+
+def test_census_refuses_a_walk_over_the_bound_in_one_line(capsys):
+    code, out, err = run_cli(capsys, "census", "--profile", "18:1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "{18: 1} would take 43978689 steps" in err
+
+
 def test_h_routes_agree(capsys):
     code, out, _ = run_cli(capsys, "h", "--t", "4=0.01")
     data = json.loads(out)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -116,9 +117,49 @@ def test_leading_pole_data_supports_independence():
 def test_build_c_table_runtime_is_fast():
     import time
 
+    build_c_table.cache_clear()  # solve rows 0..4 afresh
     t0 = time.perf_counter()
-    build_c_table.__wrapped__(4)  # bypass the cache
+    build_c_table(4)
     assert time.perf_counter() - t0 < 1.0
+
+
+def _count_rows(monkeypatch, solve=None):
+    """Count _solve_row calls, made by solve (the real one by default)."""
+    solved = []
+    solve = solve or coefftables._solve_row
+
+    def spy(k):
+        solved.append(k)
+        return solve(k)
+
+    monkeypatch.setattr(coefftables, "_solve_row", spy)
+    return solved
+
+
+def test_growing_tables_solve_each_row_once(monkeypatch):
+    solved = _count_rows(monkeypatch)
+    for _ in range(2):  # cache_clear forgets every row
+        build_c_table.cache_clear()
+        tables = [build_c_table(k) for k in range(2, 13, 2)]
+        assert sorted(solved) == list(range(13))
+        solved.clear()
+    for k, table in zip(range(2, 13, 2), tables):
+        assert table.kmax == k and len(table.c_phi) == len(table.c_psi) == k + 1
+        assert table.c_phi == tables[-1].c_phi[:k + 1] and table.c_psi == tables[-1].c_psi[:k + 1]
+
+
+def test_build_c_table_past_the_recursion_limit(monkeypatch):
+    # rows are stubbed; the lower tables are cached a stride at a time, so
+    # the recursion stays shallow whatever kmax is
+    kmax = sys.getrecursionlimit() + 100
+    solved = _count_rows(monkeypatch, lambda k: ((Fraction(k),), (Fraction(-k),)))
+    build_c_table.cache_clear()
+    try:
+        table = build_c_table(kmax)
+        assert sorted(solved) == list(range(kmax + 1))
+        assert table.kmax == kmax and table.c_phi[-1] == (kmax,) and table.c_psi[7] == (-7,)
+    finally:
+        build_c_table.cache_clear()  # no stubbed row may answer a later test
 
 
 # ---- fraction-free elimination ---------------------------------------------

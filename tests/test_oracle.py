@@ -5,7 +5,7 @@ import pytest
 from eqmap.endpoints import PotentialSpec
 from eqmap.errors import CensusSizeError, EqmapError, InvalidParameterError
 from eqmap.genfun import e1_series
-from eqmap.oracle import census, e1_coeff_from_census
+from eqmap.oracle import MAX_WALK_STEPS, census, e1_coeff_from_census
 
 
 def dfact(n):
@@ -59,6 +59,24 @@ def test_census_refuses_a_bad_profile_by_name(profile, bad):
 def test_census_size_bound():
     with pytest.raises(CensusSizeError):
         census({18: 1})
+
+
+def test_census_size_bound_names_the_predicted_walk():
+    # {4: 6} would walk 3403242 leaves in 9783327 steps; it is refused before walking
+    assert MAX_WALK_STEPS < 9783327
+    with pytest.raises(CensusSizeError, match=r"\{4: 6\} would take 9783327 steps"):
+        census({4: 6})
+    with pytest.raises(CensusSizeError, match="258 half-edges"):
+        census({1: 258})
+    assert census({1: 256}).leaves == 1  # every pairing of valence-1 vertices is one orbit
+
+
+def test_census_walks_one_leaf_per_orbit():
+    # the leaves the orbit walk visits, against the (n-1)!! = 2027025,
+    # 135135 and 135135 matchings they stand for
+    assert census({4: 4}).leaves == 7047
+    assert census({3: 2, 4: 2}).leaves == 1569
+    assert census({14: 1}).leaves == 72765  # the root mirror alone: 7 of 13 partners
 
 
 def test_total_count_is_double_factorial():
@@ -130,6 +148,19 @@ def test_series_coefficients_match_census(profile, order):
         got = ser.coeff(profile)
         want = e1_coeff_from_census(profile, x)
         assert got == pytest.approx(want, abs=1e-8 * max(1, abs(want)))
+
+
+@pytest.mark.parametrize("profile", [{4: 5}, {3: 6}])
+def test_series_coefficients_match_census_past_sixteen_half_edges(profile):
+    # 20 and 18 half-edges, walked by orbits under the step bound
+    (j, k), = profile.items()
+    cens = census(profile)
+    for x in (1.0, 2.0):
+        got = e1_series(PotentialSpec(x, {j: 0.0}), order=k).coeff(profile)
+        want = e1_coeff_from_census(profile, x, cens)
+        assert got == pytest.approx(want, abs=1e-8 * max(1, abs(want)))
+    if profile == {4: 5}:
+        assert e1_coeff_from_census(profile, 1.0, cens) == Fraction(-8004096, 5)
 
 
 def test_mixed_profile_series_coefficient_matches_census():
