@@ -87,14 +87,14 @@ def _truncated_product(table):
     return product
 
 
-def _product_by(lay, b):
-    """f(a, y, s=None): the truncated product over ``lay`` of float entries a by
-    the entries ``b``, expressions in one float y, summed as the layout's
-    product sums them; given entries s, s plus that product."""
+def _product_by(lay, entries):
+    """f(a, b, s=None): the truncated product over ``lay`` of float entries a by
+    the ``entries``, expressions in b[0] alone, summed as the layout's product
+    sums them; given entries s, s plus that product."""
     table = _pair_table(lay.exps)
     pairs = [(i, m, src) for i, row in enumerate(table) for m, src in zip(row[::2], row[1::2])]
     names, o = (["%s%d" % (v, k) for k in range(len(table))] for v in "bo")
-    head = ["def f(a, y, s=None):", "    %s = %s" % (", ".join(names), ", ".join(b)),
+    head = ["def f(a, b, s=None):", "    %s = %s" % (", ".join(names), ", ".join(entries)),
             "    %s = 0.0" % " = ".join(o)]
     plus = ", ".join("s[%d] + %s" % (k, v) for k, v in enumerate(o))
     tail = "    if s is None:\n        return [%s]\n    return [%s]" % (", ".join(o), plus)
@@ -313,23 +313,54 @@ class Jet:
     # ---- analytic operations --------------------------------------------
 
     def reciprocal(self):
-        c0 = self.constant_term
+        """1/f.  A float jet sums (1/c0) sum_k (1 - f/c0)**k, finite to the
+        truncation order because 1 - f/c0 has no constant term.  An exact jet
+        f = N/q, N and q over ints and n0 = N[0], sums q sum_k (n0 - N)**k
+        n0**(K-k) over ints, K = sum(orders), and divides by n0**(K+1) once
+        per entry; int entries with a unit constant stay ints."""
+        c0, K = self.constant_term, sum(self.orders)
         if _is_zero(c0):
             raise SingularJetError("reciprocal of a jet with zero constant term")
-        # 1/f = (1/c0) sum_k (1 - f/c0)**k; the sum is finite to truncation order
-        # because 1 - f/c0 has no constant term.
+        exact = self._int_series(lambda k, n0: (-1) ** k * n0 ** (K - k))
+        if exact:
+            n0, q, s = exact
+            den = n0 ** (K + 1)
+            if den in (1, -1) and all(type(v) is int for v in self.c):
+                return _jet([v * den for v in s], self.lay, False)
+            return _jet([Fraction(q * v, den) for v in s], self.lay, False)
         eta = -(self / c0) + 1
         return self._nilpotent_series(eta, lambda k: 1) / c0
 
     def log(self):
-        c0 = self.constant_term
+        """log f = log c0 + sum_k (-1)**(k+1) (f/c0 - 1)**k / k for a positive
+        constant term c0.  An exact jet, f/c0 = N/n0 with N over ints, sums
+        sum_k (-1)**(k+1) (lcm(1..K)/k) n0**(K-k) (N - n0)**k over ints, K =
+        sum(orders), and divides by lcm(1..K) n0**K once per entry."""
+        c0, K = self.constant_term, sum(self.orders)
         if isinstance(c0, Fraction):
             c0 = float(c0)
         if not c0 > 0:
             raise SingularJetError("jet log requires a positive constant term")
+        lcm = math.lcm(*range(1, K + 1))
+        exact = self._int_series(lambda k, n0: (-1) ** (k + 1) * lcm // k * n0 ** (K - k)
+                                 if k else 0)
+        if exact:
+            n0, _, s = exact
+            den = lcm * n0 ** K
+            return _jet([math.log(c0)] + [Fraction(v, den) for v in s[1:]], self.lay, False)
         eta = self / self.constant_term - 1
         out = self._nilpotent_series(eta, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
         return out + math.log(c0)
+
+    def _int_series(self, coeff):
+        """For a jet of ints and Fractions, N/q with ints N and q and n0 = N[0]: n0, q
+        and the entries of sum_k coeff(k, n0) (N - n0)**k, all ints; None otherwise."""
+        if self.f64 or not all(type(v) in (int, Fraction) for v in self.c):
+            return None
+        q = math.lcm(*(v.denominator for v in self.c))
+        N = [v.numerator * (q // v.denominator) for v in self.c]
+        d = _jet([0] + N[1:], self.lay, False)
+        return N[0], q, self._nilpotent_series(d, lambda k: coeff(k, N[0])).c
 
     def _nilpotent_series(self, eta, coeff):
         """sum_k coeff(k) * eta**k for eta with zero constant term."""

@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Jet, _layout, _product_by, substitute_uniformizer
+from . import algebra
+from .algebra import Jet, _box, _jet, _layout, _product_by, substitute_uniformizer
 from .errors import DegeneratePotentialError, InvalidParameterError, NoOneCutSolutionError
 
 __all__ = [
@@ -123,19 +124,15 @@ def _perturbation_coeffs(pot, t=None):
     return c
 
 
-def endpoint_residuals(u, z, pot, _coeffs=None, _xinv=None):
+def endpoint_residuals(u, z, pot, _coeffs=None):
     """Residuals (r1, r2) of the two endpoint equations at (u, z).
 
     Both vanish iff (u, z) parameterize the support for ``pot``.  Generic over
     the scalar type of u and z: floats, Fractions and jets all work, which is
-    how Jacobians and Taylor jets of the solution are produced.  A face weight
-    other than ``pot.x`` comes as its reciprocal ``_xinv`` and multiplies:
-    for a jet that is what Jet / Jet computes.
+    how Jacobians and Taylor jets of the solution are produced.
     """
     coeffs = xvprime_coeffs(pot) if _coeffs is None else _coeffs
     w = substitute_uniformizer(coeffs, u, z, _band=(-1, 0))
-    if _xinv is not None:
-        return w.coeff(0) * _xinv, w.coeff(-1) * _xinv - 1
     return w.coeff(0) / pot.x, w.coeff(-1) / pot.x - 1
 
 
@@ -193,58 +190,73 @@ _UZ_LAYOUTS = {n: _layout(tuple(e for e in np.ndindex(n + 1, n + 1) if sum(e) <=
 @lru_cache(maxsize=None)
 def _uz_products(n):
     """The products of an order-n triangle's entries by U = (u, 0, 1, ...) and by
-    Z = (z, 1, 0, ...), as f(a, u, s=None) and f(a, z, s=None) (see _product_by)."""
+    Z = (z, 1, 0, ...), as f(a, U, s=None) and f(a, Z, s=None) (see _product_by)."""
     lay = _UZ_LAYOUTS[n]
-    return tuple(_product_by(lay, ["y"] + ["1.0" if e == unit else "0.0" for e in lay.exps[1:]])
+    return tuple(_product_by(lay, ["b[0]"] + ["1.0" if e == unit else "0.0" for e in lay.exps[1:]])
                  for unit in ((1, 0), (0, 1)))
+
+
+def _band(coeffs, U, Z, mul_u, mul_z, num):
+    """[T^0] and [T^-1] of sum_i coeffs[i] y**i at y = T + U + Z/T: the band
+    Horner of substitute_uniformizer over flat entry lists, with the jet
+    route's every rounding, zero skip and zero drop.  A coefficient, in and
+    out, is None (zero), a number or an entry list; an all-zero U or Z is
+    None.  mul_z(v, Z) is the product by Z of a list v and mul_u(v, U, s) s
+    plus that by U (the product alone if s is None); a number v times U or Z
+    is entry * num(v), and a number is added to the value entry alone."""
+    top, a = 0, [None]
+    for i in range(len(coeffs) - 1, -1, -1):
+        # add coeffs[i]; a sum that comes to zero is dropped, as LaurentPoly drops it
+        v, c = a[top], coeffs[i]
+        if type(v) is list or type(c) is list:
+            if type(v) is not list:  # a number plus a jet: the jet's value entry plus it
+                v, c = c, 0 if v is None else v
+            v = list(map(operator.add, v, c)) if type(c) is list else [v[0] + num(c)] + v[1:]
+            a[top] = v if any(v) else None
+        else:
+            v = (0 if v is None else v) + c
+            a[top] = None if v == 0 else v
+        if not i:
+            return (a + [None])[:2]
+        # multiply by y over the exponents that the i - 1 products left can
+        # still carry into T**0 and T**-1
+        new_top = min(top + 1, i - 1)
+        q = [None, None] + a + [None, None]  # q[top - e + 2] is T**e
+        b = []
+        for j in range(top - new_top + 2, top - max(top - len(a), -i) + 3):
+            v = None if Z is None else q[j - 1]
+            s = None if v is None else mul_z(v, Z) if type(v) is list else [e * num(v) for e in Z]
+            v = None if U is None else q[j]
+            if type(v) is list:
+                s = mul_u(v, U, s)
+            elif v is not None:
+                p = [e * num(v) for e in U]
+                s = p if s is None else list(map(operator.add, s, p))
+            v = q[j + 1]
+            if v is not None and s is not None:
+                s = list(map(operator.add, s, v)) if type(v) is list else [s[0] + num(v)] + s[1:]
+            b.append(v if s is None else s)
+        top, a = new_top, b
 
 
 def _uz_residuals(u, z, n, pot, _coeffs=None):
     """Value, d/du, d/dz and, at n = 2, d2/du2, d2/dudz, d2/dz2 of both endpoint
-    residuals at (u, z), bit-identical to order-(n, n) box jets: the band Horner
-    of substitute_uniformizer over plain floats, each coefficient None, a number
-    or the entry list of a triangle jet, with the jet route's every rounding,
-    zero skip and zero drop."""
+    residuals at (u, z), bit-identical to order-(n, n) box jets: the band
+    kernel over the order-n triangle jets U = u + du and Z = z + dz, in floats."""
     mul_u, mul_z = _uz_products(n)
     u, z = float(u), float(z)
     k = len(_UZ_LAYOUTS[n].exps)
     U = [u] + [0.0] * n + [1.0] + [0.0] * (k - n - 2)
     Z = [z, 1.0] + [0.0] * (k - 2)
     coeffs = xvprime_coeffs(pot) if _coeffs is None else _coeffs
-    top, a = 0, [None if coeffs[-1] == 0 else 0 + coeffs[-1]]
-    for i in range(len(coeffs) - 2, -1, -1):
-        new_top = min(top + 1, i)
-        q = [None, None] + a + [None, None]  # q[top - e + 2] is T**e
-        b = []
-        for j in range(top - new_top + 2, top - max(top - len(a), -1 - i) + 3):
-            v = q[j - 1]
-            s = None if v is None else mul_z(v, z) if type(v) is list else [e * float(v) for e in Z]
-            v = q[j]
-            if type(v) is list:
-                s = mul_u(v, u, s)
-            elif v is not None:
-                p = [e * float(v) for e in U]
-                s = p if s is None else list(map(operator.add, s, p))
-            v = q[j + 1]
-            if v is not None and s is not None:
-                s = list(map(operator.add, s, v)) if type(v) is list else [s[0] + float(v)] + s[1:]
-            b.append(v if s is None else s)
-        top, a = new_top, b
-        v = a[top]
-        if type(v) is list:
-            v = [v[0] + float(coeffs[i])] + v[1:]
-            a[top] = v if any(v) else None
-        else:
-            v = (0 if v is None else v) + coeffs[i]
-            a[top] = None if v == 0 else v
-    out = []
-    for m, v in enumerate((a + [None])[:2]):  # T**0, then T**-1, which has 1 subtracted
+    x, out = float(pot.x), []
+    for m, v in enumerate(_band(coeffs, U, Z, mul_u, mul_z, float)):  # T**0, then T**-1 - 1
         if type(v) is list and any(v):
-            c = [e / float(pot.x) for e in v]
+            c = [e / x for e in v]
             c[0] -= m
         else:  # zero, or a number that no offset reached
             c = [float((0 if v is None or type(v) is list else v) / pot.x - m)] + [0.0] * (k - 1)
-        out.append([c[0], c[n + 1], c[1]] + ([2 * c[5], c[4], 2 * c[2]] if n == 2 else []))
+        out.append([c[0], c[3], c[1], 2 * c[5], c[4], 2 * c[2]] if n == 2 else [c[0], c[2], c[1]])
     return out
 
 
@@ -443,7 +455,7 @@ def uz_jets(pot, x_order, t_order=0):
     orders = (x_order,) + (t_order,) * len(tkeys)
     names = ("x",) + tuple("t%d" % j for j in tkeys)
 
-    xinv = Jet.variable(float(pot.x), 0, orders).reciprocal()
+    xinv = Jet.variable(float(pot.x), 0, orders).reciprocal().c
     coeffs = xvprime_coeffs(pot, {j: Jet.variable(float(pot.t[j]), 1 + i, orders)
                                   for i, j in enumerate(tkeys)})
 
@@ -453,27 +465,53 @@ def uz_jets(pot, x_order, t_order=0):
         raise DegeneratePotentialError("endpoint Jacobian singular at the base point")
     inv = [[d / det, -b / det], [-c / det, a / det]]
 
-    U, Z = _lift(base.u, base.z, orders, pot, coeffs, xinv, inv, sum(orders) + 1)
-    r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _xinv=xinv)
-    worst = np.max(np.abs(r1.c + r2.c))  # NaN if any entry is, and NaN fails the gate
+    U, Z = _lift(base.u, base.z, orders, coeffs, xinv, inv, sum(orders) + 1)
+    r1, r2 = _jet_residuals(U.c, Z.c, U.lay, coeffs, xinv)
+    worst = np.max(np.abs(r1 + r2))  # NaN if any entry is, and NaN fails the gate
     if not worst <= 1e-7:
         raise DegeneratePotentialError(
             "jet propagation failed to converge (residual %.3g)" % worst)
     return dataclasses.replace(base, u_jet=U, z_jet=Z, jet_vars=names)
 
 
-def _lift(u, z, orders, pot, coeffs, xinv, inv, passes):
-    """Jets of the given orders of the endpoint solution (u, z), lifted through
-    the residuals of ``coeffs`` and ``xinv`` (see endpoint_residuals): each
-    pass subtracts ``inv``, the inverse Jacobian at the base point, times the
-    residuals, and so kills the lowest order left."""
-    U, Z = Jet.constant(u, orders), Jet.constant(z, orders)
+def _jet_residuals(U, Z, lay, coeffs, xinv):
+    """Entry lists of both endpoint residuals at the jets of entries U and Z
+    over ``lay``, bit-identical to endpoint_residuals over jets: the band
+    kernel with the layout's product, then the product by ``xinv``, the
+    entries of the reciprocal face weight (None for a unit one), and 1 off r2.
+    ``coeffs`` are those of x V'(y), numbers or jets over ``lay``."""
+    zero, num = (0.0, float) if type(U[0]) is float else (0, operator.pos)
+    product = algebra._PRODUCTS[lay]
+
+    def mul(v, y, s=None):
+        p = product(v, y, zero)
+        return p if s is None else list(map(operator.add, s, p))
+
+    out = []
+    for m, v in enumerate(_band([c.c if isinstance(c, Jet) else c for c in coeffs],
+                                U if any(U) else None, Z if any(Z) else None, mul, mul, num)):
+        if type(v) is list and any(v):
+            v = v if xinv is None else product(v, xinv, zero)
+        else:  # zero, as LaurentPoly drops it, or a number
+            v = 0 if v is None or type(v) is list else v
+            v = [v] + [zero] * (len(U) - 1) if xinv is None else [e * num(v) for e in xinv]
+        out.append([v[0] - m] + v[1:])  # T**0, then T**-1 - 1
+    return out
+
+
+def _lift(u, z, orders, coeffs, xinv, inv, passes):
+    """Jets of the given orders of the endpoint solution (u, z), lifted over
+    flat entry lists through _jet_residuals: each pass subtracts ``inv``, the
+    inverse Jacobian at the base point, times the residuals, and so kills the
+    lowest order left."""
+    lay, f64 = _box(orders), isinstance(u, float)
+    U, Z = ([v] + [0.0 if f64 else 0] * (len(lay.exps) - 1) for v in (u, z))
     (a, b), (c, d) = inv
     for _ in range(passes):
-        r1, r2 = endpoint_residuals(U, Z, pot, _coeffs=coeffs, _xinv=xinv)
-        U = U - (a * r1 + b * r2)
-        Z = Z - (c * r1 + d * r2)
-    return U, Z
+        r1, r2 = _jet_residuals(U, Z, lay, coeffs, xinv)
+        U = [v - (a * p + b * q) for v, p, q in zip(U, r1, r2)]
+        Z = [v - (c * p + d * q) for v, p, q in zip(Z, r1, r2)]
+    return _jet(U, lay, f64), _jet(Z, lay, f64)
 
 
 def one_cut_certificate(h, alpha_minus, alpha_plus):

@@ -93,12 +93,13 @@ def e1_series(pot, order):
     """Expand e1 to the given order in every valence direction of ``pot``.
 
     Built exactly at x = 1 and t = 0, where u = 0, z = 1 and the endpoint
-    Jacobian is the identity: (u, z) are lifted as exact integer jets in the
+    Jacobian is the identity: (u, z) are lifted as jets of ints in the
     t-offsets, and u_x, z_x follow from the scaling relations
     2 u_x = u + E u and 2 z_x = 2 z + E z, E = sum_j (j - 2) t_j d/dt_j.
-    Since e1(x, t) = e1(1, {t_j x**((j - 2)/2)}), the coefficient of
-    prod_j t_j**k_j gains x**F, F = sum_j k_j (j - 2)/2 the face count E - V
-    of the torus maps it counts.
+    The log argument is an int jet over 4, and its log makes one Fraction
+    per coefficient (see Jet.log).  Since e1(x, t) = e1(1, {t_j x**((j - 2)/2)}),
+    the coefficient of prod_j t_j**k_j gains x**F, F = sum_j k_j (j - 2)/2 the
+    face count E - V of the torus maps it counts.
     """
     _require_int("order", order, 1)
     if not pot.t:
@@ -111,18 +112,21 @@ def e1_series(pot, order):
     coeffs = xvprime_coeffs(pot, {j: Jet.variable(0, i, orders) for i, j in enumerate(valences)})
     # a unit face weight and the identity Jacobian of type int keep every
     # entry of the lift an int; each pass kills the lowest order left
-    U, Z = _lift(0, 1, orders, pot, coeffs, 1, ((1, 0), (0, 1)), sum(orders))
+    U, Z = _lift(0, 1, orders, coeffs, None, ((1, 0), (0, 1)), sum(orders))
 
-    # E multiplies the coefficient of prod_j t_j**k_j by sum_j k_j (j - 2)
+    # E multiplies the coefficient of prod_j t_j**k_j by sum_j k_j (j - 2), so
+    # 2 u_x = U + E U and 2 z_x = 2 Z + E Z are int jets, and so is 1/Z
     weight = [sum(k * (j - 2) for k, j in zip(e, valences)) for e in U.lay.exps]
-    ux = (U + _jet([v * w for v, w in zip(U.c, weight)], U.lay, U.f64)) / 2
-    zx = Z + _jet([v * w for v, w in zip(Z.c, weight)], Z.lay, Z.f64) / 2
-    e1 = ((zx * zx - Z * (ux * ux)) / (Z * Z)).log()
+    ux = _jet([v + v * w for v, w in zip(U.c, weight)], U.lay, False)
+    zx = _jet([2 * v + v * w for v, w in zip(Z.c, weight)], Z.lay, False)
+    zinv = Z.reciprocal()
+    # the log argument (z_x**2 - Z u_x**2) / Z**2 is M/4, M an int jet of constant 4
+    e1 = ((zx * zx - Z * (ux * ux)) * (zinv * zinv)).log() - math.log(4)
     # F = weight/2 is fractional only for an odd half-edge count, whose
     # coefficient is an exact zero
     x = Fraction(pot.x)
-    series = {e: float(v * x ** Fraction(w, 2) / 24)
-              for e, v, w in zip(e1.lay.exps, e1.c, weight)}
+    scale = {w: x ** Fraction(w, 2) / 24 for w in set(weight)}
+    series = {e: float(v * scale[w]) for e, v, w in zip(e1.lay.exps, e1.c, weight)}
     return SeriesInT(valences, order, pot.x, series)
 
 

@@ -215,6 +215,34 @@ def test_exact_jets_keep_object_storage():
         assert all(isinstance(v, (int, Fraction)) for v in out.coeffs)
 
 
+def test_exact_reciprocal_and_log_equal_the_fraction_route():
+    # the int series with one common denominator against the Mercator and
+    # geometric series summed over Fractions, on int and Fraction jets
+    rng = random.Random(9)
+    for orders in [(4,), (2, 3), (1, 1, 2)]:
+        for _ in range(12):
+            n = math.prod(o + 1 for o in orders)
+            c = [rng.choice([0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+                 for _ in range(n)]
+            c[0] = rng.choice([1, -1, 4, Fraction(3, 2), Fraction(-5, 7)])
+            if rng.random() < 0.5:
+                c = [int(v) for v in c]
+            f = Jet(np.array(c, dtype=object).reshape(tuple(o + 1 for o in orders)))
+            eta = -(f / f.constant_term) + 1
+            want = f._nilpotent_series(eta, lambda k: 1) / f.constant_term
+            got = f.reciprocal()
+            assert got.c == want.c and got.lay is want.lay
+            unit = all(type(v) is int for v in c) and c[0] in (1, -1)
+            assert all(type(v) is (int if unit else Fraction) for v in got.c), c
+            if f.constant_term > 0:
+                eta = f / f.constant_term - 1
+                want = f._nilpotent_series(eta, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
+                want = want + math.log(float(f.constant_term))
+                got = f.log()
+                assert got.c == want.c and type(got.c[0]) is float
+                assert all(type(v) is Fraction for v in got.c[1:])
+
+
 # ---- the product engine ----------------------------------------------------
 
 
@@ -351,8 +379,8 @@ def _loop_uz_products(n):
     def by(unit):
         fixed = [1.0 if e == unit else 0.0 for e in exps[1:]]
 
-        def product(a, y, s=None):
-            out = _loop_product(a, [y] + fixed, table, 0.0)
+        def product(a, b, s=None):  # reads u or z alone, as the generated one does
+            out = _loop_product(a, [b[0]] + fixed, table, 0.0)
             return out if s is None else [v + w for v, w in zip(s, out)]
         return product
     return by((1, 0)), by((0, 1))
@@ -470,21 +498,24 @@ def test_endpoint_residuals_match_laurent_horner_on_floats_and_taylor_scalars():
 
 
 def test_x_jet_lift_matches_laurent_horner_pass_by_pass(monkeypatch):
-    """uz_jets at x_order = max(deg, 5) + 1, with the residual of every pass
-    compared with the Horner reference, which divides by the x-jet itself."""
-    lifts = []
+    """uz_jets at x_order = max(deg, 5) + 1, with the residuals of every pass
+    of the lift's kernel compared with the Horner reference over jets, which
+    divides by the x-jet itself."""
+    lifts, pots = [], []
+    jet_residuals = endpoints._jet_residuals
 
-    def compared(u, z, pot, _coeffs=None, _xinv=None):
-        got = endpoint_residuals(u, z, pot, _coeffs=_coeffs, _xinv=_xinv)
-        if isinstance(u, Jet) and len(u.orders) == 1:  # a lift pass over x-jets
-            xj = Jet.variable(float(pot.x), 0, u.orders)
-            want = _reference_residuals(u, z, pot, _coeffs, xj)
-            assert list(map(_bits, got)) == list(map(_bits, want)), pot
-            lifts.append(pot)
+    def compared(U, Z, lay, coeffs, xinv):
+        got = jet_residuals(U, Z, lay, coeffs, xinv)
+        pot = pots[-1]
+        u, z = _jet(U, lay, True), _jet(Z, lay, True)
+        want = _reference_residuals(u, z, pot, coeffs, Jet.variable(float(pot.x), 0, lay.orders))
+        assert [_bits(_jet(r, lay, True)) for r in got] == list(map(_bits, want)), pot
+        lifts.append(pot)
         return got
 
-    monkeypatch.setattr(endpoints, "endpoint_residuals", compared)
+    monkeypatch.setattr(endpoints, "_jet_residuals", compared)
     for pot in _residual_potentials():
+        pots.append(pot)
         try:
             uz_jets(pot, x_order=max(pot.degree, 5) + 1)
         except EqmapError:

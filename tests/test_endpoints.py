@@ -407,9 +407,9 @@ def test_uz_triangle_tables_reproduce_the_pair_literal():
                     if x != 0:
                         for m, src in row:
                             want[m] += x * b[src]
-                assert _hex(product(a, y)) == _hex(want)
+                assert _hex(product(a, b)) == _hex(want)
                 s = [rng.choice(special + [rng.uniform(-9, 9)] * 3) for _ in range(k)]
-                assert _hex(product(a, y, s)) == _hex([v + w for v, w in zip(s, want)])
+                assert _hex(product(a, b, s)) == _hex([v + w for v, w in zip(s, want)])
 
 
 def test_solve_endpoints_multiplies_no_jet(monkeypatch):
@@ -496,19 +496,122 @@ def test_uz_jets_with_t_directions():
 
 
 def test_uz_jets_lifts_through_endpoint_residuals(monkeypatch):
-    # one residual per lifting pass, sum(orders) + 1 of them, plus the final
-    # convergence check; the Newton solve before uses no jets
+    # the lift's kernel runs once per lifting pass, sum(orders) + 1 times,
+    # plus the final convergence check; the Newton solve before uses no jets
     orders = (3, 2)
     lifts = []
+    jet_residuals = endpoints._jet_residuals
 
-    def counted(u, z, pot, **kwargs):
-        if isinstance(u, Jet) and u.lay is algebra._box(orders):
+    def counted(U, Z, lay, coeffs, xinv):
+        if lay is algebra._box(orders):
             lifts.append(None)
-        return endpoint_residuals(u, z, pot, **kwargs)
+        return jet_residuals(U, Z, lay, coeffs, xinv)
 
-    monkeypatch.setattr(endpoints, "endpoint_residuals", counted)
+    monkeypatch.setattr(endpoints, "_jet_residuals", counted)
     uz_jets(PotentialSpec(1.0, {4: 0.01}), x_order=3, t_order=2)
     assert len(lifts) == sum(orders) + 2
+
+
+def _jet_object_residuals(U, Z, coeffs, xinv):
+    """endpoint_residuals over jets with the face weight's reciprocal ``xinv``
+    multiplied in: the Jet-object route of the lift's kernel."""
+    w = algebra.substitute_uniformizer(coeffs, U, Z, _band=(-1, 0))
+    return w.coeff(0) * xinv, w.coeff(-1) * xinv - 1
+
+
+def _jet_object_uz_jets(pot, x_order, t_order=0):
+    """uz_jets over Jet objects, every pass through _jet_object_residuals: the
+    jets of (u, z) and the largest entry of the gate's residuals."""
+    base = solve_endpoints(pot)
+    tkeys = sorted(pot.t) if t_order > 0 else []
+    orders = (x_order,) + (t_order,) * len(tkeys)
+    xinv = Jet.variable(float(pot.x), 0, orders).reciprocal()
+    coeffs = xvprime_coeffs(pot, {j: Jet.variable(float(pot.t[j]), 1 + i, orders)
+                                  for i, j in enumerate(tkeys)})
+    _, ((a, b), (c, d)) = endpoints._residual_and_jacobian(base.u, base.z, pot)
+    det = a * d - b * c
+    (a, b), (c, d) = (d / det, -b / det), (-c / det, a / det)
+    U, Z = Jet.constant(base.u, orders), Jet.constant(base.z, orders)
+    for _ in range(sum(orders) + 1):
+        r1, r2 = _jet_object_residuals(U, Z, coeffs, xinv)
+        U = U - (a * r1 + b * r2)
+        Z = Z - (c * r1 + d * r2)
+    r1, r2 = _jet_object_residuals(U, Z, coeffs, xinv)
+    return U, Z, np.max(np.abs(r1.c + r2.c))
+
+
+def _lift_cases():
+    """x-jets of corpus members, pure quartic and sextic potentials on both
+    sides of their folds, even potentials (one with an all-zero u jet) and
+    explicit zero coefficients, each at x-order 1 and max(deg, 5) + 1; then
+    t-jets of orders 1 and 2, one of which fails the convergence gate."""
+    from eqmap.acceptance import one_cut_corpus
+
+    pots = list(one_cut_corpus(12))
+    pots += [PotentialSpec(x, {j: c}) for x in (0.8, 1.2)
+             for j, c in ((4, -0.02), (4, -1.5 / 48), (4, 0.1), (6, -0.003), (6, 0.01))]
+    pots += [PotentialSpec(1.0, {2: 0.1, 4: 0.005, 6: 0.0005}), PotentialSpec(1.0, {4: 0.0}),
+             PotentialSpec(1.0, {2: 0.0, 4: -0.0, 6: 0.001}),
+             PotentialSpec(1.3, {1: 0.0, 2: -0.0014, 3: 0.0, 4: 0.0})]
+    for pot in pots:
+        for x_order in (1, max(pot.degree, 5) + 1):
+            yield pot, x_order, 0
+    for t in ({4: 0.01}, {3: 0.02, 4: 0.015}, {2: 0.1, 4: 0.005, 6: 0.0005}, {3: -0.01, 6: 0.001}):
+        for x_order, t_order in ((2, 1), (1, 2)):
+            yield PotentialSpec(1.1, t), x_order, t_order
+    yield PotentialSpec(1, {3: 0.01, 4: 0.01, 5: 0.002}), 2, 2
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_lift_kernel_matches_jet_residuals_at_special_entries():
+    # entries of U, Z and the coefficient jets drawn with signed zeros,
+    # infinities and NaN, all-zero U (as for an even potential), Z and
+    # coefficients; float jets with an x-jet reciprocal, int jets without
+    rng = random.Random(5)
+    special = [0.0, -0.0, 0.0, math.inf, -math.inf, math.nan]
+    for _ in range(300):
+        orders = rng.choice([(2,), (1, 1), (3, 1)])
+        lay, f64 = algebra._box(orders), rng.random() < 0.7
+        k = len(lay.exps)
+
+        def draw(zero_share):
+            if rng.random() < zero_share:
+                return [0.0 if f64 else 0] * k
+            if f64:
+                return [rng.choice(special + [rng.uniform(-2, 2)] * 6) for _ in range(k)]
+            return [rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(k)]
+
+        U, Z = draw(0.3), draw(0.1)
+        coeffs = [rng.choice([0, 0.0, -0.0, 1, rng.uniform(-1, 1), None, None])
+                  for _ in range(rng.randint(2, 6))]
+        coeffs = [_jet(draw(0.2), lay, f64) if c is None else c if f64 else int(c)
+                  for c in coeffs]
+        xinv = Jet.variable(rng.uniform(0.5, 2), 0, orders).reciprocal() if f64 else None
+        got = endpoints._jet_residuals(U, Z, lay, coeffs, None if xinv is None else xinv.c)
+        want = _jet_object_residuals(_jet(U, lay, f64), _jet(Z, lay, f64), coeffs,
+                                     1 if xinv is None else xinv)
+        for g, w in zip(got, want):
+            w = w.c if isinstance(w, Jet) else [w] + [0] * (k - 1)
+            assert _hex(g) == _hex(w) and [type(v) for v in g] == [type(v) for v in w]
+
+
+def test_flat_lift_matches_the_jet_object_lift_bit_for_bit():
+    gated, lifted = 0, 0
+    for pot, x_order, t_order in _lift_cases():
+        try:
+            U, Z, worst = _jet_object_uz_jets(pot, x_order, t_order)
+        except EqmapError:  # no endpoint solution to lift
+            continue
+        if worst <= 1e-7:
+            ep = uz_jets(pot, x_order, t_order)
+            assert (_hex(ep.u_jet.c), _hex(ep.z_jet.c)) == (_hex(U.c), _hex(Z.c)), pot
+            assert ep.u_jet.lay is U.lay and ep.z_jet.lay is Z.lay
+            lifted += 1
+        else:
+            gated += 1
+            with pytest.raises(DegeneratePotentialError, match="residual %.3g" % worst):
+                uz_jets(pot, x_order, t_order)
+    assert gated >= 1 and lifted >= 50
 
 
 def test_float_jets_stay_float64_and_public_floats_stay_python_floats():
@@ -607,16 +710,16 @@ def test_uz_jets_refuses_nan_jets():
 def test_jet_gate_refuses_a_nan_in_either_residual(monkeypatch, which):
     # `worst > 1e-7` passed a NaN, and max() dropped one that came second
     lift_calls = []
+    jet_residuals = endpoints._jet_residuals
 
-    def nan_at_gate(u, z, pot, **kwargs):
-        r = list(endpoint_residuals(u, z, pot, **kwargs))
-        if kwargs.get("_xinv") is not None:  # a lift pass or the gate
-            lift_calls.append(None)
-            if len(lift_calls) == 4:  # the gate, after the 3 passes of an order-2 lift
-                r[which] = r[which] + math.nan
-        return tuple(r)
+    def nan_at_gate(U, Z, lay, coeffs, xinv):
+        r = jet_residuals(U, Z, lay, coeffs, xinv)
+        lift_calls.append(None)  # a lift pass or the gate
+        if len(lift_calls) == 4:  # the gate, after the 3 passes of an order-2 lift
+            r[which] = [r[which][0] + math.nan] + r[which][1:]
+        return r
 
-    monkeypatch.setattr(endpoints, "endpoint_residuals", nan_at_gate)
+    monkeypatch.setattr(endpoints, "_jet_residuals", nan_at_gate)
     with pytest.raises(DegeneratePotentialError, match="residual nan"):
         uz_jets(PotentialSpec(1.0, {4: 0.01}), x_order=2)
 

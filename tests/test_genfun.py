@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import eqmap.algebra as algebra
 import eqmap.endpoints as endpoints
 import eqmap.genfun as genfun
-from eqmap.algebra import Jet
-from eqmap.endpoints import PotentialSpec, endpoint_residuals, solve_endpoints, uz_jets
+from eqmap.algebra import Jet, _jet
+from eqmap.endpoints import PotentialSpec, solve_endpoints, uz_jets, xvprime_coeffs
 from eqmap.errors import EqmapError, InvalidParameterError
 from eqmap.genfun import e1_monomial, e1_series, e1_value, verify_relations
 
@@ -114,18 +115,21 @@ def test_e1_series_names_a_failed_precondition(t, name):
 
 def test_e1_series_lifts_over_python_ints(monkeypatch):
     # at x = 1, t = 0 every Taylor coefficient of (u, z) is a signed map count;
-    # the lift carries them as ints and makes no Fraction before the final steps
-    seen = []
+    # the lift carries them, its coefficients and its residuals as ints
+    seen, coefficients = [], []
+    jet_residuals = endpoints._jet_residuals
 
-    def recorded(u, z, pot, **kwargs):
-        r1, r2 = endpoint_residuals(u, z, pot, **kwargs)
-        seen.extend((u, z, r1, r2))
+    def recorded(U, Z, lay, coeffs, xinv):
+        r1, r2 = jet_residuals(U, Z, lay, coeffs, xinv)
+        seen.extend((U, Z, r1, r2))
+        coefficients.extend(c.c if isinstance(c, Jet) else [c] for c in coeffs)
+        assert xinv is None  # the unit face weight
         return r1, r2
 
-    monkeypatch.setattr(endpoints, "endpoint_residuals", recorded)  # the shared lift's
+    monkeypatch.setattr(endpoints, "_jet_residuals", recorded)  # the shared lift's kernel
     ser = e1_series(PotentialSpec(1, {3: 0, 4: 0}), 4)
     assert len(seen) == 4 * 8
-    assert all(type(c) is int for v in seen for c in (v.coeffs.flat if isinstance(v, Jet) else [v]))
+    assert all(type(c) is int for v in seen + coefficients for c in v)
     assert ser.coeff({4: 1}) == pytest.approx(-1.0, rel=1e-12)
 
 
@@ -171,24 +175,104 @@ def test_e1_series_calls_no_solver(monkeypatch):
 
 
 def test_e1_series_jets_stay_exact(monkeypatch):
-    seen = []
+    # every entry of the lift, of every product that forms the log argument
+    # and of the log's powers is an int; the log makes one Fraction per entry
+    seen, products, logs = [], [], []
+    jet_residuals, jet_log, made = endpoints._jet_residuals, Jet.log, algebra._PRODUCTS
 
-    def recorded(u, z, pot, **kwargs):
-        seen.extend((u, z))
-        return endpoint_residuals(u, z, pot, **kwargs)
+    def recorded(U, Z, lay, coeffs, xinv):
+        seen.extend((U, Z))
+        return jet_residuals(U, Z, lay, coeffs, xinv)
 
     def recorded_log(self):
-        seen.append(self)
-        return jet_log(self)
+        seen.append(self.c)
+        logs.append(jet_log(self))
+        return logs[-1]
 
-    jet_log = Jet.log
-    monkeypatch.setattr(endpoints, "endpoint_residuals", recorded)  # the shared lift's
+    class Recorded(dict):
+        def __missing__(self, lay):
+            def product(a, b, zero):
+                products.append((a, b, made[lay](a, b, zero), [zero]))
+                return products[-1][2]
+            self[lay] = product
+            return product
+
+    monkeypatch.setattr(endpoints, "_jet_residuals", recorded)  # the shared lift's kernel
     monkeypatch.setattr(Jet, "log", recorded_log)
+    monkeypatch.setattr(algebra, "_PRODUCTS", Recorded())
     e1_series(PotentialSpec(1.3, {3: 0, 4: 0}), order=2)
     assert len(seen) == 2 * 4 + 1  # (U, Z) of each pass, then the log argument
-    for jet in seen:
-        assert jet.coeffs.dtype == object
-        assert all(type(v) in (int, Fraction) for v in jet.coeffs.flat)
+    assert seen[-1][0] == 4  # the log argument times 4
+    assert len(products) > 4 * 8  # the lift's, the argument's and the log's
+    assert all(type(v) is int for entries in seen for v in entries)
+    assert all(type(v) is int for p in products for entries in p for v in entries)
+    assert all(type(v) is Fraction for v in logs[0].c[1:])
+
+
+def test_e1_series_matches_the_jet_object_route():
+    """The series of the families of the maps benchmark, at four face weights,
+    by float.hex against the Jet-object route: the lift over Jet objects
+    through substitute_uniformizer, and the log and reciprocal summed over
+    Fractions."""
+    for valences, order in [((3,), 4), ((4,), 4), ((5,), 2), ((6,), 2), ((8,), 1), ((10,), 1),
+                            ((12,), 1), ((3, 4), 2), ((3, 5), 2)]:
+        e1, weight = _fraction_e1(valences, order)
+        for x in (0.5, 1, 1.2, 2):
+            got = e1_series(PotentialSpec(x, {j: 0 for j in valences}), order).coeffs
+            want = {e: float(v * Fraction(x) ** Fraction(w, 2) / 24)
+                    for e, v, w in zip(e1.lay.exps, e1.c, weight)}
+            assert list(got) == list(want)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
+def test_exact_log_argument_and_log_equal_the_fraction_route(monkeypatch):
+    # {3, 4} at order 4: the int argument M is 4 times the Fraction route's,
+    # and its log has the same rationals; only log(4) in its constant differs
+    logs = []
+    jet_log = Jet.log
+
+    def recorded_log(self):
+        logs.append((self, jet_log(self)))
+        return logs[-1][1]
+
+    monkeypatch.setattr(Jet, "log", recorded_log)
+    e1_series(PotentialSpec(1, {3: 0, 4: 0}), 4)
+    (arg, log), = logs
+    monkeypatch.undo()
+    want, _ = _fraction_e1((3, 4), 4, argument=True)
+    assert [v / 4 for v in arg.c] == want.c
+    assert log.c[1:] == _fraction_log(want).c[1:]
+    assert [type(v) for v in log.c[1:]] == [Fraction] * (len(log.c) - 1)
+    assert log.c[0] == math.log(4)
+
+
+def _fraction_log(jet):
+    """Jet.log over Fractions, as it was before the int series."""
+    eta = jet / jet.constant_term - 1
+    out = jet._nilpotent_series(eta, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
+    return out + math.log(float(jet.constant_term))
+
+
+def _fraction_e1(valences, order, argument=False):
+    from test_endpoints import _jet_object_residuals
+
+    """The exact e1 jet (or its log argument) of e1_series at x = 1 through the
+    Jet-object lift and the Fraction reciprocal and log, and the weights E of
+    its entries."""
+    orders = (order,) * len(valences)
+    pot = PotentialSpec(1, {j: 0 for j in valences})
+    coeffs = xvprime_coeffs(pot, {j: Jet.variable(0, i, orders) for i, j in enumerate(valences)})
+    U, Z = Jet.constant(0, orders), Jet.constant(1, orders)
+    for _ in range(sum(orders)):
+        r1, r2 = _jet_object_residuals(U, Z, coeffs, 1)
+        U, Z = U - r1, Z - r2
+    weight = [sum(k * (j - 2) for k, j in zip(e, valences)) for e in U.lay.exps]
+    ux = (U + _jet([v * w for v, w in zip(U.c, weight)], U.lay, False)) / 2
+    zx = Z + _jet([v * w for v, w in zip(Z.c, weight)], Z.lay, False) / 2
+    zz = Z * Z
+    eta = -(zz / zz.constant_term) + 1
+    arg = (zx * zx - Z * (ux * ux)) * zz._nilpotent_series(eta, lambda k: 1)
+    return (arg if argument else _fraction_log(arg)), weight
 
 
 @pytest.mark.parametrize("x", [1, 1.1])
