@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .algebra import LaurentPoly
 from .errors import InvalidParameterError
@@ -67,9 +68,9 @@ class BasisFunction:
         by (T - 1/T)**(2k+2) * T**(k+1) turns both sides into honest Laurent
         polynomials; this returns this basis element's contribution.
         """
-        p = 2 * (k + 1) - self.denom_power  # (T - 1/T)**p by the binomial theorem
-        tm = LaurentPoly({p - 2 * i: (-1) ** i * _binom(p, i) for i in range(p + 1)})
-        return (self.numerator * tm).shifted(k + 1)
+        p = 2 * (k + 1) - self.denom_power  # (T - 1/T)**p * T**(k+1) by the binomial theorem
+        tm = LaurentPoly({p - 2 * i + k + 1: (-1) ** i * _binom(p, i) for i in range(p + 1)})
+        return self.numerator * tm
 
 
 def phi_tilde(m):
@@ -116,47 +117,58 @@ class CoeffTable:
 
 
 def _solve_exact(rows, rhs):
-    """Solve a consistent overdetermined integer system exactly.
+    """Solve a consistent integer system of m equations in n <= m unknowns
+    exactly: eliminate on the first n (the pivot equations), check all m.
 
     Fraction-free (Bareiss) Gauss-Jordan elimination over ints: with ``p``
     the pivot and ``prev`` the one before it, every other row becomes
     ``(p * row - f * pivot_row) // prev``, a division that is exact by
-    Sylvester's identity.  Each unknown is one Fraction at the end.
+    Sylvester's identity.  Every diagonal entry ends as the determinant
+    ``det``, so each unknown is ``num / det``, and each equation is checked
+    as ``row . num == rhs * det`` over ints.
     """
-    m = len(rows)
-    n = len(rows[0])
+    m, n = len(rows), len(rows[0])
     if m < n:
         raise RuntimeError("coefficient system is rank deficient: %d equations "
                            "for %d unknowns" % (m, n))
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    a = [list(r) + [b] for r, b in zip(rows[:n], rhs)]
     prev = 1
     for r in range(n):
-        piv = next((i for i in range(r, m) if a[i][r] != 0), None)
+        piv = next((i for i in range(r, n) if a[i][r] != 0), None)
         if piv is None:
-            raise RuntimeError("coefficient system is singular; this contradicts "
-                               "the basis independence and must not happen")
+            raise RuntimeError("coefficient system is singular on its %d pivot equations" % n)
         a[r], a[piv] = a[piv], a[r]
         p, pivot_row = a[r][r], a[r]
-        for i in range(m):
+        for i in range(n):
             if i != r:
                 f = a[i][r]
                 a[i] = [(p * vi - f * vr) // prev for vi, vr in zip(a[i], pivot_row)]
         prev = p
-    for i in range(n, m):
-        if any(v != 0 for v in a[i]):
-            raise RuntimeError("coefficient system is inconsistent")
-    return [Fraction(a[i][n], a[i][i]) for i in range(n)]
+    num = [row[n] for row in a]
+    if any(sum(map(mul, row, num)) != b * prev for row, b in zip(rows, rhs)):
+        raise RuntimeError("coefficient system is inconsistent")
+    return [Fraction(v, prev) for v in num]
 
 
 def _solve_row(k):
-    """Match coefficients of the cleared order-k identity and solve exactly."""
+    """Match coefficients of the cleared order-k identity and solve exactly.
+
+    Each cleared basis element has exponents of one parity, so the equations
+    of even and of odd exponent are two systems that share no unknown, each
+    solved on its k+1 pivot equations.
+    """
     target = LaurentPoly({i: _binom(2 * k + 2, i) for i in range(2 * k + 3)})  # (T + 1)**(2k+2)
     basis = [f(m).cleared(k) for f in (phi_tilde, psi_tilde) for m in range(1, k + 2)]
     exps = sorted(set().union(*[set(b.coeffs) for b in basis], set(target.coeffs)))
-    rows = [[b.coeff(e) for b in basis] for e in exps]
-    rhs = [target.coeff(e) for e in exps]
-    sol = _solve_exact(rows, rhs)
-    return tuple(sol[: k + 1]), tuple(sol[k + 1:])
+    sol = {}
+    for q in (0, 1):
+        cols = [j for j, b in enumerate(basis) if all(e % 2 == q for e in b.coeffs)]
+        eqs = [e for e in exps if e % 2 == q]
+        sol.update(zip(cols, _solve_exact([[basis[j].coeff(e) for j in cols] for e in eqs],
+                                          [target.coeff(e) for e in eqs])))
+    if len(sol) < len(basis):
+        raise RuntimeError("a cleared basis element has exponents of both parities")
+    return tuple(sol[j] for j in range(k + 1)), tuple(sol[j] for j in range(k + 1, 2 * k + 2))
 
 
 _CACHE_STRIDE = 64  # build_c_table recurses at most this deep, plus kmax / this
@@ -167,11 +179,12 @@ def build_c_table(kmax):
     """Exact expansion coefficients for k = 0..kmax.
 
     Row k comes from clearing denominators in the defining identity: a small
-    consistent integer system of 4k+3 equations in 2(k+1) unknowns, solved
-    exactly.  The table is build_c_table(kmax - 1) plus one new row, taken
-    through this same cache, so tables of growing kmax solve each row once
-    and ``cache_clear()`` forgets every row.  The cache is typed, so ``True``
-    and ``2.0`` reach the check instead of the entries of ``1`` and ``2``.
+    consistent integer system of 4k+3 equations in 2k+2 unknowns, solved
+    exactly on 2k+2 pivot equations, all 4k+3 checked.  The table is
+    build_c_table(kmax - 1) plus one new row, taken through this same cache,
+    so tables of growing kmax solve each row once and ``cache_clear()``
+    forgets every row.  The cache is typed, so ``True`` and ``2.0`` reach
+    the check instead of the entries of ``1`` and ``2``.
     """
     if not isinstance(kmax, int) or isinstance(kmax, bool) or kmax < 0:
         raise InvalidParameterError("kmax must be a nonnegative int, got %r" % (kmax,))

@@ -196,7 +196,17 @@ def _reference_solve_exact(rows, rhs):
 
 
 def _row_system(k):
-    """The integer system _solve_row(k) hands to _solve_exact."""
+    """The integer system of row k in full: one equation per exponent of the
+    cleared identity, one unknown per basis element.  Built here, apart from
+    _solve_row, which hands the even and odd exponents over as two systems."""
+    target = LaurentPoly({i: math.comb(2 * k + 2, i) for i in range(2 * k + 3)})
+    basis = [f(m).cleared(k) for f in (phi_tilde, psi_tilde) for m in range(1, k + 2)]
+    exps = sorted(set().union(*[set(b.coeffs) for b in basis], set(target.coeffs)))
+    return [[b.coeff(e) for b in basis] for e in exps], [target.coeff(e) for e in exps]
+
+
+def _handed_over(k):
+    """The systems _solve_row(k) hands to _solve_exact."""
     seen = []
     real = coefftables._solve_exact
 
@@ -209,12 +219,11 @@ def _row_system(k):
         coefftables._solve_row(k)
     finally:
         coefftables._solve_exact = real
-    (system,) = seen
-    return system
+    return seen
 
 
 def test_solve_row_equals_fraction_gauss_jordan():
-    for k in range(17):
+    for k in range(21):
         rows, rhs = _row_system(k)
         want = _reference_solve_exact(rows, rhs)
         row_phi, row_psi = coefftables._solve_row(k)
@@ -225,10 +234,14 @@ def test_solve_row_equals_fraction_gauss_jordan():
 
 def test_solve_row_hands_over_an_int_matrix():
     for k in (0, 3, 8):
-        rows, rhs = _row_system(k)
-        assert len(rows) == len(rhs) == 4 * k + 3 and len(rows[0]) == 2 * k + 2
-        assert all(type(v) is int for v in rhs)
-        assert all(type(v) is int for row in rows for v in row)
+        systems = _handed_over(k)
+        assert len(systems) == 2  # the even and the odd exponents
+        assert sum(len(rows) for rows, _ in systems) == 4 * k + 3
+        assert sum(len(rows[0]) for rows, _ in systems) == 2 * k + 2
+        for rows, rhs in systems:
+            assert len(rows) == len(rhs) and len({len(row) for row in rows}) == 1
+            assert all(type(v) is int for v in rhs)
+            assert all(type(v) is int for row in rows for v in row)
 
 
 def test_reconstruction_holds_through_k12():
@@ -241,6 +254,8 @@ def test_solve_exact_rejects_a_perturbed_rhs():
     # every entry but the middle one: a unit change of the middle target
     # coefficient lies in the span of the basis and gives another solution
     rows, rhs = _row_system(6)
+    row_phi, row_psi = coefftables._solve_row(6)
+    assert coefftables._solve_exact(rows, rhs) == list(row_phi) + list(row_psi)
     for i in (0, 1, len(rhs) // 2 - 1, len(rhs) - 1):
         bad = list(rhs)
         bad[i] += 1
@@ -259,6 +274,19 @@ def test_solve_exact_rejects_too_few_equations():
     rows, rhs = _row_system(2)
     with pytest.raises(RuntimeError, match="rank deficient"):
         coefftables._solve_exact(rows[:3], rhs[:3])
+
+
+def test_solve_exact_checks_every_equation_of_a_block():
+    # the first len(rows[0]) equations fix the solution; a unit change of the
+    # rhs inside them moves it, outside them it is only checked, and both are
+    # caught by the check of every equation (the middle exponent is left out,
+    # as above: its unit change lies in the span of the basis)
+    for rows, rhs in _handed_over(8):
+        for i in (0, 1, len(rows[0]), len(rows) - 1):
+            bad = list(rhs)
+            bad[i] += 1
+            with pytest.raises(RuntimeError, match="inconsistent"):
+                coefftables._solve_exact(rows, bad)
 
 
 @pytest.mark.parametrize("kmax", [True, 2.5, "3", -1])

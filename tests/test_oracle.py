@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from eqmap import oracle
 from eqmap.endpoints import PotentialSpec
 from eqmap.errors import CensusSizeError, EqmapError, InvalidParameterError
 from eqmap.genfun import e1_series
@@ -76,7 +77,32 @@ def test_census_walks_one_leaf_per_orbit():
     # 135135 and 135135 matchings they stand for
     assert census({4: 4}).leaves == 7047
     assert census({3: 2, 4: 2}).leaves == 1569
-    assert census({14: 1}).leaves == 72765  # the root mirror alone: 7 of 13 partners
+    # one vertex: the leaves whose every chord is at least as long as the root's
+    assert census({14: 1}).leaves == 16060
+
+
+def test_one_vertex_walk_counts_every_pruned_leaf():
+    # the root walks offsets 1..n of 2n half-edges, each over (2n-3)!! leaves,
+    # and every leaf is walked or counted pruned
+    for n in range(3, 8):
+        cens = census({2 * n: 1})
+        assert cens.leaves + cens.pruned == n * dfact(2 * n - 3)
+        assert cens.pruned > 0
+    assert census({14: 1}).pruned == 72765 - 16060
+    assert census({4: 4}).pruned == census({3: 2, 4: 2}).pruned == census({4: 1}).pruned == 0
+
+
+def test_one_vertex_census_refuses_a_non_integral_weighted_count(monkeypatch):
+    real = oracle._least_chords
+
+    def one_more(n):  # one more leaf with two chords of the least length
+        bins, leaves, pruned = real(n)
+        bins[2][4] += 1
+        return bins, leaves, pruned
+
+    monkeypatch.setattr(oracle, "_least_chords", one_more)
+    with pytest.raises(EqmapError, match="non-integral face counts"):
+        census({14: 1})  # the leaf would stand for 14 / 4 gluings
 
 
 def test_total_count_is_double_factorial():
