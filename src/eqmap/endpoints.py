@@ -275,6 +275,18 @@ def _newton_step(r, jac):
     return (r[0] * d - r[1] * b) / det, (r[1] * a - r[0] * c) / det
 
 
+def _cramer(rows, f):
+    """x with rows @ x = f, 3x3, by Cramer's rule; None if det is zero or not finite."""
+    (a, b, c), (d, e, g), (h, i, k) = rows
+    adj = ((e * k - g * i, c * i - b * k, b * g - c * e),
+           (g * h - d * k, a * k - c * h, c * d - a * g),
+           (d * i - e * h, b * h - a * i, a * e - b * d))
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    if not math.isfinite(det) or det == 0:
+        return None
+    return tuple((p * f[0] + q * f[1] + r * f[2]) / det for p, q, r in adj)
+
+
 def _max_abs(r):
     """max(|r1|, |r2|), NaN if either is: Python's max drops a NaN that comes second."""
     a, b = abs(r[0]), abs(r[1])
@@ -289,12 +301,10 @@ _MAX_CONTINUATION_STEPS = 64
 
 def _newton(pot, u, z):
     coeffs = xvprime_coeffs(pot)
-    initial = None
+    prev = math.inf
     for it in range(30):
         r, jac = _residual_and_jacobian(u, z, pot, _coeffs=coeffs)
         rn = _max_abs(r)
-        if initial is None:
-            initial = rn
         if rn < _NEWTON_TOL:
             # one polishing step: quadratic convergence puts the parameter
             # error at rounding level rather than at the residual tolerance
@@ -306,10 +316,11 @@ def _newton(pot, u, z):
                     if rn2 <= rn:
                         return u2, z2, rn2, True
             return u, z, rn, True
-        # quadratic convergence means a basin point is done in a handful of
-        # iterations; anything still above its starting residual is diverging
-        if rn > 1e6 or (it > 10 and rn > initial):
+        # natural monotonicity test (Deuflhard 2004): from the third iterate on a
+        # step must halve max |r| (NaN fails), or Newton may wander off the branch
+        if rn > 1e6 or (it >= 2 and not rn <= prev / 2):
             return u, z, math.inf, False
+        prev = rn
         step = _newton_step(r, jac)
         if step is None:
             return u, z, math.inf, False
@@ -357,24 +368,20 @@ def _locate_fold(pot, u, z, s0):
             f3 = x * x * (a * e - b * c)
             grad3 = [x * x * (ga * e + a * ge - gb * c - b * gc)
                      for ga, gb, gc, ge in zip(grad_a, grad_b, grad_c, grad_e)]
-        f = np.array([g * u + s * d1[0], g * z - 1 + s * d2[0], f3])
-        jac = np.array([[a, b, d1[0]], [c, e, d2[0]], grad3])
-        du = 0.0
-        try:
-            if even:
-                dz, ds = np.linalg.solve(jac[1:, 1:], f[1:])
-            else:
-                du, dz, ds = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError:
+        f = (0.0 if even else g * u + s * d1[0], g * z - 1 + s * d2[0], f3)
+        # u = 0 fixed by a unit row in the even case; Python floats throughout
+        step = _cramer(((1.0, 0.0, 0.0) if even else (a, b, d1[0]), (c, e, d2[0]), grad3), f)
+        if step is None:
             return None
+        du, dz, ds = step
         u, z, s = u - du, z - dz, s - ds
-        if not (np.isfinite(u) and np.isfinite(z) and np.isfinite(s)):
+        if not (math.isfinite(u) and math.isfinite(z) and math.isfinite(s)):
             return None
         if max(abs(du), abs(dz)) <= 1e-12 * max(1.0, abs(u), z) and abs(ds) <= 1e-12 * max(1.0, s):
             break
     else:
         return None
-    return float(s) if z > 0 else None
+    return s if z > 0 else None
 
 
 def solve_endpoints(pot):
@@ -384,9 +391,11 @@ def solve_endpoints(pot):
     linear homotopy t -> s*t with adaptive subdivision on Newton failure.
     Newton accepts max |r| < 1e-12 and then polishes once; ``residual_norm``
     is max |r| at the returned point.  The branch through the Gaussian point
-    is the one-cut branch; z > 0 is enforced throughout.  After a failed
-    Newton step the fold of the branch is sought between the last accepted s
-    and the target; when one is found the solve stops with a
+    is the one-cut branch; z > 0 is enforced throughout, and from its third
+    iterate on Newton fails once a step does not halve max |r|, so it cannot
+    wander onto a root off the branch.  After a failed Newton step the fold
+    of the branch is sought between the last accepted s and the target; when
+    one is found the solve stops with a
     :class:`NoOneCutSolutionError` carrying ``s_star`` and ``t_star``.
     """
     u, z = 0.0, float(pot.x)

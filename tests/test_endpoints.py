@@ -208,6 +208,55 @@ def test_fold_located_for_general_potential():
         solve_endpoints(pot.scaled(s_star * (1 + 1e-6)))
 
 
+# Potentials whose first Newton from the Gaussian point used to wander: the
+# first two settled on a root off the one-cut branch, (u, z) = (3.0035, 8.1171)
+# and (2.42, 3.50), and the third reported a fold at s* = 0.1145.  Each bracket
+# is where a 40000-step continuation in s from the Gaussian point first fails
+# (det J x**2 has fallen to 0.002, 0.002 and 0.03 there).
+@pytest.mark.parametrize("pot,lo,hi", [
+    (PotentialSpec(0.6910557466011572, {
+        1: -0.060708953139370206, 2: -0.011363233775659176, 3: 0.0011453537255268903,
+        4: -0.07109678194292464, 5: 0.006838368949948659}), 0.3397, 0.339725),
+    (PotentialSpec(1.1050244746764066, {
+        1: 0.019425607931382326, 2: -0.01986618839483873, 3: -0.0036057496398430207,
+        4: 0.0010232821528755667, 5: -0.016343003692352635, 6: 0.0022436309749089313}),
+     0.58345, 0.583475),
+    (PotentialSpec(4.712069793007642, {
+        1: 6.045646370246224e-05, 2: -0.004981753945152314, 3: 0.0016467379250415179,
+        4: -0.01829772606038095, 5: 0.016797815570893212, 6: 0.0011285098276531125}),
+     0.052325, 0.05235),
+], ids=["off-branch-quintic", "off-branch-sextic", "early-fold-sextic"])
+def test_wandering_newton_stops_at_the_branch_fold(pot, lo, hi):
+    with pytest.raises(NoOneCutSolutionError) as info:
+        solve_endpoints(pot)
+    assert lo < info.value.s_star < hi
+
+
+@pytest.mark.parametrize("x", [0.8, 1.0, 1.2])
+@pytest.mark.parametrize("c", [1.1, 1.25, 1.5])
+def test_failing_newton_stops_once_a_step_does_not_halve_the_residual(monkeypatch, c, x):
+    # past its critical coupling the pure quartic has no real root; Newton
+    # from the Gaussian point used to take up to 16 order-1 evaluations
+    # before giving up, and the monotonicity test stops it within 4
+    calls = _count_residuals(monkeypatch)
+    assert endpoints._newton(PotentialSpec(x, {4: -c / (48 * x)}), 0.0, x)[3] is False
+    assert calls == ["_uz_residuals"] * len(calls) and len(calls) <= 4
+
+
+@pytest.mark.parametrize("t", [{4: -1.5 / 48}, {6: -1.5 / 405}, {3: 0.05, 4: -0.03}])
+def test_fold_search_makes_no_numpy_solve(monkeypatch, t):
+    # the turning-point systems are solved by Cramer's rule over Python floats
+    def refuse(*args):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    with pytest.raises(NoOneCutSolutionError) as info:
+        solve_endpoints(PotentialSpec(1.0, t))
+    assert 0 < info.value.s_star < 1
+    if len(t) == 1:  # the pure quartic and sextic fold at 1/1.5
+        assert info.value.s_star == pytest.approx(1 / 1.5, rel=1e-12)
+
+
 @pytest.mark.parametrize("x,t,name", [
     (math.inf, {}, "face weight x"),
     (math.nan, {}, "face weight x"),
