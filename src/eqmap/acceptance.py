@@ -28,7 +28,9 @@ from .coefftables import (
     verify_parity_projection,
 )
 from .correlators import apply_K, correlator_context, w1_subleading, w2_diag
-from .endpoints import EndpointSolution, PotentialSpec, solve_endpoints, uz_jets
+from .endpoints import (EndpointSolution, PotentialSpec, one_cut_certificate, solve_endpoints,
+                        uz_jets)
+from .errors import NoOneCutSolutionError
 from .genfun import e1_monomial, e1_series, e1_value, verify_relations
 from .hfunc import h_classical, h_even, h_general, h_left_variant, verify_residue_representation
 from .measure import (EquilibriumMeasure, density, equilibrium_measure, total_mass,
@@ -58,9 +60,6 @@ def one_cut_corpus(n=100, seed=20240817):
     whose continuation leaves the one-cut branch, or whose h dips
     nonpositive, are rejected and redrawn.
     """
-    from .errors import NoOneCutSolutionError
-    from .endpoints import one_cut_certificate
-
     rng = random.Random(seed)
     pots = []
     while len(pots) < n:

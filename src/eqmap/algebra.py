@@ -299,17 +299,6 @@ class Jet:
             other = Fraction(other)  # int entries stay exact
         return _jet([v / other for v in self.c], self.lay, self.f64)
 
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("jet powers must be nonnegative integers")
-        out = _constant(1, self.lay, self.f64)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # ---- analytic operations --------------------------------------------
 
     def reciprocal(self):
@@ -481,13 +470,15 @@ class LaurentPoly:
         return "LaurentPoly({%s})" % items
 
 
-def substitute_uniformizer(coeffs, u, z, _band=None):
+def substitute_uniformizer(coeffs, u, z):
     """Evaluate a polynomial P(y) at the uniformizing substitution y = T + u + z/T.
 
     ``coeffs`` lists P's coefficients in ascending degree; the scalars may be
     numbers, Fractions or jets.  The result is a LaurentPoly with exponent
-    range [-deg P, deg P]; ``_band = (lo, hi)`` with lo <= 0 <= hi keeps only
-    T**lo..T**hi and never forms a coefficient that cannot reach them.
+    range [-deg P, deg P].  This is the generic route, which the tests take
+    as the reference and c06 checks the residue formulas on; the endpoint
+    solver and the jet lift run endpoints._band, the same Horner's rule over
+    flat entry lists cut to T**0 and T**-1.
 
     Horner's rule over a dense list, highest exponent first.  A product by y
     sums each coefficient as LaurentPoly.__mul__ does, (a[k+1]*z + a[k]*u)
@@ -498,7 +489,6 @@ def substitute_uniformizer(coeffs, u, z, _band=None):
     n = len(coeffs)
     if not n:
         return LaurentPoly()
-    lo, hi = (1 - n, n - 1) if _band is None else _band
     # y = T + y0 + y_1/T; a zero entry is skipped (None marks it), and
     # x * 1 == x exactly, so the unit coefficient of T is not multiplied
     y0 = None if _is_zero(u) else u
@@ -507,24 +497,18 @@ def substitute_uniformizer(coeffs, u, z, _band=None):
     # a coefficient that sums to zero after + c is dropped, as LaurentPoly drops it
     top, a = 0, [None if _is_zero(coeffs[-1]) else 0 + coeffs[-1]]
     for i in range(n - 2, -1, -1):
-        # multiply by y over the exponents that the i products left can
-        # still carry into [lo, hi]
-        new_top = min(top + 1, hi + i)
-        new_bottom = max(top - len(a), lo - i)
-        q = [None, None] + a + [None, None]  # q[top - k + 2] is T**k
+        # multiply by y, which widens the range by one exponent at each end:
+        # T**k gathers T**(k+1) times y_1, T**k times y0 and T**(k-1)
+        q = [None, None] + a + [None, None]
         b = []
-        for j in range(top - new_top + 2, top - new_bottom + 3):
-            v, s = q[j - 1], None
-            if v is not None and y_1 is not None:
-                s = v * y_1
-            v = q[j]
-            if v is not None and y0 is not None:
-                s = v * y0 if s is None else s + v * y0
-            v = q[j + 1]
-            if v is not None:
-                s = v if s is None else s + v
+        for above, at, below in zip(q, q[1:], q[2:]):
+            s = None if above is None or y_1 is None else above * y_1
+            if at is not None and y0 is not None:
+                s = at * y0 if s is None else s + at * y0
+            if below is not None:
+                s = below if s is None else s + below
             b.append(s)
-        top, a = new_top, b
+        top, a = top + 1, b
         v = (0 if a[top] is None else a[top]) + coeffs[i]
         a[top] = None if _is_zero(v) else v
     return LaurentPoly({top - j: v for j, v in enumerate(a) if v is not None})

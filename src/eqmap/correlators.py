@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourGeometryError
+from .errors import ContourGeometryError, DegeneratePointError, InvalidParameterError
 from .measure import equilibrium_measure
 
 __all__ = [
@@ -49,7 +49,7 @@ def correlator_context(pot):
     h_plus = float(h.value(ep.alpha_plus))
     h_minus = float(h.value(ep.alpha_minus))
     if h_plus == 0 or h_minus == 0:
-        raise ValueError("h vanishes at a support endpoint; correlator forms degenerate")
+        raise DegeneratePointError("h vanishes at a support endpoint; correlator forms degenerate")
     return CorrelatorContext(ep, h, pot.x,
                              h_plus, float(h.deriv(ep.alpha_plus)),
                              h_minus, float(h.deriv(ep.alpha_minus)))
@@ -59,7 +59,7 @@ def _sqrt_cut(ctx, y):
     """sqrt((y - a-)(y - a+)), the branch ~ y at infinity, for complex y or arrays."""
     am, ap = ctx.ep.alpha_minus, ctx.ep.alpha_plus
     if np.any((y.imag == 0) & (am <= y.real) & (y.real <= ap)):
-        raise ValueError("evaluation point sits on the branch cut")
+        raise InvalidParameterError("evaluation point sits on the branch cut")
     sqrt = cmath.sqrt if isinstance(y, complex) else np.sqrt
     return sqrt(y - am) * sqrt(y - ap)
 

@@ -124,15 +124,14 @@ def _perturbation_coeffs(pot, t=None):
     return c
 
 
-def endpoint_residuals(u, z, pot, _coeffs=None):
+def endpoint_residuals(u, z, pot):
     """Residuals (r1, r2) of the two endpoint equations at (u, z).
 
     Both vanish iff (u, z) parameterize the support for ``pot``.  Generic over
-    the scalar type of u and z: floats, Fractions and jets all work, which is
-    how Jacobians and Taylor jets of the solution are produced.
+    the scalar type of u and z: floats, Fractions and jets all work.  The
+    solver and the jet lift run the band kernel below, which gives its bits.
     """
-    coeffs = xvprime_coeffs(pot) if _coeffs is None else _coeffs
-    w = substitute_uniformizer(coeffs, u, z, _band=(-1, 0))
+    w = substitute_uniformizer(xvprime_coeffs(pot), u, z)
     return w.coeff(0) / pot.x, w.coeff(-1) / pot.x - 1
 
 
@@ -172,12 +171,12 @@ class EndpointSolution:
     def _jet(self, which):
         jet = self.u_jet if which == "u" else self.z_jet
         if jet is None:
-            raise ValueError("no jets attached; call uz_jets first")
+            raise InvalidParameterError("no jets attached; call uz_jets first")
         return jet
 
     def require_x_order(self, n):
         if self.u_jet is None or self.u_jet.orders[0] < n:
-            raise ValueError("endpoint jets must carry x-order >= %d" % n)
+            raise InvalidParameterError("endpoint jets must carry x-order >= %d" % n)
 
 
 # the (u, z) jet layouts of Newton and the fold search, the triangles i + j <= n:
@@ -197,13 +196,14 @@ def _uz_products(n):
 
 
 def _band(coeffs, U, Z, mul_u, mul_z, num):
-    """[T^0] and [T^-1] of sum_i coeffs[i] y**i at y = T + U + Z/T: the band
-    Horner of substitute_uniformizer over flat entry lists, with the jet
-    route's every rounding, zero skip and zero drop.  A coefficient, in and
-    out, is None (zero), a number or an entry list; an all-zero U or Z is
-    None.  mul_z(v, Z) is the product by Z of a list v and mul_u(v, U, s) s
-    plus that by U (the product alone if s is None); a number v times U or Z
-    is entry * num(v), and a number is added to the value entry alone."""
+    """[T^0] and [T^-1] of sum_i coeffs[i] y**i at y = T + U + Z/T: Horner's
+    rule of substitute_uniformizer over flat entry lists, cut to what can reach
+    them, with the jet route's every rounding, zero skip and zero drop.  A
+    coefficient, in and out, is None (zero), a number or an entry list; an
+    all-zero U or Z is None.  mul_z(v, Z) is the product by Z of a list v and
+    mul_u(v, U, s) s plus that by U (the product alone if s is None); a number
+    v times U or Z is entry * num(v), and a number is added to the value entry
+    alone."""
     top, a = 0, [None]
     for i in range(len(coeffs) - 1, -1, -1):
         # add coeffs[i]; a sum that comes to zero is dropped, as LaurentPoly drops it
@@ -239,16 +239,15 @@ def _band(coeffs, U, Z, mul_u, mul_z, num):
         top, a = new_top, b
 
 
-def _uz_residuals(u, z, n, pot, _coeffs=None):
+def _uz_residuals(u, z, n, pot, coeffs):
     """Value, d/du, d/dz and, at n = 2, d2/du2, d2/dudz, d2/dz2 of both endpoint
     residuals at (u, z), bit-identical to order-(n, n) box jets: the band
-    kernel over the order-n triangle jets U = u + du and Z = z + dz, in floats."""
+    kernel of ``coeffs`` over the order-n triangle jets U = u + du and Z = z + dz."""
     mul_u, mul_z = _uz_products(n)
     u, z = float(u), float(z)
     k = len(_UZ_LAYOUTS[n].exps)
     U = [u] + [0.0] * n + [1.0] + [0.0] * (k - n - 2)
     Z = [z, 1.0] + [0.0] * (k - 2)
-    coeffs = xvprime_coeffs(pot) if _coeffs is None else _coeffs
     x, out = float(pot.x), []
     for m, v in enumerate(_band(coeffs, U, Z, mul_u, mul_z, float)):  # T**0, then T**-1 - 1
         if type(v) is list and any(v):
@@ -260,9 +259,9 @@ def _uz_residuals(u, z, n, pot, _coeffs=None):
     return out
 
 
-def _residual_and_jacobian(u, z, pot, _coeffs=None):
+def _residual_and_jacobian(u, z, pot, coeffs):
     """Residuals (r1, r2) and Jacobian ((r1_u, r1_z), (r2_u, r2_z)) at a point, as floats."""
-    (a, a_u, a_z), (b, b_u, b_z) = _uz_residuals(u, z, 1, pot, _coeffs)
+    (a, a_u, a_z), (b, b_u, b_z) = _uz_residuals(u, z, 1, pot, coeffs)
     return (a, b), ((a_u, a_z), (b_u, b_z))
 
 
@@ -303,7 +302,7 @@ def _newton(pot, u, z):
     coeffs = xvprime_coeffs(pot)
     prev = math.inf
     for it in range(30):
-        r, jac = _residual_and_jacobian(u, z, pot, _coeffs=coeffs)
+        r, jac = _residual_and_jacobian(u, z, pot, coeffs)
         rn = _max_abs(r)
         if rn < _NEWTON_TOL:
             # one polishing step: quadratic convergence puts the parameter
@@ -312,7 +311,7 @@ def _newton(pot, u, z):
             if step is not None:
                 u2, z2 = u - step[0], z - step[1]
                 if math.isfinite(u2) and math.isfinite(z2) and z2 > 0:
-                    rn2 = _max_abs(endpoint_residuals(u2, z2, pot, _coeffs=coeffs))
+                    rn2 = _max_abs(_residual_and_jacobian(u2, z2, pot, coeffs)[0])
                     if rn2 <= rn:
                         return u2, z2, rn2, True
             return u, z, rn, True
@@ -327,7 +326,7 @@ def _newton(pot, u, z):
         u, z = u - step[0], z - step[1]
         if not (math.isfinite(u) and math.isfinite(z)) or z <= 0:
             return u, z, math.inf, False
-    rn = _max_abs(endpoint_residuals(u, z, pot, _coeffs=coeffs))
+    rn = _max_abs(_residual_and_jacobian(u, z, pot, coeffs)[0])
     return u, z, rn, rn < _NEWTON_TOL
 
 
@@ -350,8 +349,8 @@ def _locate_fold(pot, u, z, s0):
     s = s0
     for _ in range(12):
         # value, d/du, d/dz, d2/du2, d2/dudz, d2/dz2 of each residual of P;
-        # endpoint_residuals subtracts the Gaussian constant 1 from r2
-        d1, d2 = _uz_residuals(u, z, 2, pot, _coeffs=coeffs)
+        # _uz_residuals subtracts the Gaussian constant 1 from r2
+        d1, d2 = _uz_residuals(u, z, 2, pot, coeffs)
         d2[0] += 1
         # J = [[a, b], [c, e]], with the (u, z, s)-gradient of each entry
         a, grad_a = g + s * d1[1], (s * d1[3], s * d1[4], d1[1])
@@ -468,7 +467,7 @@ def uz_jets(pot, x_order, t_order=0):
     coeffs = xvprime_coeffs(pot, {j: Jet.variable(float(pot.t[j]), 1 + i, orders)
                                   for i, j in enumerate(tkeys)})
 
-    _, ((a, b), (c, d)) = _residual_and_jacobian(base.u, base.z, pot)
+    _, ((a, b), (c, d)) = _residual_and_jacobian(base.u, base.z, pot, xvprime_coeffs(pot))
     det = a * d - b * c
     if not math.isfinite(det) or abs(det) < 1e-14:
         raise DegeneratePotentialError("endpoint Jacobian singular at the base point")

@@ -149,13 +149,14 @@ def verify_relations(j, t, x=1.0):
     def flat(jet):
         return float(np.max(np.abs(jet.coeffs.astype(float))))
 
-    den = (j * X - (j - 2) * Z) ** 2 - (j - 2) ** 2 * (U * U) * Z
+    d = j * X - (j - 2) * Z
+    den = d * d - (j - 2) ** 2 * (U * U) * Z
     residuals = {
         "string_u": flat(U + j * T * ut - 2 * (ux * Z + U * zx)),
         "string_z": flat(2 * Z + j * T * zt - (2 * Z * U * ux + 2 * Z * zx)),
         "scaling_z": flat((j - 2) * T * zt + 2 * Z - 2 * X * zx),
         "scaling_u": flat((j - 2) * T * ut + U - 2 * X * ux),
-        "reduce_z": flat(zx * den - (2 * Z * (j * X - (j - 2) * Z) + (j - 2) * (U * U) * Z)),
+        "reduce_z": flat(zx * den - (2 * Z * d + (j - 2) * (U * U) * Z)),
         "reduce_u": flat(ux * den - (j * X * U + (j - 2) * U * Z)),
     }
     return residuals

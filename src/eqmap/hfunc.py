@@ -29,7 +29,7 @@ from .algebra import (
 )
 from .coefftables import build_c_table, double_factorial
 from .endpoints import EndpointSolution, xvprime_coeffs
-from .errors import DegeneratePointError, SingularJetError
+from .errors import DegeneratePointError, InvalidParameterError, SingularJetError
 
 __all__ = [
     "HPoly",
@@ -203,7 +203,7 @@ def h_even(pot, ep):
     """
     odd = sorted(j for j, v in pot.t.items() if j % 2 == 1 and v != 0)
     if odd:
-        raise ValueError("even-potential route called with odd coefficients t%s" % odd)
+        raise InvalidParameterError("even-potential route called with odd coefficients t%s" % odd)
     deg = pot.degree
     kmax = deg - 2
     ep.require_x_order(kmax + 1)
@@ -307,7 +307,7 @@ def verify_even_residue_formula(pot, ep, m):
     2**(m-1) (2m-1)!! sqrt(z)**(1-2m) [T^0] x V'(sqrt z (T + 1/T)) (T + 1/T) / (T - 1/T)**(2m).
     """
     if not pot.is_even:
-        raise ValueError("even-potential residue formula needs an even potential")
+        raise InvalidParameterError("even-potential residue formula needs an even potential")
     ep.require_x_order(m + 1)
     zxinv = ep.z_jet.dx(0).reciprocal()
     g = Jet.variable(float(pot.x), 0, ep.u_jet.orders)

@@ -142,22 +142,31 @@ def test_fold_located_at_critical_coupling(monkeypatch, j, c, x):
     assert "_uz_residuals" in calls and len(calls) <= 100
 
 
-def test_newton_builds_no_jacobian_it_does_not_use(monkeypatch):
-    # the quartic converges in one Newton solve of four steps; the polished
-    # point is checked with the float residual, so only the four points that
-    # take a step pay for an order-1 Taylor Jacobian
+def test_newton_reads_one_residual_route(monkeypatch):
+    # the quartic converges in one Newton solve of four steps, and the polished
+    # point is checked by the same kernel: five points, none of them through
+    # endpoint_residuals or substitute_uniformizer; a fold solve neither
     points = []
     full = endpoints._residual_and_jacobian
 
-    def counted(u, z, pot, **kwargs):
+    def counted(u, z, pot, coeffs):
         points.append((u, z))
-        return full(u, z, pot, **kwargs)
+        return full(u, z, pot, coeffs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the solver left the band kernel")
 
     monkeypatch.setattr(endpoints, "_residual_and_jacobian", counted)
+    for module, name in ((endpoints, "endpoint_residuals"), (endpoints, "substitute_uniformizer"),
+                         (algebra, "substitute_uniformizer")):
+        monkeypatch.setattr(module, name, refused)
     ep = solve_endpoints(PotentialSpec(1.0, {4: 0.01}))
     assert abs(ep.z - quartic_z(0.01)) < 1e-13
-    assert len(points) == 4
-    assert (ep.u, ep.z) not in points
+    assert len(points) == 5 and points[-1] == (ep.u, ep.z)
+    with pytest.raises(NoOneCutSolutionError) as info:
+        solve_endpoints(PotentialSpec(1.0, {4: -1.5 / 48}))
+    assert info.value.s_star == pytest.approx(1 / 1.5, rel=1e-10) and len(points) > 5
+    monkeypatch.undo()
     assert ep.residual_norm == max(abs(r) for r in endpoint_residuals(ep.u, ep.z, ep.potential))
 
 
@@ -350,10 +359,12 @@ def _scalar_route_points():
 
 
 def _box_jet_partials(u, z, n, pot, coeffs):
-    """The order-(n, n) box-jet route: value, d/du, d/dz and, at n = 2, the
-    second partials of both residuals of ``coeffs``."""
-    rs = endpoint_residuals(Jet.variable(float(u), 0, (n, n)), Jet.variable(float(z), 1, (n, n)),
-                            pot, _coeffs=coeffs)
+    """The order-(n, n) box-jet route through substitute_uniformizer: value,
+    d/du, d/dz and, at n = 2, the second partials of both residuals of ``coeffs``."""
+    from test_algebra import _substituted_residuals
+
+    U, Z = Jet.variable(float(u), 0, (n, n)), Jet.variable(float(z), 1, (n, n))
+    rs = _substituted_residuals(U, Z, pot, coeffs)
     return [[r.partial(k) if isinstance(r, Jet) else (r if k == (0, 0) else 0.0)
              for k in _FOLD_PARTIALS[:3 * n]] for r in rs]
 
@@ -369,13 +380,13 @@ def test_scalar_jacobian_and_fold_partials_bit_identical_to_jets():
                for u, z in [(v, 1.0) for v in special] + [(0.3, v) for v in special]
                + [(v, v) for v in special]]
     for pot, u, z in points:
-        r, jac = endpoints._residual_and_jacobian(u, z, pot)
-        (a, a_u, a_z), (b, b_u, b_z) = _box_jet_partials(u, z, 1, pot, None)
+        r, jac = endpoints._residual_and_jacobian(u, z, pot, xvprime_coeffs(pot))
+        (a, a_u, a_z), (b, b_u, b_z) = _box_jet_partials(u, z, 1, pot, xvprime_coeffs(pot))
         assert _hex(r + jac[0] + jac[1]) == _hex([a, b, a_u, a_z, b_u, b_z]), (pot, u, z)
         # Newton's coefficients and the fold search's perturbation part
-        for coeffs in (None, endpoints._perturbation_coeffs(pot)):
+        for coeffs in (xvprime_coeffs(pot), endpoints._perturbation_coeffs(pot)):
             for n in (1, 2):
-                got = endpoints._uz_residuals(u, z, n, pot, _coeffs=coeffs)
+                got = endpoints._uz_residuals(u, z, n, pot, coeffs)
                 assert _hex(got) == _hex(_box_jet_partials(u, z, n, pot, coeffs)), (pot, u, z, n)
 
 
@@ -564,7 +575,7 @@ def test_uz_jets_lifts_through_endpoint_residuals(monkeypatch):
 def _jet_object_residuals(U, Z, coeffs, xinv):
     """endpoint_residuals over jets with the face weight's reciprocal ``xinv``
     multiplied in: the Jet-object route of the lift's kernel."""
-    w = algebra.substitute_uniformizer(coeffs, U, Z, _band=(-1, 0))
+    w = algebra.substitute_uniformizer(coeffs, U, Z)
     return w.coeff(0) * xinv, w.coeff(-1) * xinv - 1
 
 
@@ -577,7 +588,8 @@ def _jet_object_uz_jets(pot, x_order, t_order=0):
     xinv = Jet.variable(float(pot.x), 0, orders).reciprocal()
     coeffs = xvprime_coeffs(pot, {j: Jet.variable(float(pot.t[j]), 1 + i, orders)
                                   for i, j in enumerate(tkeys)})
-    _, ((a, b), (c, d)) = endpoints._residual_and_jacobian(base.u, base.z, pot)
+    _, ((a, b), (c, d)) = endpoints._residual_and_jacobian(base.u, base.z, pot,
+                                                           xvprime_coeffs(pot))
     det = a * d - b * c
     (a, b), (c, d) = (d / det, -b / det), (-c / det, a / det)
     U, Z = Jet.constant(base.u, orders), Jet.constant(base.z, orders)
@@ -714,7 +726,7 @@ def test_one_cut_certificate_refuses_nan():
 def test_newton_never_accepts_a_nan_residual(monkeypatch, which):
     # Python's max(1e-17, nan) is 1e-17: a residual NaN in one entry alone,
     # next to one below the tolerance, must not read as converged
-    def nan_residual(u, z, pot, **kwargs):
+    def nan_residual(u, z, pot, coeffs):
         r = [1e-17, 1e-17]
         r[which] = math.nan
         return tuple(r), ((1.0, 0.0), (0.0, 1.0))

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import eqmap
-from eqmap import acceptance, endpoints
+from eqmap import acceptance, correlators, endpoints
+from eqmap.errors import DegeneratePointError, EqmapError, InvalidParameterError
 
 
 def test_package_has_no_assert_statements():
@@ -43,8 +44,9 @@ SIGNATURES = {
     endpoints._locate_fold: ["pot", "u", "z", "s0"],
     acceptance._corpus_with_jets: [],
     eqmap.census: ["profile"],
-    eqmap.substitute_uniformizer: ["coeffs", "u", "z", "_band"],
-    endpoints._uz_residuals: ["u", "z", "n", "pot", "_coeffs"],
+    eqmap.substitute_uniformizer: ["coeffs", "u", "z"],
+    eqmap.endpoint_residuals: ["u", "z", "pot"],
+    endpoints._uz_residuals: ["u", "z", "n", "pot", "coeffs"],
 }
 
 
@@ -79,3 +81,32 @@ def test_import_makes_no_jet_product():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["0", "0", "0", "2"]
+
+
+def test_public_preconditions_raise_typed_errors(monkeypatch):
+    # a refused input is an InvalidParameterError, still a ValueError; a
+    # vanishing h at an endpoint is a DegeneratePointError
+    even, odd = eqmap.PotentialSpec(1.0, {4: 0.01}), eqmap.PotentialSpec(1.0, {3: 0.05})
+    bare = eqmap.solve_endpoints(even)
+    refused = {
+        "h_even on an odd potential": lambda: eqmap.h_even(odd, eqmap.uz_jets(odd, 3)),
+        "even residue formula on an odd potential":
+            lambda: eqmap.verify_even_residue_formula(odd, eqmap.uz_jets(odd, 3), 1),
+        "du without jets": lambda: bare.du(),
+        "phi_psi without jets": lambda: eqmap.phi_psi(even, bare, 1),
+        "h_even short of x-order": lambda: eqmap.h_even(even, eqmap.uz_jets(even, 1)),
+        "h_at_endpoints short of x-order":
+            lambda: eqmap.h_at_endpoints(even, eqmap.uz_jets(even, 1)),
+        "a point on the cut": lambda: eqmap.w1_leading(eqmap.correlator_context(even), 0.1),
+    }
+    for name, call in refused.items():
+        with pytest.raises(EqmapError) as info:
+            call()
+        assert type(info.value) is InvalidParameterError, name
+        assert isinstance(info.value, ValueError), name
+    em = eqmap.equilibrium_measure(even)
+    flat_h = type("FlatH", (), {"value": lambda self, y: 0.0, "deriv": lambda self, y: 1.0})()
+    monkeypatch.setattr(correlators, "equilibrium_measure",
+                        lambda pot: type(em)(em.ep, flat_h, pot.x))
+    with pytest.raises(DegeneratePointError, match="h vanishes"):
+        eqmap.correlator_context(even)
