@@ -61,44 +61,34 @@ _BLOCK = 128  # pairs per compiled piece: compiling holds memory per statement
 
 
 def _truncated_product(table):
-    """The truncated product over ``table`` as straight-line Python code: a
-    function of the flat coefficient sequences a and b and a ``zero``.
+    """The truncated product over ``table`` as straight-line Python code:
+    f(a, b, zero, s=None) of the flat coefficient sequences a and b, and given
+    entries s, s plus the product, s[k] + o[k] per entry.
 
     Each entry is summed from ``zero`` over the nonzero entries a[i] in
     storage order, adding a[i] * b[src] per pair of row i of ``table``, so
     every sum is rounded as a loop over the entries of a forms it (Griewank &
-    Walther, Evaluating Derivatives, 2008).  Every jet product in the package
-    runs here, float and exact alike.
+    Walther, Evaluating Derivatives, 2008).  Every truncated product in the
+    package runs here, float and exact alike.
     """
     n = len(table)
     pairs = [(i, m, src) for i, row in enumerate(table) for m, src in zip(row[::2], row[1::2])]
     if len(pairs) <= _BLOCK:  # one piece, the entries of b and the sums in locals
         b, o = (["%s%d" % (v, k) for k in range(n)] for v in "bo")
-        head = ["def f(a, b, zero):", "    %s, = b" % ", ".join(b), "    %s = zero" % " = ".join(o)]
-        return _compiled(head, pairs, "o%d", "b%d", "    return [%s]" % ", ".join(o))
+        head = ["def f(a, b, zero, s=None):", "    %s, = b" % ", ".join(b),
+                "    %s = zero" % " = ".join(o)]
+        plus = ", ".join("s[%d] + %s" % (k, v) for k, v in enumerate(o))
+        tail = "    if s is None:\n        return [%s]\n    return [%s]" % (", ".join(o), plus)
+        return _compiled(head, pairs, "o%d", "b%d", tail)
     pieces = [_compiled(["def f(a, b, o):"], pairs[k:k + _BLOCK], "o[%d]", "b[%d]")
               for k in range(0, len(pairs), _BLOCK)]
 
-    def product(a, b, zero):
+    def product(a, b, zero, s=None):
         o = [zero] * n
         for piece in pieces:
             piece(a, b, o)
-        return o
+        return o if s is None else list(map(operator.add, s, o))
     return product
-
-
-def _product_by(lay, entries):
-    """f(a, b, s=None): the truncated product over ``lay`` of float entries a by
-    the ``entries``, expressions in b[0] alone, summed as the layout's product
-    sums them; given entries s, s plus that product."""
-    table = _pair_table(lay.exps)
-    pairs = [(i, m, src) for i, row in enumerate(table) for m, src in zip(row[::2], row[1::2])]
-    names, o = (["%s%d" % (v, k) for k in range(len(table))] for v in "bo")
-    head = ["def f(a, b, s=None):", "    %s = %s" % (", ".join(names), ", ".join(entries)),
-            "    %s = 0.0" % " = ".join(o)]
-    plus = ", ".join("s[%d] + %s" % (k, v) for k, v in enumerate(o))
-    tail = "    if s is None:\n        return [%s]\n    return [%s]" % (", ".join(o), plus)
-    return _compiled(head, pairs, "o%d", "b%d", tail)
 
 
 def _compiled(head, pairs, out, src, tail=""):

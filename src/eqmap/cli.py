@@ -73,8 +73,10 @@ def _jet_payload(jet):
 
 
 def cmd_endpoints(args):
+    if args.order < 1:
+        raise InvalidParameterError("--order must be at least 1, got %d" % args.order)
     pot = _load_potential(args)
-    ep = uz_jets(pot, x_order=max(1, args.order))
+    ep = uz_jets(pot, x_order=args.order)
     _emit(args, {
         "u": ep.u, "z": ep.z,
         "alpha_minus": ep.alpha_minus, "alpha_plus": ep.alpha_plus,

@@ -15,12 +15,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import algebra
-from .algebra import Jet, _box, _jet, _layout, _product_by, substitute_uniformizer
+from .algebra import Jet, _box, _jet, _layout, substitute_uniformizer
 from .errors import DegeneratePotentialError, InvalidParameterError, NoOneCutSolutionError
 
 __all__ = [
@@ -186,24 +185,15 @@ _UZ_LAYOUTS = {n: _layout(tuple(e for e in np.ndindex(n + 1, n + 1) if sum(e) <=
                for n in (1, 2)}
 
 
-@lru_cache(maxsize=None)
-def _uz_products(n):
-    """The products of an order-n triangle's entries by U = (u, 0, 1, ...) and by
-    Z = (z, 1, 0, ...), as f(a, U, s=None) and f(a, Z, s=None) (see _product_by)."""
-    lay = _UZ_LAYOUTS[n]
-    return tuple(_product_by(lay, ["b[0]"] + ["1.0" if e == unit else "0.0" for e in lay.exps[1:]])
-                 for unit in ((1, 0), (0, 1)))
-
-
-def _band(coeffs, U, Z, mul_u, mul_z, num):
+def _band(coeffs, U, Z, lay, zero, num):
     """[T^0] and [T^-1] of sum_i coeffs[i] y**i at y = T + U + Z/T: Horner's
     rule of substitute_uniformizer over flat entry lists, cut to what can reach
     them, with the jet route's every rounding, zero skip and zero drop.  A
-    coefficient, in and out, is None (zero), a number or an entry list; an
-    all-zero U or Z is None.  mul_z(v, Z) is the product by Z of a list v and
-    mul_u(v, U, s) s plus that by U (the product alone if s is None); a number
-    v times U or Z is entry * num(v), and a number is added to the value entry
-    alone."""
+    coefficient, in and out, is None (zero), a number or an entry list over
+    ``lay``; an all-zero U or Z is None.  A list times U or Z is the layout's
+    truncated product, summed from ``zero``; a number v times U or Z is
+    entry * num(v), and a number is added to the value entry alone."""
+    product = algebra._PRODUCTS[lay]
     top, a = 0, [None]
     for i in range(len(coeffs) - 1, -1, -1):
         # add coeffs[i]; a sum that comes to zero is dropped, as LaurentPoly drops it
@@ -225,10 +215,10 @@ def _band(coeffs, U, Z, mul_u, mul_z, num):
         b = []
         for j in range(top - new_top + 2, top - max(top - len(a), -i) + 3):
             v = None if Z is None else q[j - 1]
-            s = None if v is None else mul_z(v, Z) if type(v) is list else [e * num(v) for e in Z]
+            s = None if v is None else product(v, Z, zero) if type(v) is list else [e * num(v) for e in Z]
             v = None if U is None else q[j]
             if type(v) is list:
-                s = mul_u(v, U, s)
+                s = product(v, U, zero, s)
             elif v is not None:
                 p = [e * num(v) for e in U]
                 s = p if s is None else list(map(operator.add, s, p))
@@ -243,13 +233,13 @@ def _uz_residuals(u, z, n, pot, coeffs):
     """Value, d/du, d/dz and, at n = 2, d2/du2, d2/dudz, d2/dz2 of both endpoint
     residuals at (u, z), bit-identical to order-(n, n) box jets: the band
     kernel of ``coeffs`` over the order-n triangle jets U = u + du and Z = z + dz."""
-    mul_u, mul_z = _uz_products(n)
+    lay = _UZ_LAYOUTS[n]
     u, z = float(u), float(z)
-    k = len(_UZ_LAYOUTS[n].exps)
+    k = len(lay.exps)
     U = [u] + [0.0] * n + [1.0] + [0.0] * (k - n - 2)
     Z = [z, 1.0] + [0.0] * (k - 2)
     x, out = float(pot.x), []
-    for m, v in enumerate(_band(coeffs, U, Z, mul_u, mul_z, float)):  # T**0, then T**-1 - 1
+    for m, v in enumerate(_band(coeffs, U, Z, lay, 0.0, float)):  # T**0, then T**-1 - 1
         if type(v) is list and any(v):
             c = [e / x for e in v]
             c[0] -= m
@@ -403,7 +393,7 @@ def solve_endpoints(pot):
         raise DegeneratePotentialError(
             "endpoint Jacobian singular at the Gaussian point: det J = 1/x**2 < 1e-14 "
             "for x = %r" % (pot.x,))
-    if all(v == 0 for v in pot.t.values()) or not pot.t:
+    if all(v == 0 for v in pot.t.values()):
         return EndpointSolution(u, z, pot, 0.0)
     t2 = pot.t.get(2, 0)
     if pot.degree == 2 and 1 + 2 * t2 <= 0:
@@ -490,14 +480,9 @@ def _jet_residuals(U, Z, lay, coeffs, xinv):
     ``coeffs`` are those of x V'(y), numbers or jets over ``lay``."""
     zero, num = (0.0, float) if type(U[0]) is float else (0, operator.pos)
     product = algebra._PRODUCTS[lay]
-
-    def mul(v, y, s=None):
-        p = product(v, y, zero)
-        return p if s is None else list(map(operator.add, s, p))
-
     out = []
     for m, v in enumerate(_band([c.c if isinstance(c, Jet) else c for c in coeffs],
-                                U if any(U) else None, Z if any(Z) else None, mul, mul, num)):
+                                U if any(U) else None, Z if any(Z) else None, lay, zero, num)):
         if type(v) is list and any(v):
             v = v if xinv is None else product(v, xinv, zero)
         else:  # zero, as LaurentPoly drops it, or a number

@@ -348,50 +348,36 @@ def test_generated_product_matches_the_loop(exponents):
         return rng.choice([-1, 1]) * rng.uniform(0.1, 10) * 10.0 ** rng.randint(-6, 6)
 
     for _ in range(40):
-        a, b = [draw() for _ in range(n)], [draw() for _ in range(n)]
-        got = product(a, b, 0.0)
-        assert [v.hex() for v in got] == [v.hex() for v in _loop_product(a, b, table, 0.0)]
-        ints = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(2)]
-        got, want = product(*ints, 0), _loop_product(*ints, table, 0)
-        assert got == want and all(type(v) is int for v in got)
+        # the product alone, and given entries s, s plus it
+        a, b, s = ([draw() for _ in range(n)] for _ in range(3))
+        want = _loop_product(a, b, table, 0.0)
+        assert [v.hex() for v in product(a, b, 0.0)] == [v.hex() for v in want]
+        want = [v + w for v, w in zip(s, want)]
+        assert [v.hex() for v in product(a, b, 0.0, s)] == [v.hex() for v in want]
+        ints = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(3)]
         fracs = [[Fraction(v, rng.randint(1, 7)) for v in row] for row in ints]
-        got, want = product(*fracs, 0), _loop_product(*fracs, table, 0)
-        assert got == want and list(map(type, got)) == list(map(type, want))
+        for a, b, s in (ints, fracs):  # ints stay ints
+            loop = _loop_product(a, b, table, 0)
+            for got, want in ((product(a, b, 0), loop),
+                              (product(a, b, 0, s), [v + w for v, w in zip(s, loop)])):
+                assert got == want and list(map(type, got)) == list(map(type, want))
     if len(exponents) >= 16:  # these run in several compiled pieces
         assert sum(len(row) for row in table) // 2 > algebra._BLOCK
 
 
 class _LoopProducts(dict):
-    """The loop over each layout's pair table, in place of its generated product."""
+    """The loop over each layout's pair table, in place of its generated
+    product: the jet boxes of the lift and the h routes, and the (u, z)
+    triangles of Newton and the fold search."""
 
     def __missing__(self, lay):
         table = _pair_table(lay.exps)
-        product = self[lay] = lambda a, b, zero: _loop_product(a, b, table, zero)
-        return product
 
-
-def _loop_uz_products(n):
-    """The loop over the order-n triangle's pair table, by U = (u, 0, 1, ...)
-    and by Z = (z, 1, 0, ...), in place of the generated products."""
-    exps = _UZ_LAYOUTS[n].exps
-    table = _pair_table(exps)
-
-    def by(unit):
-        fixed = [1.0 if e == unit else 0.0 for e in exps[1:]]
-
-        def product(a, b, s=None):  # reads u or z alone, as the generated one does
-            out = _loop_product(a, [b[0]] + fixed, table, 0.0)
+        def product(a, b, zero, s=None):
+            out = _loop_product(a, b, table, zero)
             return out if s is None else [v + w for v, w in zip(s, out)]
+        self[lay] = product
         return product
-    return by((1, 0)), by((0, 1))
-
-
-def _loop_products(monkeypatch):
-    """Point every layout's truncated product at the loop: the jet boxes of the
-    lift and the h routes, and the products by U and Z of Newton and the fold
-    search."""
-    monkeypatch.setattr(algebra, "_PRODUCTS", _LoopProducts())
-    monkeypatch.setattr(endpoints, "_uz_products", _loop_uz_products)
 
 
 def test_solver_path_matches_slice_loop_bit_for_bit(monkeypatch):
@@ -423,7 +409,7 @@ def test_solver_path_matches_slice_loop_bit_for_bit(monkeypatch):
 
     fast = fingerprint()
     assert None not in fast[-2:]  # both fold searches converge
-    _loop_products(monkeypatch)
+    monkeypatch.setattr(algebra, "_PRODUCTS", _LoopProducts())
     assert fingerprint() == fast
 
 

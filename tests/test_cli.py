@@ -176,6 +176,14 @@ def test_bad_series_order_is_named(capsys, order):
     assert "--series" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("order", ["-2", "0"])
+def test_bad_endpoint_order_is_named(capsys, order):
+    code, out, err = run_cli(capsys, "endpoints", "--order", order)
+    assert code == 1 and out == ""
+    assert "--order" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_output_file(tmp_path, capsys):
     dest = tmp_path / "out.json"
     code, _, _ = run_cli(capsys, "endpoints", "--x", "1", "--out", str(dest))

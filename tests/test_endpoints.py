@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -456,20 +457,21 @@ def test_uz_triangle_tables_reproduce_the_pair_literal():
     # the fold search, with infinities and NaN that meet the zero entries
     special = [0.0, -0.0, math.inf, -math.inf, math.nan]
     for n, k in ((1, 3), (2, 6)):
-        exps = endpoints._UZ_LAYOUTS[n].exps
+        lay = endpoints._UZ_LAYOUTS[n]
+        product = algebra._PRODUCTS[lay]
         for _ in range(200):
             a = [rng.choice(special + [rng.uniform(-9, 9)] * 3) for _ in range(k)]
             y = rng.choice(special + [rng.uniform(-9, 9)] * 3)
-            for product, unit in zip(endpoints._uz_products(n), ((1, 0), (0, 1))):
-                b = [y] + [1.0 if e == unit else 0.0 for e in exps[1:]]
+            for unit in ((1, 0), (0, 1)):
+                b = [y] + [1.0 if e == unit else 0.0 for e in lay.exps[1:]]
                 want = [0.0] * k
                 for x, row in zip(a, _UZ_PAIRS[k]):
                     if x != 0:
                         for m, src in row:
                             want[m] += x * b[src]
-                assert _hex(product(a, b)) == _hex(want)
+                assert _hex(product(a, b, 0.0)) == _hex(want)
                 s = [rng.choice(special + [rng.uniform(-9, 9)] * 3) for _ in range(k)]
-                assert _hex(product(a, b, s)) == _hex([v + w for v, w in zip(s, want)])
+                assert _hex(product(a, b, 0.0, s)) == _hex([v + w for v, w in zip(s, want)])
 
 
 def test_solve_endpoints_multiplies_no_jet(monkeypatch):
@@ -791,3 +793,36 @@ def test_endpoint_derivative_outside_the_jets_is_refused_by_name(k):
     for derivative in (ep.du, ep.dz):
         with pytest.raises(InvalidParameterError, match=r"\(%d, 0\).*orders \(1, 1\)" % k):
             derivative(k)
+
+
+# sha256 of the solver's bits on the draws of test_solver_bits_are_pinned
+_SOLVER_DIGEST = "34cfa9b86c287011d9ff37eda10e0b0508f4b1a0536744d117b77488620ae2ab"
+
+
+def test_solver_bits_are_pinned():
+    """The solver's bits on 40 seeded potentials of degree 3-6, 12 of which
+    end at a fold: float.hex of (u, z, residual_norm) of each solve, or the
+    error type and s_star, and the entries of uz_jets(pot, 3) of the first
+    five that solve.  The draws use Random.uniform and arithmetic alone, so
+    no platform's pow or LAPACK enters the inputs.  A change that moves these
+    bits on purpose updates _SOLVER_DIGEST and says so in CHANGES.md."""
+    rng, digest, folds, jets = random.Random(2), hashlib.sha256(), 0, 0
+    for i in range(40):
+        d = 3 + i % 4
+        amp = 0.015 * (1 + i % 5) / (d - 2)
+        x = rng.uniform(0.5, 2.0)
+        pot = PotentialSpec(x, {j: rng.uniform(-amp, amp) for j in range(1, d + 1)})
+        try:
+            ep = solve_endpoints(pot)
+        except NoOneCutSolutionError as exc:
+            folds += exc.s_star is not None
+            line = [type(exc).__name__, None if exc.s_star is None else exc.s_star.hex()]
+        else:
+            line = [v.hex() for v in (ep.u, ep.z, ep.residual_norm)]
+            if jets < 5:
+                jets += 1
+                ep = uz_jets(pot, 3)
+                line += [v.hex() for v in ep.u_jet.c + ep.z_jet.c]
+        digest.update(repr(line).encode())
+    assert folds >= 8
+    assert digest.hexdigest() == _SOLVER_DIGEST

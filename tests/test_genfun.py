@@ -191,8 +191,8 @@ def test_e1_series_jets_stay_exact(monkeypatch):
 
     class Recorded(dict):
         def __missing__(self, lay):
-            def product(a, b, zero):
-                products.append((a, b, made[lay](a, b, zero), [zero]))
+            def product(a, b, zero, s=None):
+                products.append((a, b, made[lay](a, b, zero, s), [zero], s or []))
                 return products[-1][2]
             self[lay] = product
             return product

@@ -68,19 +68,19 @@ def test_import_loads_no_process_pool():
 def test_import_makes_no_jet_product():
     # truncated products are made on first use: a fresh import makes none,
     # and a solve that runs into its fold (Newton, then the fold search)
-    # makes no jet product, only the products by U and Z of the two (u, z)
-    # triangles
+    # makes the products of the two (u, z) triangles alone, no box product
     code = ("import eqmap\nfrom eqmap import algebra, endpoints\n"
-            "print(len(algebra._PRODUCTS), endpoints._uz_products.cache_info().currsize)\n"
+            "print(len(algebra._PRODUCTS))\n"
             "try:\n"
             "    eqmap.solve_endpoints(eqmap.PotentialSpec(1.0, {3: 0.05, 4: -0.03}))\n"
             "except eqmap.errors.NoOneCutSolutionError:\n"
             "    pass\n"
-            "print(len(algebra._PRODUCTS), endpoints._uz_products.cache_info().currsize)\n")
+            "print(len(algebra._PRODUCTS), *(endpoints._UZ_LAYOUTS[n] in algebra._PRODUCTS\n"
+            "                                for n in (1, 2)))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(eqmap.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["0", "0", "0", "2"]
+    assert out.split() == ["0", "2", "True", "True"]
 
 
 def test_public_preconditions_raise_typed_errors(monkeypatch):
