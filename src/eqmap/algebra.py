@@ -20,8 +20,6 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import InvalidParameterError, SingularJetError
 
 __all__ = [
@@ -181,6 +179,7 @@ class Jet:
     __slots__ = ("c", "lay", "f64")
 
     def __init__(self, coeffs):
+        import numpy as np
         self.f64 = isinstance(coeffs, np.ndarray) and coeffs.dtype == np.float64
         arr = np.array(coeffs, dtype=np.float64 if self.f64 else object, ndmin=1)
         self.c = arr.ravel().tolist()
@@ -212,6 +211,7 @@ class Jet:
     def coeffs(self):
         """The entries as a read-only array of shape orders + 1, float64 for
         a float jet and object otherwise; exponents off the layout read 0."""
+        import numpy as np
         arr = np.zeros(tuple(o + 1 for o in self.orders), dtype=np.float64 if self.f64 else object)
         arr[tuple(zip(*self.lay.exps))] = self.c
         arr.flags.writeable = False

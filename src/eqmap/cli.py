@@ -13,9 +13,6 @@ import io
 import json
 import sys
 
-import numpy as np
-
-from . import acceptance
 from .coefftables import build_c_table
 from .correlators import apply_K, correlator_context, w1_leading, w1_subleading, \
     w1_subleading_antiderivative, w2_diag
@@ -69,7 +66,8 @@ def _emit(args, obj, rows=None, header=None):
 
 
 def _jet_payload(jet):
-    return {"orders": list(jet.orders), "coeffs": jet.coeffs.astype(float).tolist()}
+    """An x-jet's orders and coefficients; its entries are its coefficients in order."""
+    return {"orders": list(jet.orders), "coeffs": [float(v) for v in jet.c]}
 
 
 def cmd_endpoints(args):
@@ -87,6 +85,7 @@ def cmd_endpoints(args):
 
 
 def cmd_h(args):
+    import numpy as np
     pot = _load_potential(args)
     ep = uz_jets(pot, x_order=pot.degree + 1)
     hc = h_classical(pot, ep)
@@ -110,6 +109,7 @@ def cmd_h(args):
 def cmd_density(args):
     if args.grid < 0:
         raise InvalidParameterError("--grid must be non-negative, got %d" % args.grid)
+    import numpy as np
     pot = _load_potential(args)
     em = equilibrium_measure(pot)
     am, ap = em.support
@@ -215,6 +215,7 @@ def cmd_correlators(args):
 
 
 def cmd_verify(args):
+    from . import acceptance
     results = acceptance.run_all(report=print)
     failed = [r for r in results if not r.passed]
     print("%d/%d criteria passed" % (len(results) - len(failed), len(results)))

@@ -85,20 +85,6 @@ def psi_tilde(m):
     return BasisFunction("psi", m, num, 2 * m)
 
 
-def leading_pole_data(bf):
-    """Exact leading Laurent coefficients of a basis element at T = 1 and T = -1.
-
-    Near T = s the element behaves like A_s / (T - s)**denom_power with
-    A_s = [numerator * T**denom_power](s) / (2s)**denom_power up to sign; the
-    returned pair is (A at +1, A at -1).
-    """
-    p = bf.denom_power
-    num = bf.numerator.shifted(p)  # clear the T**-p inside (T - 1/T)**p
-    at_plus = num(Fraction(1)) / Fraction(2) ** p
-    at_minus = num(Fraction(-1)) / Fraction(-2) ** p
-    return at_plus, at_minus
-
-
 @dataclass(frozen=True)
 class CoeffTable:
     """Rows k = 0..kmax of the expansion coefficients, exact rationals."""

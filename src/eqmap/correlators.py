@@ -13,8 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ContourGeometryError, DegeneratePointError, InvalidParameterError
 from .measure import equilibrium_measure
 
@@ -26,7 +24,6 @@ __all__ = [
     "w1_subleading",
     "w1_subleading_antiderivative",
     "apply_K",
-    "int_over_linear_factor",
 ]
 
 
@@ -57,6 +54,7 @@ def correlator_context(pot):
 
 def _sqrt_cut(ctx, y):
     """sqrt((y - a-)(y - a+)), the branch ~ y at infinity, for complex y or arrays."""
+    import numpy as np
     am, ap = ctx.ep.alpha_minus, ctx.ep.alpha_plus
     if np.any((y.imag == 0) & (am <= y.real) & (y.real <= ap)):
         raise InvalidParameterError("evaluation point sits on the branch cut")
@@ -88,6 +86,7 @@ def w2_diag(ctx, y):
 
 def w1_subleading(ctx, y):
     """Subleading one-point coefficient from its endpoint closed form; y may be an array."""
+    import numpy as np
     y = complex(y) if np.ndim(y) == 0 else np.asarray(y, dtype=complex)
     am, ap = ctx.ep.alpha_minus, ctx.ep.alpha_plus
     s = math.sqrt(ctx.ep.z)
@@ -98,14 +97,6 @@ def w1_subleading(ctx, y):
                + (hp + 2 * s * hpp) / (32 * s * hp * hp * (y - ap))
                + 1 / (-16 * hp * (y - ap) ** 2))
     return ctx.x * bracket / _sqrt_cut(ctx, y)
-
-
-def int_over_linear_factor(ctx, y):
-    """integral from y to infinity of dt / ((t - a-) R(t)), closed form."""
-    y = complex(y)
-    am, ap = ctx.ep.alpha_minus, ctx.ep.alpha_plus
-    s = math.sqrt(ctx.ep.z)
-    return (1 - (y - ap) / _sqrt_cut(ctx, y)) / (2 * s)
 
 
 def w1_subleading_antiderivative(ctx, y):
@@ -137,6 +128,7 @@ def apply_K(ctx, f, y, n_nodes=256):
     quadrature in the ellipse parameter converges spectrally.  f is called
     once on the complex array of the n_nodes contour nodes, and once on y.
     """
+    import numpy as np
     y = complex(y)
     u, z = ctx.ep.u, ctx.ep.z
     a = 2 * math.sqrt(z) + 0.5

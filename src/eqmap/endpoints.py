@@ -11,12 +11,12 @@ certificate for the one-cut regime.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import algebra
 from .algebra import Jet, _box, _jet, _layout, substitute_uniformizer
@@ -79,8 +79,10 @@ class PotentialSpec:
 
 def _real(name, v):
     """v as a finite Python int, float or Fraction, or refused naming it; a numpy
-    scalar converts exactly, or stays numpy (a long double) and is refused."""
-    v = v.item() if isinstance(v, np.generic) else v
+    scalar converts exactly, or stays numpy (a long double) and is refused;
+    none exists unless numpy is loaded."""
+    np = sys.modules.get("numpy")
+    v = v.item() if np and isinstance(v, np.generic) else v
     if isinstance(v, bool) or not isinstance(v, (int, float, Fraction)):
         raise InvalidParameterError("%s must be an int, float or Fraction, got %r" % (name, v))
     if isinstance(v, float) and not math.isfinite(v):  # rationals are finite however large
@@ -110,7 +112,9 @@ def _require_face_weight(x):
 def _require_int(name, value, least):
     """Refuse a truncation order, valence or count that is not an int >= least,
     naming it."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+    np = sys.modules.get("numpy")
+    kinds = (int, np.integer) if np else int
+    if not isinstance(value, kinds) or isinstance(value, bool) or value < least:
         raise InvalidParameterError("%s must be an int >= %d, got %r" % (name, least, value))
 
 
@@ -181,7 +185,8 @@ class EndpointSolution:
 # the (u, z) jet layouts of Newton and the fold search, the triangles i + j <= n:
 # entries (1, z, u) at order 1 and (1, z, z2, u, uz, u2) at order 2; the
 # kernel below runs on their entry lists
-_UZ_LAYOUTS = {n: _layout(tuple(e for e in np.ndindex(n + 1, n + 1) if sum(e) <= n))
+_UZ_LAYOUTS = {n: _layout(tuple(e for e in itertools.product(range(n + 1), repeat=2)
+                                if sum(e) <= n))
                for n in (1, 2)}
 
 
@@ -229,17 +234,130 @@ def _band(coeffs, U, Z, lay, zero, num):
         top, a = new_top, b
 
 
+def _uz_entries(u, z, n):
+    """The order-n triangle jets U = u + du and Z = z + dz, entry lists over _UZ_LAYOUTS[n]."""
+    k = len(_UZ_LAYOUTS[n].exps)
+    return [u] + [0.0] * n + [1.0] + [0.0] * (k - n - 2), [z, 1.0] + [0.0] * (k - 2)
+
+
+class _Traced:
+    """An entry of a band kernel being traced: the local that holds it (for a
+    product term x * b, its expression), and how surely it is zero (2:
+    exactly, as a zero input of the kernel's key, a zero constant or a sum or
+    float() of such; 1: if finite, as a product with such a factor; 0: not
+    known)."""
+
+    row = None  # of a product term x * b: the row block of x
+
+    def __init__(self, tape, name, zero):
+        self.tape, self.name, self.zero = tape, name, zero
+
+    def __add__(self, other):
+        return self.tape.op("+", self, other)
+
+    def __radd__(self, other):
+        return self.tape.op("+", other, self)
+
+    def __mul__(self, other):
+        return self.tape.op("*", self, other)
+
+    def __rmul__(self, other):
+        return self.tape.op("*", other, self)
+
+    def __ne__(self, other):  # the product's skip of a zero entry stays an inline if
+        self.tape.close()
+        if self.zero < 2:
+            self.tape.lines.append("    if %s != 0:" % self.name)
+            self.tape.block = [self, []]
+        return self.zero < 2
+
+    def __bool__(self):  # _band's drop of a sum that came to zero becomes a guard
+        self.tape.close()
+        if self.zero < 2:
+            test = "%s" if self.zero else "not %s"  # zero if finite, or taken for nonzero
+            self.tape.lines.append("    if %s: return None" % (test % self.name))
+        return not self.zero
+
+    def __eq__(self, other):
+        return not self
+
+
+class _Tape:
+    """The code of one band kernel, written as _band runs over _Traced
+    entries: one local per operation, in _band's order.  Each row x of a
+    product is an if block, whose sums s + x * b keep s where x == 0; a guard
+    returns None, and the caller then runs _band itself."""
+
+    def __init__(self):
+        self.lines, self.block = [], None  # block: the open row, [x, its else lines]
+
+    def op(self, sym, *args):
+        zero = [v.zero if type(v) is _Traced else 2 * (v == 0) for v in args]
+        new = _Traced(self, "v%d" % len(self.lines), max(zero) and 1 if sym == "*" else min(zero))
+        terms = [v for v in args if type(v) is _Traced and v.row is not None]
+        if sym == "*" and self.block and args[0] is self.block[0]:
+            new.row, new.name = self.block, "%s * %s" % tuple(map(self.ref, args))
+            return new  # written out in the sum that takes it
+        if sym == "+" and len(terms) == 1 and terms[0].row is self.block:
+            kept = args[args[0] is terms[0]]  # s + x * b is s where x == 0
+            self.block[1].append("        %s = %s" % (new.name, self.ref(kept)))
+        else:
+            self.close()
+        refs = [self.ref(v) for v in args]
+        text = "float(%s)" % refs[0] if sym == "float" else (" %s " % sym).join(refs)
+        self.lines.append("%s%s = %s" % ("    " * (1 + bool(self.block)), new.name, text))
+        return new
+
+    def ref(self, v):
+        if type(v) is not _Traced:
+            return repr(v)
+        if v.row is not None and v.row is not self.block:
+            raise RuntimeError("a product term is used outside its row")
+        return v.name
+
+    def float(self, v):
+        return self.op("float", v) if type(v) is _Traced else float(v)
+
+    def close(self):
+        if self.block and self.block[1]:
+            self.lines += ["    else:"] + self.block[1]
+        self.block = None
+
+
+class _Kernels(dict):
+    """The band kernel of Newton and the fold search per key (n, then whether
+    u, z and each coefficient is zero), made on its first use by tracing _band
+    over the order-n triangle jets: kernel(u, z, *coeffs) returns what _band
+    returns, or None where _band would drop a sum that the kernel kept."""
+
+    def __missing__(self, key):
+        tape, names = _Tape(), ["u", "z"] + ["c%d" % i for i in range(len(key) - 3)]
+        u, z, *coeffs = (_Traced(tape, v, 2 * zero) for v, zero in zip(names, key[1:]))
+        out = _band(coeffs, *_uz_entries(u, z, key[0]), _UZ_LAYOUTS[key[0]], 0.0, tape.float)
+        tape.close()
+        out = ["[%s]" % ", ".join(map(tape.ref, v)) if type(v) is list else tape.ref(v) for v in out]
+        lines = ["def kernel(%s):" % ", ".join(names), *tape.lines, "    return [%s]" % ", ".join(out)]
+        namespace = {}
+        exec(compile("\n".join(lines), "<band kernel>", "exec"), namespace)
+        kernel = self[key] = namespace["kernel"]
+        return kernel
+
+
+_KERNELS = _Kernels()
+
+
 def _uz_residuals(u, z, n, pot, coeffs):
     """Value, d/du, d/dz and, at n = 2, d2/du2, d2/dudz, d2/dz2 of both endpoint
     residuals at (u, z), bit-identical to order-(n, n) box jets: the band
-    kernel of ``coeffs`` over the order-n triangle jets U = u + du and Z = z + dz."""
-    lay = _UZ_LAYOUTS[n]
+    kernel of ``coeffs`` over the order-n triangle jets U = u + du and Z = z + dz,
+    run by the generated kernel of its zero pattern, or by _band where a guard fails."""
     u, z = float(u), float(z)
-    k = len(lay.exps)
-    U = [u] + [0.0] * n + [1.0] + [0.0] * (k - n - 2)
-    Z = [z, 1.0] + [0.0] * (k - 2)
+    band = _KERNELS[(n, not u, not z) + tuple(map(operator.not_, coeffs))](u, z, *coeffs)
+    if band is None:
+        band = _band(coeffs, *_uz_entries(u, z, n), _UZ_LAYOUTS[n], 0.0, float)
+    k = len(_UZ_LAYOUTS[n].exps)
     x, out = float(pot.x), []
-    for m, v in enumerate(_band(coeffs, U, Z, lay, 0.0, float)):  # T**0, then T**-1 - 1
+    for m, v in enumerate(band):  # T**0, then T**-1 - 1
         if type(v) is list and any(v):
             c = [e / x for e in v]
             c[0] -= m
@@ -465,7 +583,10 @@ def uz_jets(pot, x_order, t_order=0):
 
     U, Z = _lift(base.u, base.z, orders, coeffs, xinv, inv, sum(orders) + 1)
     r1, r2 = _jet_residuals(U.c, Z.c, U.lay, coeffs, xinv)
-    worst = np.max(np.abs(r1 + r2))  # NaN if any entry is, and NaN fails the gate
+    worst = 0.0
+    for v in map(abs, r1 + r2):
+        if v > worst or v != v:  # NaN if any entry is, and NaN fails the gate
+            worst = v
     if not worst <= 1e-7:
         raise DegeneratePotentialError(
             "jet propagation failed to converge (residual %.3g)" % worst)
@@ -515,6 +636,7 @@ def one_cut_certificate(h, alpha_minus, alpha_plus):
     points of h) inside [alpha_minus, alpha_plus].  A NaN value of h is not
     positive, and a non-finite endpoint is refused by name.
     """
+    import numpy as np
     alpha_minus, alpha_plus = _real("alpha_minus", alpha_minus), _real("alpha_plus", alpha_plus)
     lam = np.linspace(alpha_minus, alpha_plus, 512)
     vals = h.value(lam)

@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import Jet, _jet
 from .endpoints import PotentialSpec, _lift, _require_int, solve_endpoints, uz_jets, xvprime_coeffs
 from .errors import InvalidParameterError, OutsideOneCutError
@@ -147,6 +145,7 @@ def verify_relations(j, t, x=1.0):
     ut, zt = U.dx(1), Z.dx(1)
 
     def flat(jet):
+        import numpy as np
         return float(np.max(np.abs(jet.coeffs.astype(float))))
 
     d = j * X - (j - 2) * Z

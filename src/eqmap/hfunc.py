@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .algebra import (
     Jet,
     LaurentPoly,
@@ -49,6 +47,7 @@ __all__ = [
 
 def monomial_from_centered(centered, a):
     """Coefficients of p(y) = sum_k q_k (y - a)**k in the monomial basis."""
+    import numpy as np
     out = np.zeros(0)
     for c in list(centered)[::-1]:
         new = np.zeros(len(out) + 1)
@@ -61,6 +60,7 @@ def monomial_from_centered(centered, a):
 
 def centered_from_monomial(monomial, a):
     """Taylor-shift monomial coefficients to powers of (y - a)."""
+    import numpy as np
     n = len(monomial)
     out = np.zeros(n)
     for r, c in enumerate(monomial):
@@ -93,9 +93,11 @@ class HPoly:
         return len(self.monomial) - 1
 
     def value(self, lam):
+        import numpy as np
         return np.polyval(self.monomial[::-1], lam)
 
     def deriv(self, lam):
+        import numpy as np
         if len(self.monomial) < 2:
             return np.zeros_like(np.asarray(lam, dtype=float)) + 0.0
         return np.polyval(np.polyder(self.monomial[::-1]), lam)
@@ -150,6 +152,7 @@ def h_classical(pot, ep):
     r = 0..deg-2; this involves no recursion and serves as the oracle the
     other two routes are compared against.
     """
+    import numpy as np
     deg = pot.degree
     w = [float(c) for c in xvprime_coeffs(pot)]
     series = inv_sqrt_R_series(ep.alpha_minus, ep.alpha_plus, deg)
@@ -172,6 +175,7 @@ def h_general(pot, ep):
     The centered coefficient of (y - u - 2 sqrt(z))**k combines phi_m, psi_m
     for m = 1..k+1 weighted by the exact table entries and powers of sqrt(z).
     """
+    import numpy as np
     deg = pot.degree
     kmax = deg - 2
     table = build_c_table(kmax)
@@ -201,6 +205,7 @@ def h_even(pot, ep):
     Uses only z and the derivative tower (zx**-1 d/dx)**m zx**-1; the m-sums
     are finite because h has degree deg-2.
     """
+    import numpy as np
     odd = sorted(j for j, v in pot.t.items() if j % 2 == 1 and v != 0)
     if odd:
         raise InvalidParameterError("even-potential route called with odd coefficients t%s" % odd)
@@ -229,6 +234,7 @@ def h_left_variant(h):
     monomial basis.  For the classical route the flip has no formula content
     and the re-expansion is a plain Taylor shift.
     """
+    import numpy as np
     ep = h.ep
     s = math.sqrt(ep.z)
     center = ep.u - 2 * s

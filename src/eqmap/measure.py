@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .endpoints import solve_endpoints
 from .errors import InvalidParameterError
 from .hfunc import HPoly, h_classical
@@ -49,6 +47,7 @@ def equilibrium_measure(pot):
 def density(em, lam):
     """Density value(s): (1/2 pi x) sqrt((a+ - lam)(lam - a-)) h(lam) on the
     support, zero outside."""
+    import numpy as np
     am, ap = em.support
     lam = np.asarray(lam, dtype=float)
     inside = (lam >= am) & (lam <= ap)
@@ -64,6 +63,7 @@ def _u_coeffs(em):
     H(cos th) sin th = sum b_n sin((n + 1) th), read off exactly by discrete
     sine orthogonality at deg H + 1 angles.
     """
+    import numpy as np
     am, ap = em.support
     c, r, n = (ap + am) / 2, (ap - am) / 2, len(em.h.monomial)
     th = np.arange(1, n + 1) * (math.pi / (n + 1))
@@ -84,6 +84,7 @@ def _log_potential(em, lam):
     (T_k(w) on the support), integral(log|w - t| U_n(t) sqrt(1 - t**2) dt) is
     (pi/2)(E_(n+2)/(n+2) - E_n/n) for n >= 1 and (pi/2)(E_2/2 + log(|omega|/2)) for n = 0.
     """
+    import numpy as np
     c, r, b = _u_coeffs(em)
     w = ((lam - c) / r).astype(complex)
     omega = w + np.sqrt(w - 1) * np.sqrt(w + 1)  # the branch with |omega| >= 1
@@ -113,6 +114,7 @@ def variational_report(em, grid_size=64):
     grid_size support points; the report carries the max deviation from it on
     the support and the minimum slack of the inequality within distance 2 of it.
     """
+    import numpy as np
     if grid_size < 2:
         raise InvalidParameterError("grid_size must be at least 2, got %r" % (grid_size,))
     pot = em.ep.potential

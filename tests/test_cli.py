@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import eqmap
 from eqmap import acceptance, cli
 
 
@@ -224,6 +229,16 @@ def test_verify_exit_codes(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 2
     assert "FAIL" in out and "1/2" in out
+
+
+@pytest.mark.parametrize("argv", [["endpoints", "--t", "4=0.01"], ["census", "--profile", "4:2"]])
+def test_endpoints_and_census_run_without_numpy(argv):
+    # numpy is imported by the subcommands that build arrays, and not at start-up
+    code = "import sys\nfrom eqmap import cli\nprint(cli.main(%r), 'numpy' in sys.modules)" % argv
+    env = dict(os.environ, PYTHONPATH=str(Path(eqmap.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split()[-2:] == ["0", "False"]
 
 
 def test_census_deterministic_output(capsys):

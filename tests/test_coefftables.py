@@ -11,7 +11,6 @@ from eqmap.coefftables import (
     build_c_table,
     check_diagonal_conjecture,
     double_factorial,
-    leading_pole_data,
     phi_tilde,
     psi_tilde,
     reconstruction_holds,
@@ -101,6 +100,20 @@ def test_alternating_psi_sum_m3():
 def test_alternating_phi_sum_odd_vanishes():
     for m in (1, 3, 5, 7):
         assert sum((-1) ** l * math.comb(m, l) ** 2 for l in range(m + 1)) == 0
+
+
+def leading_pole_data(bf):
+    """Exact leading Laurent coefficients of a basis element at T = 1 and T = -1.
+
+    Near T = s the element behaves like A_s / (T - s)**denom_power with
+    A_s = [numerator * T**denom_power](s) / (2s)**denom_power up to sign; the
+    returned pair is (A at +1, A at -1).
+    """
+    p = bf.denom_power
+    num = bf.numerator.shifted(p)  # clear the T**-p inside (T - 1/T)**p
+    at_plus = num(Fraction(1)) / Fraction(2) ** p
+    at_minus = num(Fraction(-1)) / Fraction(-2) ** p
+    return at_plus, at_minus
 
 
 def test_leading_pole_data_supports_independence():

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from eqmap.correlators import (
+    _sqrt_cut,
     apply_K,
     correlator_context,
-    int_over_linear_factor,
     w1_leading,
     w1_subleading,
     w1_subleading_antiderivative,
@@ -85,6 +85,14 @@ def test_w1_subleading_gue_odd_in_y():
     ctx = correlator_context(GUE)
     for y in (3.0, 2.4 + 0.7j):
         assert w1_subleading(ctx, -y) == pytest.approx(-w1_subleading(ctx, y), rel=1e-12)
+
+
+def int_over_linear_factor(ctx, y):
+    """integral from y to infinity of dt / ((t - a-) R(t)), closed form."""
+    y = complex(y)
+    ap = ctx.ep.alpha_plus
+    s = math.sqrt(ctx.ep.z)
+    return (1 - (y - ap) / _sqrt_cut(ctx, y)) / (2 * s)
 
 
 def test_int_over_linear_factor_gue():

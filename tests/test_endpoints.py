@@ -391,6 +391,64 @@ def test_scalar_jacobian_and_fold_partials_bit_identical_to_jets():
                 assert _hex(got) == _hex(_box_jet_partials(u, z, n, pot, coeffs)), (pot, u, z, n)
 
 
+def test_band_kernel_matches_band_bit_for_bit():
+    """The generated kernel of each zero pattern against _band itself, at n = 1
+    and n = 2: corpus points, signed zeros, int and Fraction coefficients and
+    non-finite points.  Where a Horner sum cancels exactly the kernel returns
+    None, and _uz_residuals falls back to _band."""
+    from eqmap.acceptance import one_cut_corpus
+
+    def kernel(u, z, n, coeffs):
+        return endpoints._KERNELS[(n, not u, not z) + tuple(not c for c in coeffs)](u, z, *coeffs)
+
+    def band(u, z, n, coeffs):
+        U, Z = endpoints._uz_entries(u, z, n)
+        return endpoints._band(coeffs, U, Z, endpoints._UZ_LAYOUTS[n], 0.0, float)
+
+    def bits(out):
+        return [(type(v).__name__, None if v is None else _hex(v)) for v in out]
+
+    exact = [PotentialSpec(2, {4: 1}),  # c[1] = 1, an int, with t2 absent
+             PotentialSpec(Fraction(3, 2), {3: Fraction(1, 50), 4: Fraction(-1, 300)})]
+    pots = list(one_cut_corpus(12)) + exact + [PotentialSpec(1.0, {2: 0.0, 4: -0.0, 6: 0.001})]
+    special = [math.inf, -math.inf, math.nan]
+    points = [(0.0, 1.0), (-0.0, 1.0), (0.3, -0.0)] + [(v, 1.0) for v in special] \
+        + [(0.0, v) for v in special] + [(0.3, v) for v in special]
+    kept = 0
+    for pot in pots:
+        ep = solve_endpoints(pot)
+        for u, z in points + [(ep.u, ep.z), (0.0, float(pot.x))]:
+            for coeffs in (xvprime_coeffs(pot), endpoints._perturbation_coeffs(pot)):
+                for n in (1, 2):
+                    got = kernel(u, z, n, coeffs)
+                    if got is not None:
+                        kept += 1
+                        assert bits(got) == bits(band(u, z, n, coeffs)), (pot, u, z, n)
+    assert kept > 0.9 * len(pots) * (len(points) + 2) * 4
+    # raw coefficient lists: each of these told apart a kernel without the
+    # product's inline if, one that took a zero-if-finite sum for zero
+    # unchecked, and one that traced a zero input as the constant 0.0
+    cases = [(1, math.inf, 1e-300, [1, 1, -0.0, 0.0, 1e300, 1e-300]),
+             (1, 0.0, 0.0, [0, -0.0, 0.0, math.inf]), (1, 1.5, -0.0, [1.5, 1e-300, 0.0, -0.0])]
+    rng = random.Random(1)
+    pool = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -0.7, 2.0, 1e300, 1e-300]
+    for _ in range(400):
+        coeffs = [rng.choice(pool + [0, 1, rng.uniform(-1, 1)]) for _ in range(rng.randint(2, 5))]
+        cases.append((rng.choice((1, 2)), rng.choice(pool), rng.choice(pool), coeffs))
+    for n, u, z, coeffs in cases:
+        got = kernel(u, z, n, coeffs)
+        kept += got is not None
+        assert got is None or bits(got) == bits(band(u, z, n, coeffs)), (n, u, z, coeffs)
+    # x V'(y) = y**3 + y**2 * 3 t3 + ... with 3 t3 = -u * 4 t4: the first sum
+    # of the Horner pass, u * 4 t4 + 3 t3, is exactly zero at u = 1/2
+    cancel = PotentialSpec(1.0, {3: Fraction(-1, 3), 4: Fraction(1, 2)})
+    for n in (1, 2):
+        coeffs = xvprime_coeffs(cancel)
+        assert kernel(0.5, 0.7, n, coeffs) is None
+        got = endpoints._uz_residuals(0.5, 0.7, n, cancel, coeffs)
+        assert _hex(got) == _hex(_box_jet_partials(0.5, 0.7, n, cancel, coeffs))
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 2])
 def test_uz_taylor_arithmetic_matches_box_jets(n):

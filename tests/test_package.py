@@ -83,6 +83,28 @@ def test_import_makes_no_jet_product():
     assert out.split() == ["0", "2", "True", "True"]
 
 
+def test_solver_census_series_and_tables_load_no_numpy():
+    # numpy is imported by the functions that build arrays: a fold solve, a
+    # census, an e1 series and a coefficient table run without it, and no band
+    # kernel exists before the first solve; the measure then loads it
+    code = ("import sys, eqmap\nfrom eqmap import endpoints\n"
+            "print(len(endpoints._KERNELS))\n"
+            "try:\n"
+            "    eqmap.solve_endpoints(eqmap.PotentialSpec(1.0, {3: 0.05, 4: -0.03}))\n"
+            "except eqmap.errors.NoOneCutSolutionError:\n"
+            "    pass\n"
+            "eqmap.census({4: 2})\n"
+            "eqmap.e1_series(eqmap.PotentialSpec(1.0, {4: 0.0}), 2)\n"
+            "eqmap.build_c_table(4)\n"
+            "print(len(endpoints._KERNELS) > 0, 'numpy' in sys.modules)\n"
+            "em = eqmap.equilibrium_measure(eqmap.PotentialSpec(1.0, {4: 0.01}))\n"
+            "print('numpy' in sys.modules, round(eqmap.total_mass(em), 12))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(eqmap.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "True", "False", "True", "1.0"]
+
+
 def test_public_preconditions_raise_typed_errors(monkeypatch):
     # a refused input is an InvalidParameterError, still a ValueError; a
     # vanishing h at an endpoint is a DegeneratePointError
