@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ContourGeometryError, DegeneratePointError, InvalidParameterError
 from .measure import equilibrium_measure
@@ -27,9 +27,10 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrelatorContext:
-    """Endpoint data, h, and the endpoint evaluations the closed forms need."""
+    """Endpoint data, h, and the endpoint evaluations the closed forms need;
+    ``contours`` keeps apply_K's nodes per node count."""
 
     ep: object
     h: object
@@ -38,6 +39,7 @@ class CorrelatorContext:
     hp_plus: float
     h_minus: float
     hp_minus: float
+    contours: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def correlator_context(pot):
@@ -127,6 +129,8 @@ def apply_K(ctx, f, y, n_nodes=256):
     and sqrt(z)/2, centered at u); y must lie outside it.  Trapezoidal
     quadrature in the ellipse parameter converges spectrally.  f is called
     once on the complex array of the n_nodes contour nodes, and once on y.
+    The nodes, their weights and V' there are made once per context and
+    node count, and kept read-only.
     """
     import numpy as np
     y = complex(y)
@@ -135,9 +139,15 @@ def apply_K(ctx, f, y, n_nodes=256):
     b = 0.5 * math.sqrt(z)
     if ((y.real - u) / a) ** 2 + (y.imag / b) ** 2 <= 1.0:
         raise ContourGeometryError("evaluation point lies inside the quadrature contour")
-    theta = 2 * math.pi * np.arange(n_nodes) / n_nodes
-    xi = u + a * np.cos(theta) + 1j * b * np.sin(theta)
-    dxi = -a * np.sin(theta) + 1j * b * np.cos(theta)
-    vals = ctx.ep.potential.vprime(xi) * f(xi) / (y - xi)
+    contour = ctx.contours.get(n_nodes)
+    if contour is None:
+        theta = 2 * math.pi * np.arange(n_nodes) / n_nodes
+        xi = u + a * np.cos(theta) + 1j * b * np.sin(theta)
+        dxi = -a * np.sin(theta) + 1j * b * np.cos(theta)
+        contour = ctx.contours[n_nodes] = (xi, dxi, ctx.ep.potential.vprime(xi))
+        for arr in contour:
+            arr.flags.writeable = False
+    xi, dxi, vprime = contour
+    vals = vprime * f(xi) / (y - xi)
     integral = np.sum(vals * dxi) / (1j * n_nodes)
     return 2 * w1_leading(ctx, y) * f(y) - integral

@@ -197,17 +197,20 @@ def _band(coeffs, U, Z, lay, zero, num):
     coefficient, in and out, is None (zero), a number or an entry list over
     ``lay``; an all-zero U or Z is None.  A list times U or Z is the layout's
     truncated product, summed from ``zero``; a number v times U or Z is
-    entry * num(v), and a number is added to the value entry alone."""
+    entry * num(v), and a number is added to the value entry alone.  The
+    final sum of entry lists is kept even where it is all zero, so an output
+    list may be all zero: both callers read it as they read None."""
     product = algebra._PRODUCTS[lay]
     top, a = 0, [None]
     for i in range(len(coeffs) - 1, -1, -1):
-        # add coeffs[i]; a sum that comes to zero is dropped, as LaurentPoly drops it
+        # add coeffs[i]; a sum that comes to zero is dropped, as LaurentPoly
+        # drops it, but for the final sum of lists
         v, c = a[top], coeffs[i]
         if type(v) is list or type(c) is list:
             if type(v) is not list:  # a number plus a jet: the jet's value entry plus it
                 v, c = c, 0 if v is None else v
             v = list(map(operator.add, v, c)) if type(c) is list else [v[0] + num(c)] + v[1:]
-            a[top] = v if any(v) else None
+            a[top] = v if not i or any(v) else None
         else:
             v = (0 if v is None else v) + c
             a[top] = None if v == 0 else v
@@ -328,7 +331,8 @@ class _Kernels(dict):
     """The band kernel of Newton and the fold search per key (n, then whether
     u, z and each coefficient is zero), made on its first use by tracing _band
     over the order-n triangle jets: kernel(u, z, *coeffs) returns what _band
-    returns, or None where _band would drop a sum that the kernel kept."""
+    returns, or None where _band would drop an inner sum that the kernel kept.
+    The final sum carries no guard, since _band keeps it all zero."""
 
     def __missing__(self, key):
         tape, names = _Tape(), ["u", "z"] + ["c%d" % i for i in range(len(key) - 3)]
@@ -371,6 +375,17 @@ def _residual_and_jacobian(u, z, pot, coeffs):
     """Residuals (r1, r2) and Jacobian ((r1_u, r1_z), (r2_u, r2_z)) at a point, as floats."""
     (a, a_u, a_z), (b, b_u, b_z) = _uz_residuals(u, z, 1, pot, coeffs)
     return (a, b), ((a_u, a_z), (b_u, b_z))
+
+
+def _root_jacobian(u, z, pot):
+    """The residual Jacobian at a solved (u, z) and its determinant; a
+    singular one is refused."""
+    _, jac = _residual_and_jacobian(u, z, pot, xvprime_coeffs(pot))
+    (a, b), (c, d) = jac
+    det = a * d - b * c
+    if not math.isfinite(det) or abs(det) < 1e-14:
+        raise DegeneratePotentialError("endpoint Jacobian singular at the base point")
+    return jac, det
 
 
 def _newton_step(r, jac):
@@ -575,10 +590,7 @@ def uz_jets(pot, x_order, t_order=0):
     coeffs = xvprime_coeffs(pot, {j: Jet.variable(float(pot.t[j]), 1 + i, orders)
                                   for i, j in enumerate(tkeys)})
 
-    _, ((a, b), (c, d)) = _residual_and_jacobian(base.u, base.z, pot, xvprime_coeffs(pot))
-    det = a * d - b * c
-    if not math.isfinite(det) or abs(det) < 1e-14:
-        raise DegeneratePotentialError("endpoint Jacobian singular at the base point")
+    ((a, b), (c, d)), det = _root_jacobian(base.u, base.z, pot)
     inv = [[d / det, -b / det], [-c / det, a / det]]
 
     U, Z = _lift(base.u, base.z, orders, coeffs, xinv, inv, sum(orders) + 1)

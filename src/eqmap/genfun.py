@@ -10,7 +10,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Jet, _jet
-from .endpoints import PotentialSpec, _lift, _require_int, solve_endpoints, uz_jets, xvprime_coeffs
+from .endpoints import (
+    PotentialSpec,
+    _lift,
+    _newton_step,
+    _require_int,
+    _root_jacobian,
+    solve_endpoints,
+    uz_jets,
+    xvprime_coeffs,
+)
 from .errors import InvalidParameterError, OutsideOneCutError
 
 __all__ = [
@@ -39,12 +48,14 @@ class E1Result:
 def e1_value(pot):
     """e1 = (1/24) log(x**2 (zx**2 - z ux**2) / z**2).
 
-    The x**2 factor normalizes e1(x, t=0) to zero for every face weight (at
-    x = 1 it is inert); a nonpositive log argument means the potential left
-    the one-cut regime.
+    The endpoint residuals are W(u, z) / x - (0, 1) with W free of x, so at
+    the root their Jacobian J gives (ux, zx) = J**-1 (0, 1/x), with no jet
+    lift.  The x**2 factor normalizes e1(x, t=0) to zero for every face
+    weight (at x = 1 it is inert); a nonpositive log argument means the
+    potential left the one-cut regime.
     """
-    ep = uz_jets(pot, x_order=1)
-    ux, zx = ep.du(1), ep.dz(1)
+    ep = solve_endpoints(pot)
+    ux, zx = _newton_step((0.0, 1 / pot.x), _root_jacobian(ep.u, ep.z, pot)[0])
     arg = pot.x ** 2 * (zx * zx - ep.z * ux * ux) / ep.z ** 2
     if not arg > 0:
         raise OutsideOneCutError("log argument %.6g is not positive" % arg)

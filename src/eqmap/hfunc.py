@@ -46,16 +46,18 @@ __all__ = [
 
 
 def monomial_from_centered(centered, a):
-    """Coefficients of p(y) = sum_k q_k (y - a)**k in the monomial basis."""
+    """Coefficients of p(y) = sum_k q_k (y - a)**k in the monomial basis.
+
+    Horner's rule p <- (y - a) p + q_k over Python floats, each entry rounded
+    as the array form new = 0; new[1:] += p; new[:-1] += -a p; new[0] += q_k
+    rounds it.  No entry is ever -0.0, so there 0.0 + p[k] is p[k].
+    """
     import numpy as np
-    out = np.zeros(0)
-    for c in list(centered)[::-1]:
-        new = np.zeros(len(out) + 1)
-        new[1:] += out
-        new[:-1] += -a * out
-        new[0] += c
-        out = new
-    return out
+    out = []
+    for c in [float(v) for v in centered][::-1]:
+        out = [s + -a * v for s, v in zip([0.0] + out, out)] + out[-1:] if out else [0.0]
+        out[0] += c
+    return np.array(out, dtype=float)
 
 
 def centered_from_monomial(monomial, a):

@@ -120,13 +120,13 @@ def variational_report(em, grid_size=64):
     pot = em.ep.potential
     am, ap = em.support
     offset = (ap - am) / (2 * grid_size)
-    support = np.linspace(am + offset, ap - offset, grid_size)
-    gvals = 2 * _log_potential(em, support) - pot.v(support)
+    # one pass over the support grid and the two off-support grids together
+    lam = np.concatenate([np.linspace(am + offset, ap - offset, grid_size),
+                          np.linspace(am - 2.0, am - offset, grid_size // 2),
+                          np.linspace(ap + offset, ap + 2.0, grid_size // 2)])
+    logpot, v = _log_potential(em, lam), pot.v(lam)
+    gvals = 2 * logpot[:grid_size] - v[:grid_size]
     ell = float(np.median(gvals))
     max_dev = float(np.max(np.abs(gvals - ell)))
-
-    left = np.linspace(am - 2.0, am - offset, grid_size // 2)
-    right = np.linspace(ap + offset, ap + 2.0, grid_size // 2)
-    off = np.concatenate([left, right])
-    margin = float(np.min(pot.v(off) + ell - 2 * _log_potential(em, off)))
+    margin = float(np.min(v[grid_size:] + ell - 2 * logpot[grid_size:]))
     return VariationalReport(ell, max_dev, margin, grid_size)

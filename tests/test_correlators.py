@@ -197,3 +197,30 @@ def test_scalar_correlators_return_python_complex():
     for y in (3.0, 2.5 + 1j, np.float64(3.0)):
         assert type(w1_subleading(ctx, y)) is complex
         assert type(w2_diag(ctx, y)) is complex
+
+
+@pytest.mark.parametrize("pot", [GUE, QUARTIC, MIXED])
+def test_apply_K_on_one_context_matches_fresh_contexts_bit_for_bit(pot):
+    # the contour kept on the context gives what a fresh context makes
+    shared = correlator_context(pot)
+    calls = [(3.5, 256), (2.5 + 1j, 256), (-4.0, 64), (4j, 256), (3.5, 64)]
+    for y, n in calls:
+        fresh = correlator_context(pot)
+        got = apply_K(shared, lambda s: w1_subleading(shared, s), y, n_nodes=n)
+        want = apply_K(fresh, lambda s: w1_subleading(fresh, s), y, n_nodes=n)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    assert sorted(shared.contours) == [64, 256]
+
+
+def test_apply_K_keeps_its_contour_out_of_reach_of_f():
+    ctx = correlator_context(QUARTIC)
+
+    def overwrite(s):
+        if isinstance(s, np.ndarray):
+            s[:] = 0
+        return s
+
+    with pytest.raises(ValueError, match="read-only"):
+        apply_K(ctx, overwrite, 3.0)
+    want = apply_K(correlator_context(QUARTIC), lambda s: w1_subleading(ctx, s), 3.0)
+    assert apply_K(ctx, lambda s: w1_subleading(ctx, s), 3.0) == want

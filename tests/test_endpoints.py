@@ -394,8 +394,10 @@ def test_scalar_jacobian_and_fold_partials_bit_identical_to_jets():
 def test_band_kernel_matches_band_bit_for_bit():
     """The generated kernel of each zero pattern against _band itself, at n = 1
     and n = 2: corpus points, signed zeros, int and Fraction coefficients and
-    non-finite points.  Where a Horner sum cancels exactly the kernel returns
-    None, and _uz_residuals falls back to _band."""
+    non-finite points.  Where an inner Horner sum cancels exactly the kernel
+    returns None, and _uz_residuals falls back to _band.  The final sum has no
+    guard: both return it as an entry list, also where its value entry or all
+    of it is zero, and _uz_residuals reads an all-zero list as it reads None."""
     from eqmap.acceptance import one_cut_corpus
 
     def kernel(u, z, n, coeffs):
@@ -414,7 +416,7 @@ def test_band_kernel_matches_band_bit_for_bit():
     special = [math.inf, -math.inf, math.nan]
     points = [(0.0, 1.0), (-0.0, 1.0), (0.3, -0.0)] + [(v, 1.0) for v in special] \
         + [(0.0, v) for v in special] + [(0.3, v) for v in special]
-    kept = 0
+    kept = zero_value = 0
     for pot in pots:
         ep = solve_endpoints(pot)
         for u, z in points + [(ep.u, ep.z), (0.0, float(pot.x))]:
@@ -424,21 +426,35 @@ def test_band_kernel_matches_band_bit_for_bit():
                     if got is not None:
                         kept += 1
                         assert bits(got) == bits(band(u, z, n, coeffs)), (pot, u, z, n)
+                        zero_value += type(got[0]) is list and got[0][0] == 0
     assert kept > 0.9 * len(pots) * (len(points) + 2) * 4
+    # a root where r1 comes out exactly 0.0 returns the list, not None
+    assert zero_value > 0
     # raw coefficient lists: each of these told apart a kernel without the
     # product's inline if, one that took a zero-if-finite sum for zero
     # unchecked, and one that traced a zero input as the constant 0.0
     cases = [(1, math.inf, 1e-300, [1, 1, -0.0, 0.0, 1e300, 1e-300]),
              (1, 0.0, 0.0, [0, -0.0, 0.0, math.inf]), (1, 1.5, -0.0, [1.5, 1e-300, 0.0, -0.0])]
+    # [T^0] of y**3 - 3 y**2 - 3 y + 5 vanishes with both its first partials
+    # at (u, z) = (1, 1): the final sum is an all-zero list
+    cases.append((1, 1.0, 1.0, [5.0, -3.0, -3.0, 1.0]))
     rng = random.Random(1)
     pool = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -0.7, 2.0, 1e300, 1e-300]
     for _ in range(400):
         coeffs = [rng.choice(pool + [0, 1, rng.uniform(-1, 1)]) for _ in range(rng.randint(2, 5))]
         cases.append((rng.choice((1, 2)), rng.choice(pool), rng.choice(pool), coeffs))
+    all_zero = 0
     for n, u, z, coeffs in cases:
         got = kernel(u, z, n, coeffs)
         kept += got is not None
         assert got is None or bits(got) == bits(band(u, z, n, coeffs)), (n, u, z, coeffs)
+        if got is not None and type(got[0]) is list and not any(got[0]):
+            all_zero += 1
+            if all(map(math.isfinite, [u, z] + coeffs)):
+                pot = PotentialSpec(1.0)
+                assert _hex(endpoints._uz_residuals(u, z, n, pot, coeffs)) \
+                    == _hex(_box_jet_partials(u, z, n, pot, coeffs)), (n, u, z, coeffs)
+    assert all_zero > 0
     # x V'(y) = y**3 + y**2 * 3 t3 + ... with 3 t3 = -u * 4 t4: the first sum
     # of the Horner pass, u * 4 t4 + 3 t3, is exactly zero at u = 1/2
     cancel = PotentialSpec(1.0, {3: Fraction(-1, 3), 4: Fraction(1, 2)})

@@ -354,3 +354,24 @@ def test_relation_suite_odd_valence_has_nonzero_u():
 def test_e1_series_names_a_bad_order(order):
     with pytest.raises(InvalidParameterError, match="order"):
         e1_series(PotentialSpec(1.0, {4: 0}), order)
+
+
+def test_e1_value_reads_the_root_jacobian_without_a_lift(monkeypatch):
+    """(u_x, z_x) = J**-1 (0, 1/x) at the root agree with the order-1 jet lift
+    to a few ulps, and e1_value runs no lift."""
+    from eqmap.acceptance import one_cut_corpus
+
+    pots = list(one_cut_corpus(100))
+    lifted = [uz_jets(pot, x_order=1) for pot in pots]
+
+    def no_lift(*args):
+        raise AssertionError("e1_value ran the jet lift")
+
+    monkeypatch.setattr(endpoints, "_lift", no_lift)
+    monkeypatch.setattr(genfun, "_lift", no_lift)
+    for pot, ep in zip(pots, lifted):
+        got = e1_value(pot)
+        assert (got.u, got.z) == (ep.u, ep.z)
+        for value, want in ((got.ux, ep.du(1)), (got.zx, ep.dz(1))):
+            assert abs(value - want) <= 2e-15 * abs(want), pot
+        assert got.log_argument > 0 and math.isfinite(got.value)

@@ -57,6 +57,36 @@ def test_basis_conversion_round_trip():
     assert np.max(np.abs(back - mono)) < 1e-10
 
 
+def _numpy_monomial_from_centered(centered, a):
+    """The array form monomial_from_centered replaced: Horner's rule by slices."""
+    out = np.zeros(0)
+    for c in list(centered)[::-1]:
+        new = np.zeros(len(out) + 1)
+        new[1:] += out
+        new[:-1] += -a * out
+        new[0] += c
+        out = new
+    return out
+
+
+def test_monomial_from_centered_matches_the_array_form_bit_for_bit():
+    rng = random.Random(3)
+    pool = [0.0, -0.0, math.inf, -math.inf, 1.0, -2.5, 1e-300, 1e300]
+    cases = [([], 1.5), ([-0.0], 2.0), ([0.0, -0.0, -0.0], -0.0), ([1.0, -0.0], 0.0),
+             ([math.inf, 1.0, 2.0], 1.5), ([1.0, 0.0, 0.0], math.inf)]
+    for _ in range(2000):
+        centered = [rng.choice(pool) if rng.random() < 0.3 else rng.uniform(-3, 3)
+                    for _ in range(rng.randint(1, 8))]
+        a = rng.choice(pool) if rng.random() < 0.2 else rng.uniform(-3, 3)
+        cases.append((np.array(centered) if rng.random() < 0.5 else centered, a))
+    for centered, a in cases:
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = monomial_from_centered(centered, a)
+            want = _numpy_monomial_from_centered(centered, a)
+        assert got.dtype == want.dtype == np.float64
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want], (centered, a)
+
+
 # ---- phi/psi recursion -----------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from eqmap.errors import InvalidParameterError
 from eqmap.hfunc import h_classical
 from eqmap.measure import (
     EquilibriumMeasure,
+    _log_potential,
     density,
     equilibrium_measure,
     total_mass,
@@ -222,3 +223,29 @@ def test_variational_report_bit_identical_to_allocating_kernel(pot, grid_size, n
     assert rep.max_support_deviation < 1e-12
     assert abs(rep.lagrange_constant - ell) <= ref_dev + 1e-14
     assert abs(rep.min_offsupport_margin - margin) <= ref_dev + 1e-14
+
+
+def _two_call_variational_report(em, grid_size):
+    """The report as two log-potential passes, one on the support grid and one
+    on the off-support grids."""
+    pot = em.ep.potential
+    am, ap = em.support
+    offset = (ap - am) / (2 * grid_size)
+    support = np.linspace(am + offset, ap - offset, grid_size)
+    gvals = 2 * _log_potential(em, support) - pot.v(support)
+    ell = float(np.median(gvals))
+    max_dev = float(np.max(np.abs(gvals - ell)))
+    off = np.concatenate([np.linspace(am - 2.0, am - offset, grid_size // 2),
+                          np.linspace(ap + offset, ap + 2.0, grid_size // 2)])
+    margin = float(np.min(pot.v(off) + ell - 2 * _log_potential(em, off)))
+    return ell, max_dev, margin
+
+
+@pytest.mark.parametrize("grid_size", [64, 17, 2, 3, 128])
+def test_variational_report_matches_two_log_potential_passes(corpus_measures, grid_size):
+    for em in corpus_measures + _c07_measures():
+        rep = variational_report(em, grid_size=grid_size)
+        got = (rep.lagrange_constant, rep.max_support_deviation, rep.min_offsupport_margin)
+        want = _two_call_variational_report(em, grid_size)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert type(rep.lagrange_constant) is float and rep.grid_size == grid_size
