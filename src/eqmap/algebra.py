@@ -144,6 +144,56 @@ def _common(la, lb):
     return lay, [la.index[e] for e in lay.exps], [lb.index[e] for e in lay.exps]
 
 
+class _FloatXJets:
+    """Float arithmetic on the entry lists of the jets over the row-major
+    boxes (k,) + rest of one family, k varying, with the roundings of the
+    same operations on float Jets.  Each box starts every larger one, so a
+    binary operation cuts its operands to the shorter, as Jet truncates to
+    the common layout, and d/dx drops the first block.  Entry k of a
+    truncated product reads entries <= k only, so a product formed once at
+    a larger box and cut later holds the bits of one formed at the smaller."""
+
+    def __init__(self, lay):
+        self.rest = lay.orders[1:]
+        self.block = math.prod(o + 1 for o in self.rest)
+        self.lays = {len(b.exps): b for b in (_box((k,) + self.rest)
+                                               for k in range(lay.orders[0] + 1))}
+
+    def mul(self, a, b):
+        n = min(len(a), len(b))
+        return _PRODUCTS[self.lays[n]](a[:n], b[:n], 0.0)
+
+    def sub(self, a, b):
+        return list(map(operator.sub, a, b))
+
+    def dx(self, c):
+        block = self.block
+        return [v * (i // block) for i, v in enumerate(c[block:], block)]
+
+    def reciprocal(self, c):
+        return _float_reciprocal(c, self.lays[len(c)])
+
+    def jet(self, c):
+        return _jet(c, self.lays[len(c)], True)
+
+
+def _float_reciprocal(c, lay):
+    """Entries of 1/f for the float entries c of f over lay: (1/c0) sum_k
+    eta**k, eta = -(f/c0) + 1, summed from 1.0 and divided by c0 entry by
+    entry.  Adding eta**k adds the term p * 1 of the generic series exactly."""
+    c0 = c[0]
+    if c0 == 0:
+        raise SingularJetError("reciprocal of a jet with zero constant term")
+    eta = [-(v / c0) for v in c]
+    eta[0] += 1.0
+    product, out, p = _PRODUCTS[lay], [1.0] + [0.0] * (len(c) - 1), eta
+    for k in range(sum(lay.orders)):
+        if k:
+            p = product(p, eta, 0.0)
+        out = list(map(operator.add, out, p))
+    return [v / c0 for v in out]
+
+
 def _jet(c, lay, f64):
     """The jet holding the entries ``c`` over the layout ``lay``."""
     jet = object.__new__(Jet)
@@ -293,10 +343,13 @@ class Jet:
 
     def reciprocal(self):
         """1/f.  A float jet sums (1/c0) sum_k (1 - f/c0)**k, finite to the
-        truncation order because 1 - f/c0 has no constant term.  An exact jet
-        f = N/q, N and q over ints and n0 = N[0], sums q sum_k (n0 - N)**k
-        n0**(K-k) over ints, K = sum(orders), and divides by n0**(K+1) once
-        per entry; int entries with a unit constant stay ints."""
+        truncation order because 1 - f/c0 has no constant term, over its
+        entry list.  An exact jet f = N/q, N and q over ints and n0 = N[0],
+        sums q sum_k (n0 - N)**k n0**(K-k) over ints, K = sum(orders), and
+        divides by n0**(K+1) once per entry; int entries with a unit constant
+        stay ints.  Other jets sum the float series over Jet operations."""
+        if self.f64:
+            return _jet(_float_reciprocal(self.c, self.lay), self.lay, True)
         c0, K = self.constant_term, sum(self.orders)
         if _is_zero(c0):
             raise SingularJetError("reciprocal of a jet with zero constant term")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .algebra import LaurentPoly
@@ -92,6 +92,12 @@ class CoeffTable:
     kmax: int
     c_phi: tuple  # c_phi[k][m-1] for m = 1..k+1
     c_psi: tuple
+
+    @cached_property
+    def floats(self):
+        """The rows as floats, (c_phi, c_psi), made on first use."""
+        return tuple(tuple(tuple(map(float, row)) for row in rows)
+                     for rows in (self.c_phi, self.c_psi))
 
     def phi(self, k, m):
         row = self.c_phi[k]

@@ -30,7 +30,8 @@ __all__ = [
 @dataclass(frozen=True)
 class CorrelatorContext:
     """Endpoint data, h, and the endpoint evaluations the closed forms need;
-    ``contours`` keeps apply_K's nodes per node count."""
+    ``contours`` keeps apply_K's nodes per node count, and ``w1_at_nodes``
+    w1_subleading's values at them."""
 
     ep: object
     h: object
@@ -40,6 +41,7 @@ class CorrelatorContext:
     h_minus: float
     hp_minus: float
     contours: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    w1_at_nodes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def correlator_context(pot):
@@ -56,11 +58,14 @@ def correlator_context(pot):
 
 def _sqrt_cut(ctx, y):
     """sqrt((y - a-)(y - a+)), the branch ~ y at infinity, for complex y or arrays."""
-    import numpy as np
     am, ap = ctx.ep.alpha_minus, ctx.ep.alpha_plus
-    if np.any((y.imag == 0) & (am <= y.real) & (y.real <= ap)):
+    if isinstance(y, complex):
+        on_cut, sqrt = y.imag == 0 and am <= y.real <= ap, cmath.sqrt
+    else:
+        import numpy as np
+        on_cut, sqrt = np.any((y.imag == 0) & (am <= y.real) & (y.real <= ap)), np.sqrt
+    if on_cut:
         raise InvalidParameterError("evaluation point sits on the branch cut")
-    sqrt = cmath.sqrt if isinstance(y, complex) else np.sqrt
     return sqrt(y - am) * sqrt(y - ap)
 
 
@@ -87,9 +92,24 @@ def w2_diag(ctx, y):
 
 
 def w1_subleading(ctx, y):
-    """Subleading one-point coefficient from its endpoint closed form; y may be an array."""
+    """Subleading one-point coefficient from its endpoint closed form; y may be
+    an array.  At the context's own contour nodes the values are made on the
+    first request for each node count and kept read-only on the context."""
+    if isinstance(y, (complex, float, int)):
+        return _w1_subleading(ctx, complex(y))
+    for n, (xi, _, _) in ctx.contours.items():
+        if y is xi:
+            vals = ctx.w1_at_nodes.get(n)
+            if vals is None:
+                vals = ctx.w1_at_nodes[n] = _w1_subleading(ctx, xi)
+                vals.flags.writeable = False
+            return vals
     import numpy as np
-    y = complex(y) if np.ndim(y) == 0 else np.asarray(y, dtype=complex)
+    return _w1_subleading(ctx, complex(y) if np.ndim(y) == 0 else np.asarray(y, dtype=complex))
+
+
+def _w1_subleading(ctx, y):
+    r = _sqrt_cut(ctx, y)  # first: an endpoint is refused by name, not divided by
     am, ap = ctx.ep.alpha_minus, ctx.ep.alpha_plus
     s = math.sqrt(ctx.ep.z)
     hm, hpm = ctx.h_minus, ctx.hp_minus
@@ -98,7 +118,7 @@ def w1_subleading(ctx, y):
                + 1 / (-16 * hm * (y - am) ** 2)
                + (hp + 2 * s * hpp) / (32 * s * hp * hp * (y - ap))
                + 1 / (-16 * hp * (y - ap) ** 2))
-    return ctx.x * bracket / _sqrt_cut(ctx, y)
+    return ctx.x * bracket / r
 
 
 def w1_subleading_antiderivative(ctx, y):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from .algebra import (
     Jet,
     LaurentPoly,
+    _FloatXJets,
     inv_sqrt_R_series,
     series_times_poly_coeff,
     substitute_uniformizer,
@@ -95,14 +96,28 @@ class HPoly:
         return len(self.monomial) - 1
 
     def value(self, lam):
+        if type(lam) is float:
+            return _horner(self.monomial.tolist()[::-1], lam)
         import numpy as np
         return np.polyval(self.monomial[::-1], lam)
 
     def deriv(self, lam):
+        if type(lam) is float:
+            return _horner([c * k for k, c in enumerate(self.monomial.tolist())][:0:-1], lam)
         import numpy as np
         if len(self.monomial) < 2:
             return np.zeros_like(np.asarray(lam, dtype=float)) + 0.0
         return np.polyval(np.polyder(self.monomial[::-1]), lam)
+
+
+def _horner(coeffs, lam):
+    """np.polyval's Horner's rule y = y * lam + c from y = 0.0, over Python
+    floats: for a real float lam it rounds as np.polyval does.  Complex
+    arguments stay on np.polyval, whose complex multiply may fuse."""
+    y = 0.0
+    for c in coeffs:
+        y = y * lam + c
+    return y
 
 
 @dataclass
@@ -127,23 +142,28 @@ def phi_psi(pot, ep, mmax):
 
     Requires endpoint jets of x-order >= mmax + 1.  The shared prefactor
     1/(zx**2 - z*ux**2) is a jet reciprocal; a vanishing constant term there
-    means the recursion is being evaluated at a degenerate point.
+    means the recursion is being evaluated at a degenerate point.  The
+    recursion runs over the jets' float entry lists, with z*ux and z*zx
+    formed once, and each level is wrapped in a Jet.
     """
     ep.require_x_order(mmax + 1)
     U, Z = ep.u_jet, ep.z_jet
-    ux, zx = U.dx(0), Z.dx(0)
+    xs = _FloatXJets(U.lay)
+    z = Z.c
+    ux, zx = xs.dx(U.c), xs.dx(z)
     try:
-        pref = (zx * zx - Z * (ux * ux)).reciprocal()
+        pref = xs.reciprocal(xs.sub(xs.mul(zx, zx), xs.mul(z, xs.mul(ux, ux))))
     except SingularJetError as exc:
         raise DegeneratePointError("zx**2 - z*ux**2 vanishes at the base point") from exc
+    zux, zzx = xs.mul(z, ux), xs.mul(z, zx)
     xj = Jet.variable(float(pot.x), 0, U.orders)
     out = [PhiPsiSequence(0, Jet.constant(0.0, U.orders), xj)]
+    phi, psi = out[0].phi.c, xj.c
     for m in range(mmax):
-        dphi = out[-1].phi.dx(0)
-        dpsi = out[-1].psi.dx(0)
-        phi_next = pref * (zx * dpsi - Z * ux * dphi)
-        psi_next = pref * (Z * zx * dphi - Z * ux * dpsi)
-        out.append(PhiPsiSequence(m + 1, phi_next, psi_next))
+        dphi, dpsi = xs.dx(phi), xs.dx(psi)
+        phi = xs.mul(pref, xs.sub(xs.mul(zx, dpsi), xs.mul(zux, dphi)))
+        psi = xs.mul(pref, xs.sub(xs.mul(zzx, dphi), xs.mul(zux, dpsi)))
+        out.append(PhiPsiSequence(m + 1, xs.jet(phi), xs.jet(psi)))
     return out
 
 
@@ -164,10 +184,11 @@ def h_classical(pot, ep):
 
 
 def _ik_general(k, s, phi_vals, psi_vals, table):
+    phi_row, psi_row = (rows[k] for rows in table.floats)
     total = 0.0
     for m in range(1, k + 2):
-        total += float(table.phi(k, m)) * s ** (m - k - 1) * phi_vals[m]
-        total += float(table.psi(k, m)) * s ** (m - k - 2) * psi_vals[m]
+        total += phi_row[m - 1] * s ** (m - k - 1) * phi_vals[m]
+        total += psi_row[m - 1] * s ** (m - k - 2) * psi_vals[m]
     return total
 
 
@@ -214,11 +235,12 @@ def h_even(pot, ep):
     deg = pot.degree
     kmax = deg - 2
     ep.require_x_order(kmax + 1)
-    zxinv = ep.z_jet.dx(0).reciprocal()
-    tower = [zxinv]
+    xs = _FloatXJets(ep.z_jet.lay)
+    zxinv = level = xs.reciprocal(xs.dx(ep.z_jet.c))
+    tower_vals = [level[0]]
     for _ in range(kmax):
-        tower.append(zxinv * tower[-1].dx(0))
-    tower_vals = [float(t.constant_term) for t in tower]
+        level = xs.mul(zxinv, xs.dx(level))
+        tower_vals.append(level[0])
     s = math.sqrt(ep.z)
     centered = np.array([_ik_even(k, s, ep.z, tower_vals) for k in range(kmax + 1)])
     center = ep.u + 2 * s

@@ -9,7 +9,7 @@ every log-potential in closed form (Mason & Handscomb, Chebyshev Polynomials, 20
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .endpoints import solve_endpoints
 from .errors import InvalidParameterError
@@ -25,13 +25,15 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquilibriumMeasure:
-    """Endpoint data plus the polynomial factor h; density is derived."""
+    """Endpoint data plus the polynomial factor h; density is derived.
+    ``u_coeffs`` keeps the Chebyshev-U expansion of h once it is made."""
 
     ep: object
     h: HPoly
     x: float
+    u_coeffs: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def support(self):
@@ -58,17 +60,22 @@ def density(em, lam):
 
 
 def _u_coeffs(em):
-    """Center c, half-width r and the Chebyshev-U coefficients b of H(t).
+    """Center c, half-width r and the Chebyshev-U coefficients b of H(t),
+    made once per measure and kept on it, b read-only.
 
     H(cos th) sin th = sum b_n sin((n + 1) th), read off exactly by discrete
     sine orthogonality at deg H + 1 angles.
     """
-    import numpy as np
-    am, ap = em.support
-    c, r, n = (ap + am) / 2, (ap - am) / 2, len(em.h.monomial)
-    th = np.arange(1, n + 1) * (math.pi / (n + 1))
-    vals = np.sin(th) * em.h.value(c + r * np.cos(th))
-    return c, r, np.sin(np.outer(np.arange(1, n + 1), th)) @ vals * (2 / (n + 1))
+    if em.u_coeffs is None:
+        import numpy as np
+        am, ap = em.support
+        c, r, n = (ap + am) / 2, (ap - am) / 2, len(em.h.monomial)
+        th = np.arange(1, n + 1) * (math.pi / (n + 1))
+        vals = np.sin(th) * em.h.value(c + r * np.cos(th))
+        b = np.sin(np.outer(np.arange(1, n + 1), th)) @ vals * (2 / (n + 1))
+        b.flags.writeable = False
+        object.__setattr__(em, "u_coeffs", (c, r, b))  # a frozen dataclass's own cache
+    return em.u_coeffs
 
 
 def total_mass(em):

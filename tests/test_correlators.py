@@ -14,7 +14,7 @@ from eqmap.correlators import (
     w2_diag,
 )
 from eqmap.endpoints import PotentialSpec
-from eqmap.errors import ContourGeometryError
+from eqmap.errors import ContourGeometryError, InvalidParameterError
 from eqmap.measure import density, equilibrium_measure
 
 GUE = PotentialSpec(1.0, {})
@@ -224,3 +224,36 @@ def test_apply_K_keeps_its_contour_out_of_reach_of_f():
         apply_K(ctx, overwrite, 3.0)
     want = apply_K(correlator_context(QUARTIC), lambda s: w1_subleading(ctx, s), 3.0)
     assert apply_K(ctx, lambda s: w1_subleading(ctx, s), 3.0) == want
+
+
+@pytest.mark.parametrize("pot", [GUE, QUARTIC])
+def test_scalar_forms_refuse_every_point_on_the_cut_by_name(pot):
+    # Python complex, float and int points, the endpoints included
+    ctx = correlator_context(pot)
+    am, ap = ctx.ep.alpha_minus, ctx.ep.alpha_plus
+    points = [am, ap, (am + ap) / 2, complex(am), complex(ap, -0.0), complex(0.25 * am + 0.75 * ap)]
+    points += [k for k in range(math.ceil(am), math.floor(ap) + 1)]
+    for y in points:
+        for form in (w1_leading, w1_subleading, lambda c, y: _sqrt_cut(c, complex(y))):
+            with pytest.raises(InvalidParameterError, match="branch cut"):
+                form(ctx, y)
+
+
+def test_w1_subleading_keeps_its_values_at_the_context_nodes():
+    # made once per node count, read-only, and the bits of a fresh evaluation
+    ctx = correlator_context(MIXED)
+    for n in (256, 64):
+        apply_K(ctx, lambda s: w1_subleading(ctx, s), 3.5, n_nodes=n)
+        xi = ctx.contours[n][0]
+        kept = w1_subleading(ctx, xi)
+        assert kept is ctx.w1_at_nodes[n] and w1_subleading(ctx, xi) is kept
+        assert not kept.flags.writeable
+        fresh = w1_subleading(ctx, xi.copy())
+        assert fresh is not kept and fresh.flags.writeable
+        assert [(v.real.hex(), v.imag.hex()) for v in kept.tolist()] == \
+            [(v.real.hex(), v.imag.hex()) for v in fresh.tolist()]
+    assert sorted(ctx.w1_at_nodes) == [64, 256]
+    # another context's nodes are not this context's: nothing is kept for them
+    other = correlator_context(MIXED)
+    apply_K(other, lambda s: w1_subleading(ctx, s), 3.5)
+    assert sorted(ctx.w1_at_nodes) == [64, 256] and not other.w1_at_nodes

@@ -1,12 +1,15 @@
 import dataclasses
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
 
+from eqmap.algebra import Jet
 from eqmap.endpoints import PotentialSpec, solve_endpoints, uz_jets
 from eqmap.hfunc import (
+    HPoly,
     centered_from_monomial,
     h_at_endpoints,
     h_classical,
@@ -139,6 +142,67 @@ def test_phi_psi_jets_stay_float64():
     pot = PotentialSpec(0.9, {3: 0.01, 4: 0.01})
     for seq in phi_psi(pot, uz_jets(pot, x_order=4), 3):
         assert seq.phi.coeffs.dtype == seq.psi.coeffs.dtype == np.float64
+
+
+# sha256 of the float jet layers' bits on the draws of
+# test_float_jet_layer_bits_are_pinned
+_FLOAT_LAYER_DIGEST = "8e4fc8af7f7c602146a6a413fc62ac23c18aba7b24592f4d80e48ee5419fc610"
+
+
+def test_float_jet_layer_bits_are_pinned():
+    """The bits of the float jet layers on 16 seeded one-cut potentials of
+    degree 3-6, every other one even: float.hex of the entries of each
+    phi_psi level, of the centered and monomial coefficients of h_general,
+    h_even and their left variants, and of Jet.variable(x).reciprocal() over
+    a box of one and of two variables; one degree-4 potential also runs
+    phi_psi on (x, t) jets.  The draws use Random.uniform and arithmetic
+    alone, and no value passes through numpy's complex arithmetic.  A change
+    that moves these bits on purpose updates _FLOAT_LAYER_DIGEST and says so
+    in CHANGES.md."""
+    rng, digest = random.Random(28), hashlib.sha256()
+
+    def put(values):
+        digest.update(repr([float(v).hex() for v in values]).encode())
+
+    for i in range(16):
+        d, even = 3 + i % 4, i % 2 == 0
+        d += even and d % 2
+        amp = 0.02 if d <= 4 else 0.008
+        t = {j: rng.uniform(-amp, amp) for j in range(2 if even else 1, d + 1, 1 + even)}
+        if d % 2 == 0:
+            t[d] = amp / 2 + abs(t[d]) / 2
+        pot = PotentialSpec(rng.uniform(0.8, 1.2), t)
+        ep = uz_jets(pot, x_order=max(d, 5) + 1)
+        for seq in phi_psi(pot, ep, d - 1):
+            put(seq.phi.c + seq.psi.c)
+        hs = [h_general(pot, ep)] + ([h_even(pot, ep)] if even else [])
+        for h in hs + [h_left_variant(h) for h in hs]:
+            put(list(h.centered) + list(h.monomial))
+        put(Jet.variable(pot.x, 0, (6,)).reciprocal().c)
+        put(Jet.variable(pot.x, 0, (2, 3)).reciprocal().c)
+    pot = PotentialSpec(1.1, {3: 0.01, 4: 0.01})
+    for seq in phi_psi(pot, uz_jets(pot, x_order=4, t_order=1), 3):
+        put(seq.phi.c + seq.psi.c)
+    assert digest.hexdigest() == _FLOAT_LAYER_DIGEST
+
+
+def test_hpoly_float_value_and_deriv_round_as_polyval():
+    # Horner's rule over Python floats against np.polyval on the same float,
+    # degrees 0 and 1 included; a numpy scalar takes np.polyval's own path
+    rng = random.Random(7)
+    specials = [0.0, -0.0, 1.0, -2.5, 1e300, math.inf, -math.inf, math.nan]
+    for degree in [0, 1, 0, 1] + [rng.randint(2, 8) for _ in range(40)]:
+        mono = np.array([rng.uniform(-5, 5) for _ in range(degree + 1)])
+        h = HPoly(mono, mono, 0.0, None, "test")
+        for lam in specials + [rng.uniform(-4, 4) for _ in range(50)]:
+            with np.errstate(invalid="ignore", over="ignore"):
+                pairs = ((h.value(lam), np.polyval(mono[::-1], lam)),
+                         (h.deriv(lam), np.polyval(np.polyder(mono[::-1]), lam)),
+                         (h.value(lam), h.value(np.float64(lam))),
+                         (h.deriv(lam), h.deriv(np.float64(lam))))
+            for got, want in pairs:
+                assert type(got) is float
+                assert got.hex() == float(want).hex(), (mono, lam)
 
 
 # ---- h routes ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -63,6 +64,21 @@ def test_total_mass_gue():
 def test_total_mass_perturbed(pot):
     em = equilibrium_measure(pot)
     assert abs(total_mass(em) - 1) < 1e-12
+
+
+def test_measure_makes_its_chebyshev_coefficients_once():
+    # total_mass and variational_report share them, with the bits of a fresh measure
+    pot = PotentialSpec(1.2, {2: 0.01, 5: 0.005, 3: -0.01})
+    em, fresh = equilibrium_measure(pot), equilibrium_measure(pot)
+    assert em.u_coeffs is None and "u_coeffs" not in repr(em)
+    mass = total_mass(em)
+    kept = em.u_coeffs
+    assert not kept[2].flags.writeable
+    report = variational_report(em)
+    assert em.u_coeffs is kept
+    assert report == variational_report(fresh) and mass == total_mass(fresh)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        em.x = 2.0
 
 
 @pytest.fixture(scope="module")
