@@ -64,12 +64,7 @@ def one_cut_corpus(n=100, seed=20240817):
     pots = []
     while len(pots) < n:
         kind = len(pots) % 3
-        if kind == 0:
-            d = rng.choice([4, 6])
-        elif kind == 1:
-            d = rng.choice([4, 6])
-        else:
-            d = rng.choice([3, 5])
+        d = rng.choice([4, 6] if kind < 2 else [3, 5])
         # degree-5/6 potentials leave the one-cut phase much earlier, so the
         # draw amplitude shrinks with the degree (still within |t| <= 0.02)
         amp = 0.02 if d <= 4 else 0.008

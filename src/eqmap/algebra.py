@@ -137,61 +137,32 @@ _PRODUCTS = _Products()
 
 @lru_cache(maxsize=None)
 def _common(la, lb):
-    """The layout of the exponents both layouts hold, and their positions in each."""
+    """The layout of the exponents both layouts hold, and per layout the
+    function that takes a jet's entries of those exponents."""
     if len(la.orders) != len(lb.orders):
         raise ValueError("jets over different variable sets")
     lay = _layout(tuple(e for e in la.exps if e in lb.index))
-    return lay, [la.index[e] for e in lay.exps], [lb.index[e] for e in lay.exps]
+    return (lay,) + tuple(_taker([x.index[e] for e in lay.exps]) for x in (la, lb))
 
 
-class _FloatXJets:
-    """Float arithmetic on the entry lists of the jets over the row-major
-    boxes (k,) + rest of one family, k varying, with the roundings of the
-    same operations on float Jets.  Each box starts every larger one, so a
-    binary operation cuts its operands to the shorter, as Jet truncates to
-    the common layout, and d/dx drops the first block.  Entry k of a
-    truncated product reads entries <= k only, so a product formed once at
-    a larger box and cut later holds the bits of one formed at the smaller."""
-
-    def __init__(self, lay):
-        self.rest = lay.orders[1:]
-        self.block = math.prod(o + 1 for o in self.rest)
-        self.lays = {len(b.exps): b for b in (_box((k,) + self.rest)
-                                               for k in range(lay.orders[0] + 1))}
-
-    def mul(self, a, b):
-        n = min(len(a), len(b))
-        return _PRODUCTS[self.lays[n]](a[:n], b[:n], 0.0)
-
-    def sub(self, a, b):
-        return list(map(operator.sub, a, b))
-
-    def dx(self, c):
-        block = self.block
-        return [v * (i // block) for i, v in enumerate(c[block:], block)]
-
-    def reciprocal(self, c):
-        return _float_reciprocal(c, self.lays[len(c)])
-
-    def jet(self, c):
-        return _jet(c, self.lays[len(c)], True)
+def _taker(positions):
+    """The entries at ``positions`` of an entry list, a slice when they lead it."""
+    if positions == list(range(len(positions))):
+        return operator.itemgetter(slice(len(positions)))
+    return lambda c: [c[i] for i in positions]
 
 
-def _float_reciprocal(c, lay):
-    """Entries of 1/f for the float entries c of f over lay: (1/c0) sum_k
-    eta**k, eta = -(f/c0) + 1, summed from 1.0 and divided by c0 entry by
-    entry.  Adding eta**k adds the term p * 1 of the generic series exactly."""
-    c0 = c[0]
-    if c0 == 0:
-        raise SingularJetError("reciprocal of a jet with zero constant term")
-    eta = [-(v / c0) for v in c]
-    eta[0] += 1.0
-    product, out, p = _PRODUCTS[lay], [1.0] + [0.0] * (len(c) - 1), eta
-    for k in range(sum(lay.orders)):
-        if k:
-            p = product(p, eta, 0.0)
-        out = list(map(operator.add, out, p))
-    return [v / c0 for v in out]
+@lru_cache(maxsize=None)
+def _dx_plan(lay, var):
+    """d/d(variable var) over ``lay``: the position of each entry whose
+    exponent e has e[var] > 0, its factor e[var], and the layout of the
+    exponents e - 1 in var that the entries move to, in order."""
+    if var not in range(len(lay.orders)) or lay.orders[var] < 1:
+        raise InvalidParameterError("a jet of orders %r carries no derivative information "
+                                    "in variable %r" % (lay.orders, var))
+    src = [(k, e) for k, e in enumerate(lay.exps) if e[var]]
+    return ([k for k, _ in src], [e[var] for _, e in src],
+            _layout(tuple(e[:var] + (e[var] - 1,) + e[var + 1:] for _, e in src)))
 
 
 def _jet(c, lay, f64):
@@ -278,21 +249,17 @@ class Jet:
 
     def dx(self, var=0):
         """Derivative jet with respect to one variable; its order drops by one."""
-        if var not in range(len(self.orders)) or self.orders[var] < 1:
-            raise InvalidParameterError("a jet of orders %r carries no derivative information "
-                                        "in variable %r" % (self.orders, var))
         # the entry of exponent e moves to e - 1 in var, times e[var]
-        src = [(k, e) for k, e in enumerate(self.lay.exps) if e[var]]
-        lay = _layout(tuple(e[:var] + (e[var] - 1,) + e[var + 1:] for _, e in src))
-        return _jet([self.c[k] * e[var] for k, e in src], lay, self.f64)
+        src, factors, lay = _dx_plan(self.lay, var)
+        c = self.c
+        return _jet([c[k] * f for k, f in zip(src, factors)], lay, self.f64)
 
     # ---- arithmetic -----------------------------------------------------
 
     def _operands(self, other):
         """Both entry lists over the exponents both jets hold, and their layout."""
-        lay, pa, pb = _common(self.lay, other.lay)
-        a, b = self.c, other.c
-        return [a[i] for i in pa], [b[i] for i in pb], lay
+        lay, take_a, take_b = _common(self.lay, other.lay)
+        return take_a(self.c), take_b(other.c), lay
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -311,10 +278,24 @@ class Jet:
         return _jet(list(map(operator.neg, self.c)), self.lay, self.f64)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -1 * other)
+        # float a - b rounds as a + (-b), -0.0 included; an int or Fraction
+        # zero has no sign, and -0.0 - 0 is -0.0 where -0.0 + -0 is 0.0
+        if not (isinstance(other, Jet) and self.f64 and other.f64):
+            return self + (-other if isinstance(other, Jet) else -1 * other)
+        a, b, lay = self.c, other.c, self.lay
+        if lay is not other.lay:
+            a, b, lay = self._operands(other)
+        return _jet(list(map(operator.sub, a, b)), lay, True)
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def __eq__(self, other):
+        if not isinstance(other, Jet):
+            return NotImplemented
+        return self.lay is other.lay and self.c == other.c
+
+    __hash__ = None
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -344,15 +325,25 @@ class Jet:
     def reciprocal(self):
         """1/f.  A float jet sums (1/c0) sum_k (1 - f/c0)**k, finite to the
         truncation order because 1 - f/c0 has no constant term, over its
-        entry list.  An exact jet f = N/q, N and q over ints and n0 = N[0],
-        sums q sum_k (n0 - N)**k n0**(K-k) over ints, K = sum(orders), and
-        divides by n0**(K+1) once per entry; int entries with a unit constant
-        stay ints.  Other jets sum the float series over Jet operations."""
-        if self.f64:
-            return _jet(_float_reciprocal(self.c, self.lay), self.lay, True)
+        entry list: eta = -(f/c0) + 1, its powers added to a sum started at
+        1.0 (adding eta**k adds the generic series' term eta**k * 1
+        exactly), then / c0 per entry.  An exact jet f = N/q, N and q over
+        ints and n0 = N[0], sums q sum_k (n0 - N)**k n0**(K-k) over ints, K =
+        sum(orders), and divides by n0**(K+1) once per entry; int entries
+        with a unit constant stay ints.  Other jets sum the float series over
+        Jet operations."""
         c0, K = self.constant_term, sum(self.orders)
         if _is_zero(c0):
             raise SingularJetError("reciprocal of a jet with zero constant term")
+        if self.f64:
+            eta = [-(v / c0) for v in self.c]
+            eta[0] += 1.0
+            product, out, p = _PRODUCTS[self.lay], [1.0] + [0.0] * (len(eta) - 1), eta
+            for k in range(K):
+                if k:
+                    p = product(p, eta, 0.0)
+                out = list(map(operator.add, out, p))
+            return _jet([v / c0 for v in out], self.lay, True)
         exact = self._int_series(lambda k, n0: (-1) ** k * n0 ** (K - k))
         if exact:
             n0, q, s = exact

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from .algebra import (
     Jet,
     LaurentPoly,
-    _FloatXJets,
     inv_sqrt_R_series,
     series_times_poly_coeff,
     substitute_uniformizer,
@@ -72,7 +71,7 @@ def centered_from_monomial(monomial, a):
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class HPoly:
     """The polynomial factor of the equilibrium density.
 
@@ -90,6 +89,15 @@ class HPoly:
     ep: EndpointSolution
     route: str
     flip_data: tuple | None = field(default=None, repr=False)
+
+    def __eq__(self, other):
+        # numpy arrays compare elementwise, so they compare here as lists
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.monomial.tolist(), self.centered.tolist(), self.center, self.ep,
+                 self.route, self.flip_data)
+                == (other.monomial.tolist(), other.centered.tolist(), other.center, other.ep,
+                    other.route, other.flip_data))
 
     @property
     def degree(self):
@@ -142,28 +150,25 @@ def phi_psi(pot, ep, mmax):
 
     Requires endpoint jets of x-order >= mmax + 1.  The shared prefactor
     1/(zx**2 - z*ux**2) is a jet reciprocal; a vanishing constant term there
-    means the recursion is being evaluated at a degenerate point.  The
-    recursion runs over the jets' float entry lists, with z*ux and z*zx
-    formed once, and each level is wrapped in a Jet.
+    means the recursion is being evaluated at a degenerate point.  z*ux and
+    z*zx are formed once, outside the level loop.
     """
     ep.require_x_order(mmax + 1)
     U, Z = ep.u_jet, ep.z_jet
-    xs = _FloatXJets(U.lay)
-    z = Z.c
-    ux, zx = xs.dx(U.c), xs.dx(z)
+    ux, zx = U.dx(0), Z.dx(0)
     try:
-        pref = xs.reciprocal(xs.sub(xs.mul(zx, zx), xs.mul(z, xs.mul(ux, ux))))
+        pref = (zx * zx - Z * (ux * ux)).reciprocal()
     except SingularJetError as exc:
         raise DegeneratePointError("zx**2 - z*ux**2 vanishes at the base point") from exc
-    zux, zzx = xs.mul(z, ux), xs.mul(z, zx)
+    zux, zzx = Z * ux, Z * zx
     xj = Jet.variable(float(pot.x), 0, U.orders)
     out = [PhiPsiSequence(0, Jet.constant(0.0, U.orders), xj)]
-    phi, psi = out[0].phi.c, xj.c
     for m in range(mmax):
-        dphi, dpsi = xs.dx(phi), xs.dx(psi)
-        phi = xs.mul(pref, xs.sub(xs.mul(zx, dpsi), xs.mul(zux, dphi)))
-        psi = xs.mul(pref, xs.sub(xs.mul(zzx, dphi), xs.mul(zux, dpsi)))
-        out.append(PhiPsiSequence(m + 1, xs.jet(phi), xs.jet(psi)))
+        dphi = out[-1].phi.dx(0)
+        dpsi = out[-1].psi.dx(0)
+        phi_next = pref * (zx * dpsi - zux * dphi)
+        psi_next = pref * (zzx * dphi - zux * dpsi)
+        out.append(PhiPsiSequence(m + 1, phi_next, psi_next))
     return out
 
 
@@ -235,12 +240,11 @@ def h_even(pot, ep):
     deg = pot.degree
     kmax = deg - 2
     ep.require_x_order(kmax + 1)
-    xs = _FloatXJets(ep.z_jet.lay)
-    zxinv = level = xs.reciprocal(xs.dx(ep.z_jet.c))
-    tower_vals = [level[0]]
+    zxinv = ep.z_jet.dx(0).reciprocal()
+    tower = [zxinv]
     for _ in range(kmax):
-        level = xs.mul(zxinv, xs.dx(level))
-        tower_vals.append(level[0])
+        tower.append(zxinv * tower[-1].dx(0))
+    tower_vals = [t.constant_term for t in tower]
     s = math.sqrt(ep.z)
     centered = np.array([_ik_even(k, s, ep.z, tower_vals) for k in range(kmax + 1)])
     center = ep.u + 2 * s

@@ -176,6 +176,67 @@ def test_jet_derivative_consumes_one_order():
     assert list(d.coeffs) == [2.0, 6.0, 12.0]
 
 
+def _per_exponent_dx(jet, var):
+    """Jet.dx derived afresh on every call: the entry of each exponent e with
+    e[var] > 0 moves to e - 1 in var, times e[var]."""
+    src = [(k, e) for k, e in enumerate(jet.lay.exps) if e[var]]
+    lay = algebra._layout(tuple(e[:var] + (e[var] - 1,) + e[var + 1:] for _, e in src))
+    return _jet([jet.c[k] * e[var] for k, e in src], lay, jet.f64)
+
+
+def _per_exponent_sum(a, b):
+    """a + b over the exponents both jets hold, in a's order, looked up by exponent."""
+    exps = tuple(e for e in a.lay.exps if e in b.lay.index)
+    return _jet([a.c[a.lay.index[e]] + b.c[b.lay.index[e]] for e in exps],
+                algebra._layout(exps), a.f64 and b.f64)
+
+
+def _assert_same_jet(got, want):
+    """Same layout object and kind; floats by float.hex, exact entries by value and type."""
+    assert got.lay is want.lay and got.f64 == want.f64
+
+    def bits(jet):
+        return [v.hex() if type(v) is float else (v, type(v)) for v in jet.c]
+    assert bits(got) == bits(want)
+
+
+def _draw_entries(rng, n, kind):
+    if kind == "float":
+        return [rng.choice([0.0, -0.0, rng.uniform(-9, 9) * 10.0 ** rng.randint(-6, 6)])
+                for _ in range(n)]
+    ints = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(n)]
+    return ints if kind == "int" else [Fraction(v, rng.randint(1, 7)) for v in ints]
+
+
+_DX_LAYOUTS = {"triangle1": _UZ_LAYOUTS[1], "triangle2": _UZ_LAYOUTS[2],
+               "box5": algebra._box((5,)), "box2x3": algebra._box((2, 3)),
+               "box2x1x2": algebra._box((2, 1, 2))}
+
+
+@pytest.mark.parametrize("kind", ["float", "int", "fraction"])
+@pytest.mark.parametrize("name", list(_DX_LAYOUTS))
+def test_jet_dx_and_difference_match_the_per_exponent_forms(name, kind):
+    # dx reads a cached plan, and a - b subtracts entry by entry; both must
+    # keep the bits of the per-exponent derivation and of a + (-b)
+    lay, rng = _DX_LAYOUTS[name], random.Random(name + kind)
+    other = {"triangle1": _UZ_LAYOUTS[2], "triangle2": algebra._box((1, 1)),
+             "box5": algebra._box((3,)), "box2x3": algebra._box((3, 1)),
+             "box2x1x2": algebra._box((1, 1, 3))}[name]
+    for _ in range(8):
+        a = _jet(_draw_entries(rng, len(lay.exps), kind), lay, kind == "float")
+        for var in range(len(lay.orders)):
+            for _ in range(2):  # the second call reads the cached plan
+                _assert_same_jet(a.dx(var), _per_exponent_dx(a, var))
+        for b_lay in (lay, other):
+            for b_kind in ("float", kind):
+                b = _jet(_draw_entries(rng, len(b_lay.exps), b_kind), b_lay, b_kind == "float")
+                for x, y in ((a, b), (b, a)):
+                    _assert_same_jet(x - y, x + (-y))
+                    _assert_same_jet(x + (-y), _per_exponent_sum(x, -y))
+        for s in (-0.0, 3, Fraction(2, 3)):
+            _assert_same_jet(a - s, a + -1 * s)
+
+
 def test_jet_multiplication_truncates_to_min_orders():
     a = Jet([1.0, 1.0, 1.0])
     b = Jet([1.0, 1.0])

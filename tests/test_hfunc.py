@@ -138,6 +138,26 @@ def test_phi_psi_rejects_missing_orders():
         phi_psi(QUARTIC, ep, 3)
 
 
+def test_hpolys_jets_and_what_holds_them_compare_by_value():
+    # HPoly compares its arrays entry by entry and Jet its entries over one
+    # layout, so a measure, a context and an endpoint solution with jets
+    # compare to a bool, True for the same potential
+    from eqmap.correlators import correlator_context
+    from eqmap.measure import equilibrium_measure
+    other = PotentialSpec(1.0, {4: 0.02})
+    for make in (equilibrium_measure, correlator_context):
+        assert make(QUARTIC) == make(QUARTIC)
+        assert make(QUARTIC) != make(other)
+    ep = uz_jets(QUARTIC, 4)
+    assert ep == uz_jets(QUARTIC, 4) and ep != uz_jets(QUARTIC, 3)
+    assert ep.u_jet == uz_jets(QUARTIC, 4).u_jet != ep.z_jet
+    assert ep.u_jet.__eq__(ep.u) is NotImplemented and ep.u_jet != ep.u
+    with pytest.raises(TypeError):
+        hash(ep.u_jet)
+    assert h_general(QUARTIC, ep) == h_general(QUARTIC, uz_jets(QUARTIC, 4))
+    assert h_general(QUARTIC, ep) != h_even(QUARTIC, ep)
+
+
 def test_phi_psi_jets_stay_float64():
     pot = PotentialSpec(0.9, {3: 0.01, 4: 0.01})
     for seq in phi_psi(pot, uz_jets(pot, x_order=4), 3):
