@@ -137,32 +137,11 @@ _PRODUCTS = _Products()
 
 @lru_cache(maxsize=None)
 def _common(la, lb):
-    """The layout of the exponents both layouts hold, and per layout the
-    function that takes a jet's entries of those exponents."""
+    """The layout of the exponents both layouts hold, and their positions in each."""
     if len(la.orders) != len(lb.orders):
         raise ValueError("jets over different variable sets")
     lay = _layout(tuple(e for e in la.exps if e in lb.index))
-    return (lay,) + tuple(_taker([x.index[e] for e in lay.exps]) for x in (la, lb))
-
-
-def _taker(positions):
-    """The entries at ``positions`` of an entry list, a slice when they lead it."""
-    if positions == list(range(len(positions))):
-        return operator.itemgetter(slice(len(positions)))
-    return lambda c: [c[i] for i in positions]
-
-
-@lru_cache(maxsize=None)
-def _dx_plan(lay, var):
-    """d/d(variable var) over ``lay``: the position of each entry whose
-    exponent e has e[var] > 0, its factor e[var], and the layout of the
-    exponents e - 1 in var that the entries move to, in order."""
-    if var not in range(len(lay.orders)) or lay.orders[var] < 1:
-        raise InvalidParameterError("a jet of orders %r carries no derivative information "
-                                    "in variable %r" % (lay.orders, var))
-    src = [(k, e) for k, e in enumerate(lay.exps) if e[var]]
-    return ([k for k, _ in src], [e[var] for _, e in src],
-            _layout(tuple(e[:var] + (e[var] - 1,) + e[var + 1:] for _, e in src)))
+    return lay, [la.index[e] for e in lay.exps], [lb.index[e] for e in lay.exps]
 
 
 def _jet(c, lay, f64):
@@ -249,17 +228,21 @@ class Jet:
 
     def dx(self, var=0):
         """Derivative jet with respect to one variable; its order drops by one."""
+        if var not in range(len(self.orders)) or self.orders[var] < 1:
+            raise InvalidParameterError("a jet of orders %r carries no derivative information "
+                                        "in variable %r" % (self.orders, var))
         # the entry of exponent e moves to e - 1 in var, times e[var]
-        src, factors, lay = _dx_plan(self.lay, var)
-        c = self.c
-        return _jet([c[k] * f for k, f in zip(src, factors)], lay, self.f64)
+        src = [(k, e) for k, e in enumerate(self.lay.exps) if e[var]]
+        lay = _layout(tuple(e[:var] + (e[var] - 1,) + e[var + 1:] for _, e in src))
+        return _jet([self.c[k] * e[var] for k, e in src], lay, self.f64)
 
     # ---- arithmetic -----------------------------------------------------
 
     def _operands(self, other):
         """Both entry lists over the exponents both jets hold, and their layout."""
-        lay, take_a, take_b = _common(self.lay, other.lay)
-        return take_a(self.c), take_b(other.c), lay
+        lay, pa, pb = _common(self.lay, other.lay)
+        a, b = self.c, other.c
+        return [a[i] for i in pa], [b[i] for i in pb], lay
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -278,14 +261,7 @@ class Jet:
         return _jet(list(map(operator.neg, self.c)), self.lay, self.f64)
 
     def __sub__(self, other):
-        # float a - b rounds as a + (-b), -0.0 included; an int or Fraction
-        # zero has no sign, and -0.0 - 0 is -0.0 where -0.0 + -0 is 0.0
-        if not (isinstance(other, Jet) and self.f64 and other.f64):
-            return self + (-other if isinstance(other, Jet) else -1 * other)
-        a, b, lay = self.c, other.c, self.lay
-        if lay is not other.lay:
-            a, b, lay = self._operands(other)
-        return _jet(list(map(operator.sub, a, b)), lay, True)
+        return self + (-other if isinstance(other, Jet) else -1 * other)
 
     def __rsub__(self, other):
         return (-self) + other
