@@ -9,12 +9,14 @@ every check is an exact polynomial identity, not a floating comparison.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
 from .algebra import LaurentPoly
+from .endpoints import _require_int
 from .errors import InvalidParameterError
 
 __all__ = [
@@ -68,9 +70,14 @@ class BasisFunction:
         by (T - 1/T)**(2k+2) * T**(k+1) turns both sides into honest Laurent
         polynomials; this returns this basis element's contribution.
         """
-        p = 2 * (k + 1) - self.denom_power  # (T - 1/T)**p * T**(k+1) by the binomial theorem
-        tm = LaurentPoly({p - 2 * i + k + 1: (-1) ** i * _binom(p, i) for i in range(p + 1)})
-        return self.numerator * tm
+        p = 2 * (k + 1) - self.denom_power
+        # (T - 1/T)**p * T**(k+1) = sum_i (-1)**i C(p, i) T**(p - 2i + k + 1)
+        terms = [(p - 2 * i + k + 1, (-1) ** i * math.comb(p, i)) for i in range(p + 1)]
+        out = {}
+        for e, a in self.numerator.coeffs.items():
+            for f, b in terms:
+                out[e + f] = out.get(e + f, 0) + a * b
+        return LaurentPoly(out)
 
 
 def phi_tilde(m):
@@ -87,7 +94,10 @@ def psi_tilde(m):
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """Rows k = 0..kmax of the expansion coefficients, exact rationals."""
+    """Rows k = 0..kmax of the expansion coefficients, exact rationals.
+
+    ``phi(k, m)`` and ``psi(k, m)`` refuse a row k outside 0..kmax by name,
+    and read 0 for an m outside 1..k+1."""
 
     kmax: int
     c_phi: tuple  # c_phi[k][m-1] for m = 1..k+1
@@ -100,12 +110,19 @@ class CoeffTable:
                      for rows in (self.c_phi, self.c_psi))
 
     def phi(self, k, m):
-        row = self.c_phi[k]
+        row = self.c_phi[self._row(k)]
         return row[m - 1] if 1 <= m <= len(row) else Fraction(0)
 
     def psi(self, k, m):
-        row = self.c_psi[k]
+        row = self.c_psi[self._row(k)]
         return row[m - 1] if 1 <= m <= len(row) else Fraction(0)
+
+    def _row(self, k):
+        """k, or refused by name unless it is an int in 0..kmax."""
+        if not isinstance(k, numbers.Integral) or isinstance(k, bool) or not 0 <= k <= self.kmax:
+            raise InvalidParameterError("row k must be an int in 0..kmax = %d, got %r"
+                                        % (self.kmax, k))
+        return k
 
 
 def _solve_exact(rows, rhs):
@@ -193,6 +210,7 @@ def reconstruction_holds(table, k):
     Verified after clearing denominators, i.e. the combination of cleared
     basis elements must equal (T + 1)**(2k+2) coefficient for coefficient.
     """
+    table._row(k)
     target = LaurentPoly({i: _binom(2 * k + 2, i) for i in range(2 * k + 3)})
     acc = LaurentPoly()
     for m in range(1, k + 2):
@@ -228,6 +246,7 @@ def verify_operator_closed_forms(m):
     :func:`phi_tilde` and :func:`psi_tilde`, times T**(2m-1)); both are
     compared as cleared polynomial identities.
     """
+    _require_int("order m", m, 0)
     got_phi, p1 = _apply_operator(LaurentPoly({-1: Fraction(1)}), 0, m)
     want_phi = phi_tilde(m).numerator.shifted(2 * m - 1)
     got_psi, p2 = _apply_operator(LaurentPoly({0: Fraction(1)}), 0, m)
@@ -241,6 +260,7 @@ def verify_parity_projection(k):
     Both sides are multiplied by (T - 1/T)**(2k+2), which turns them into
     Laurent polynomials that are compared coefficient for coefficient.
     """
+    _require_int("order k", k, 0)
     tp = LaurentPoly({1: 1, 0: 1})
     tm = LaurentPoly({1: 1, 0: -1})
     lhs = (tp ** (2 * k + 2) + tm ** (2 * k + 2) * ((-1) ** k)).shifted(-(k + 1)) * Fraction(1, 2)
@@ -256,8 +276,10 @@ def verify_binomial_identities(m):
     """Exact check of the four closed-form sums behind basis independence.
 
     The alternating psi-type sum is parity split: zero for even m, a signed
-    power-of-two ratio of double factorials for odd m.
+    power-of-two ratio of double factorials for odd m.  The sums run over the
+    basis orders m >= 1.
     """
+    _require_int("order m", m, 1)
     plain_phi = sum(_binom(m, l) ** 2 for l in range(m + 1))
     ok = plain_phi == _binom(2 * m, m)
 

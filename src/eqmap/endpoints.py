@@ -351,22 +351,23 @@ _KERNELS = _Kernels()
 
 
 def _uz_residuals(u, z, n, pot, coeffs):
-    """Value, d/du, d/dz and, at n = 2, d2/du2, d2/dudz, d2/dz2 of both endpoint
-    residuals at (u, z), bit-identical to order-(n, n) box jets: the band
-    kernel of ``coeffs`` over the order-n triangle jets U = u + du and Z = z + dz,
-    run by the generated kernel of its zero pattern, or by _band where a guard fails."""
+    """Value, d/du, d/dz and, at n = 2, d2/du2, d2/dudz, d2/dz2 of [T**0] and
+    [T**-1] of sum_i coeffs[i] (T + u + z/T)**i over x at (u, z), the endpoint
+    residuals before r2's Gaussian 1 is taken off, bit-identical to order-(n, n)
+    box jets: the band kernel of ``coeffs`` over the order-n triangle jets
+    U = u + du and Z = z + dz, run by the generated kernel of its zero pattern,
+    or by _band where a guard fails."""
     u, z = float(u), float(z)
     band = _KERNELS[(n, not u, not z) + tuple(map(operator.not_, coeffs))](u, z, *coeffs)
     if band is None:
         band = _band(coeffs, *_uz_entries(u, z, n), _UZ_LAYOUTS[n], 0.0, float)
     k = len(_UZ_LAYOUTS[n].exps)
     x, out = float(pot.x), []
-    for m, v in enumerate(band):  # T**0, then T**-1 - 1
+    for v in band:  # T**0, then T**-1
         if type(v) is list and any(v):
             c = [e / x for e in v]
-            c[0] -= m
         else:  # zero, or a number that no offset reached
-            c = [float((0 if v is None or type(v) is list else v) / pot.x - m)] + [0.0] * (k - 1)
+            c = [float((0 if v is None or type(v) is list else v) / pot.x)] + [0.0] * (k - 1)
         out.append([c[0], c[3], c[1], 2 * c[5], c[4], 2 * c[2]] if n == 2 else [c[0], c[2], c[1]])
     return out
 
@@ -374,7 +375,7 @@ def _uz_residuals(u, z, n, pot, coeffs):
 def _residual_and_jacobian(u, z, pot, coeffs):
     """Residuals (r1, r2) and Jacobian ((r1_u, r1_z), (r2_u, r2_z)) at a point, as floats."""
     (a, a_u, a_z), (b, b_u, b_z) = _uz_residuals(u, z, 1, pot, coeffs)
-    return (a, b), ((a_u, a_z), (b_u, b_z))
+    return (a, b - 1), ((a_u, a_z), (b_u, b_z))
 
 
 def _root_jacobian(u, z, pot):
@@ -471,10 +472,8 @@ def _locate_fold(pot, u, z, s0):
     even = pot.is_even
     s = s0
     for _ in range(12):
-        # value, d/du, d/dz, d2/du2, d2/dudz, d2/dz2 of each residual of P;
-        # _uz_residuals subtracts the Gaussian constant 1 from r2
+        # value, d/du, d/dz, d2/du2, d2/dudz, d2/dz2 of each residual of P
         d1, d2 = _uz_residuals(u, z, 2, pot, coeffs)
-        d2[0] += 1
         # J = [[a, b], [c, e]], with the (u, z, s)-gradient of each entry
         a, grad_a = g + s * d1[1], (s * d1[3], s * d1[4], d1[1])
         b, grad_b = s * d1[2], (s * d1[4], s * d1[5], d1[2])

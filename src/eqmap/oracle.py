@@ -16,15 +16,28 @@ so the partners on those form one orbit of size j * (their number).  At the
 root the mirror r (r sigma r^-1 = sigma^-1, r(0) = 0) also pairs the offsets
 d and j0 - d of half-edge 0, as sigma r alpha r^-1 is conjugate to (sigma alpha)^-1.
 
-One vertex of n > 4 half-edges is walked by rotation classes instead.  The
-rotations commute with sigma and keep faces.  If m(M) half-edges of M have a
-chord of the least cyclic length, summing over them gives every rotation-
-invariant total as n * sum f(M) / m(M) over the M whose chord at half-edge 0
-is least.  So half-edge 0 pairs at offset d <= n / 2 (the mirror folds d
-with n - d), no shorter chord is paired, and a leaf with c chords of length d
-(m = 2c) counts n / (2c) gluings.  A pruned pairing adds its subtree's leaves
-to a pruned count, so walked plus pruned leaves equal the unpruned walk's
-(16060 + 56705 = 72765 for n = 14), and the (n-1)!! check still holds.
+One vertex of n > 4 half-edges peels its adjacent chords {i, i + 1 mod n}
+instead (the one chord of two half-edges counts twice).  Let D_m(c, f)
+count the matchings of m half-edges with c adjacent chords and f faces.
+Removing the chord {0, 1} of M and relabelling h -> h - 2 gives M' on m - 2
+half-edges: half-edge 1 is a fixed point of sigma o alpha, so f(M) = f(M') + 1,
+and c(M) = 1 + c(M') - [alpha'(m - 3) = 0], the pair (m - 1, 2) being adjacent
+in M' only.  The rotations keep c and f, so counting the pairs (M, i) with
+alpha(i) = i + 1 gives, for c >= 1,
+
+    D_m(c, f) = (m / c) sum_c' D_{m-2}(c', f - 1)
+                * ([c' = c] c' / (m - 2) + [c' = c - 1] (1 - c' / (m - 2))),
+
+over Fractions within one call, from D_2 = {(2, 2): 1}.  Only D_m(0, .) is
+walked, by rotation classes.  If k(M) half-edges of M have a chord of the
+least cyclic length, summing over them gives every rotation-invariant total
+as m * sum f(M) / k(M) over the M whose chord at half-edge 0 is least.  So
+half-edge 0 pairs at offset 2 <= d <= m / 2 (the mirror folds d with m - d),
+no shorter chord is paired, and a leaf with c chords of length d (k(M) = 2c)
+counts m / (2c) gluings.  Every D_m must total (m-1)!!.  A pruned pairing
+adds its subtree's leaves to a pruned count, and so do the (n-3)!! leaves
+under the root's offset 1, so the walk of n's leaves and pruned leaves equal
+the unpruned walk's (5665 + 67100 = 72765 for n = 14).
 """
 
 from __future__ import annotations
@@ -103,9 +116,9 @@ def census(profile):
     untouched vertices, whose leaves count with the orbit size; the (n-1)!!
     total check covers every partner.  It carries the faces (open paths of
     sigma o alpha) and the components (a union-find over vertices), undone on
-    backtrack.  One vertex of over 4 half-edges is walked by least chord (see
-    the module docstring).  A walk predicted to take over MAX_WALK_STEPS
-    steps is refused.
+    backtrack.  One vertex of over 4 half-edges peels its adjacent chords
+    and walks the rest by least chord (see the module docstring).  A walk
+    predicted to take over MAX_WALK_STEPS steps is refused.
     """
     profile = VertexProfile.of(profile)
     n = profile.half_edges
@@ -213,13 +226,11 @@ def census(profile):
                 if t < count[c]:
                     touch(c, k, faces, components, (m,), valence[c] * (count[c] - t))
 
-    if n_vertices == 1 and n > 4:  # rotation classes by least chord, see the module docstring
-        bins, leaves, pruned = _least_chords(n)
-        by_faces = [sum(Fraction(n * row[f], 2 * c) for c, row in enumerate(bins) if c)
-                    for f in range(n + 1)]
-        if any(w.denominator != 1 for w in by_faces):
-            raise EqmapError("least-chord weights give non-integral face counts %s" % by_faces)
-        by_faces = [int(w) for w in by_faces]
+    if n_vertices == 1 and n > 4:  # adjacent chords peeled, see the module docstring
+        table, leaves, pruned = _adjacent_chords(n)
+        by_faces = [0] * (n + 1)
+        for (_, f), w in table.items():
+            by_faces[f] += w
     else:
         half = (j0 + 1) // 2  # the root's offsets d < j0 / 2 stand for d and j0 - d
         spans[j0][0] = range(half, j0 // 2 + 1)
@@ -242,10 +253,38 @@ def census(profile):
     return out
 
 
+def _adjacent_chords(n):
+    """(D_n, leaves, pruned) for one vertex of n >= 4 half-edges (see the module
+    docstring).  D_m maps (c, f) to the number of matchings of m half-edges
+    with c adjacent chords and f faces: D_m(0, .) by the least-chord walk of m
+    from length 2, the rest by peeling a chord off D_{m-2}.  leaves and pruned
+    are the walk of n's, with the (n-3)!! leaves under the root's offset 1
+    counted as pruned; the walks of fewer half-edges count in neither."""
+    table = {(2, 2): 1}  # the one chord of two half-edges is adjacent both ways
+    for m in range(4, n + 1, 2):
+        bins, leaves, pruned = _least_chords(m)
+        peeled = {(0, f): sum(Fraction(m * row[f], 2 * c)
+                              for c, row in enumerate(bins) if c and row[f])
+                  for f in range(m + 1)}
+        for c, f in {(c + e, f + 1) for c, f in table for e in (0, 1) if c + e}:
+            # the pair (m - 1, 2) is adjacent in the peeled matching only, and
+            # a chord there in c' of the m - 2 rotations of that matching
+            peeled[c, f] = Fraction(m * (c * table.get((c, f - 1), 0)
+                                         + (m - 1 - c) * table.get((c - 1, f - 1), 0)), c * (m - 2))
+        if any(w.denominator != 1 for w in peeled.values()):
+            raise EqmapError("adjacent-chord counts of %d half-edges give non-integral face "
+                             "counts %s" % (m, peeled))
+        table = {key: int(w) for key, w in peeled.items() if w}
+        if sum(table.values()) != double_factorial(m - 1):
+            raise EqmapError("adjacent-chord counts of %d half-edges total %d, expected %d"
+                             % (m, sum(table.values()), double_factorial(m - 1)))
+    return table, leaves, pruned + double_factorial(n - 3)
+
+
 def _least_chords(n):
-    """(bins, leaves, pruned) of the least-chord walk of one vertex of n > 4
-    half-edges (see the module docstring): bins[c][f] counts the leaves with
-    f faces and c chords of the root's length d, twice for d < n / 2."""
+    """(bins, leaves, pruned) of the least-chord walk of one vertex of n >= 4
+    half-edges from length 2 (see the module docstring): bins[c][f] counts the
+    leaves with f faces and c chords of the root's length d, twice for d < n / 2."""
     head, tail, free = list(range(n)), list(range(n)), list(range(n))
     below = [double_factorial(r - 1) for r in range(n + 1)]  # leaves under r free half-edges
     bins, leaves, pruned = [[0] * (n + 1) for _ in range(n // 2 + 1)], 0, 0
@@ -286,7 +325,7 @@ def _least_chords(n):
                 tail[s1], head[e1] = h, sp
             free[k + 1], free[i] = free[i], p
 
-    for d in range(1, n // 2 + 1):  # kind[p - h]: None below length d, 1 at d, else 0
+    for d in range(2, n // 2 + 1):  # kind[p - h]: None below length d, 1 at d, else 0
         kind = [None if min(x, n - x) < d else int(min(x, n - x) == d) for x in range(n)]
         w = 2 if 2 * d < n else 1
         walk(0, 0, 0)

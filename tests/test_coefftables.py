@@ -327,3 +327,31 @@ def test_binomial_powers_match_repeated_products():
                     acc = acc + want * (table.phi if bf.kind == "phi" else table.psi)(k, m)
         if k <= 12:  # the rows solve for the repeated-product target
             assert acc == tp ** (2 * k + 2)
+
+
+def test_reconstruction_holds_through_k24():
+    table = build_c_table(24)
+    assert all(reconstruction_holds(table, k) for k in range(25))
+
+
+@pytest.mark.parametrize("k", [-1, -2, 4, True, 1.5])
+def test_table_rows_outside_kmax_are_refused_by_name(k):
+    # -1 once read row 3 through the negative index, and 4 a bare IndexError
+    table = build_c_table(3)
+    for read in (lambda: table.phi(k, 2), lambda: table.psi(k, 3),
+                 lambda: reconstruction_holds(table, k)):
+        with pytest.raises(InvalidParameterError, match=r"row k .* 0\.\.kmax = 3") as info:
+            read()
+        assert str(info.value).endswith("got %r" % (k,))
+    assert table.phi(3, 0) == table.phi(3, 5) == table.psi(0, 2) == 0  # m outside 1..k+1
+
+
+@pytest.mark.parametrize("check,least", [(verify_operator_closed_forms, 0),
+                                         (verify_parity_projection, 0),
+                                         (verify_binomial_identities, 1)])
+def test_identity_checks_refuse_a_bad_order_by_name(check, least):
+    # at -2 these once returned False, raised a plain ValueError and returned True
+    for order in (-2, least - 1, 2.0, True):
+        with pytest.raises(InvalidParameterError, match=r"order \w must be an int >= %d" % least):
+            check(order)
+    assert check(least)

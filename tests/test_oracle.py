@@ -77,8 +77,9 @@ def test_census_walks_one_leaf_per_orbit():
     # 135135 and 135135 matchings they stand for
     assert census({4: 4}).leaves == 7047
     assert census({3: 2, 4: 2}).leaves == 1569
-    # one vertex: the leaves whose every chord is at least as long as the root's
-    assert census({14: 1}).leaves == 16060
+    # one vertex: the leaves with no adjacent chord whose every chord is at
+    # least as long as the root's
+    assert census({14: 1}).leaves == 5665
 
 
 def test_one_vertex_walk_counts_every_pruned_leaf():
@@ -88,16 +89,16 @@ def test_one_vertex_walk_counts_every_pruned_leaf():
         cens = census({2 * n: 1})
         assert cens.leaves + cens.pruned == n * dfact(2 * n - 3)
         assert cens.pruned > 0
-    assert census({14: 1}).pruned == 72765 - 16060
+    assert census({14: 1}).pruned == 72765 - 5665
     assert census({4: 4}).pruned == census({3: 2, 4: 2}).pruned == census({4: 1}).pruned == 0
 
 
 def test_one_vertex_census_refuses_a_non_integral_weighted_count(monkeypatch):
     real = oracle._least_chords
 
-    def one_more(n):  # one more leaf with two chords of the least length
+    def one_more(n):  # one more leaf with two chords of the least length at 14
         bins, leaves, pruned = real(n)
-        bins[2][4] += 1
+        bins[2][4] += n == 14
         return bins, leaves, pruned
 
     monkeypatch.setattr(oracle, "_least_chords", one_more)
@@ -225,6 +226,18 @@ def test_one_vertex_counts_are_harer_zagier():
         assert all(f == n + 1 - 2 * g for g, f in cens.entries)
 
 
+def matchings(free):
+    """Every perfect matching of the half-edges in ``free``, as a dict both ways."""
+    if not free:
+        yield {}
+        return
+    h, rest = free[0], free[1:]
+    for i, p in enumerate(rest):
+        for m in matchings(rest[:i] + rest[i + 1:]):
+            m[h], m[p] = p, h
+            yield m
+
+
 def brute_force_census(profile):
     """Census by brute force over complete matchings: faces as the cycles of
     sigma o alpha, connectivity by a depth-first search over vertices."""
@@ -237,16 +250,6 @@ def brute_force_census(profile):
             vertex += [v] * j
             v += 1
     n = len(sigma)
-
-    def matchings(free):
-        if not free:
-            yield {}
-            return
-        h, rest = free[0], free[1:]
-        for i, p in enumerate(rest):
-            for m in matchings(rest[:i] + rest[i + 1:]):
-                m[h], m[p] = p, h
-                yield m
 
     entries, disconnected = {}, 0
     if n % 2:
@@ -395,3 +398,88 @@ def test_e1_coeff_refuses_a_census_of_another_profile():
     with pytest.raises(InvalidParameterError, match=r"\{4: 1\}.*\{4: 2\}"):
         e1_coeff_from_census({4: 2}, 1.0, census({4: 1}))
     assert e1_coeff_from_census({4: 2}, 1.0, census({4: 2})) == 30
+
+
+def least_chord_census(n):
+    """(entries, connected, disconnected) of one vertex of n half-edges by the
+    least-chord walk from length 1, the census before its adjacent chords
+    were peeled: half-edge 0 pairs at each offset d <= n / 2, no chord shorter
+    than d is paired, and a leaf with c chords of length d counts n / (2c)
+    gluings, twice for d < n / 2."""
+    if n % 2:
+        return {}, 0, 0
+    head, tail, free = list(range(n)), list(range(n)), list(range(n))
+    bins = [[0] * (n + 1) for _ in range(n // 2 + 1)]  # leaves by chords of length d, faces
+
+    def walk(k, faces, c):
+        h = free[k]
+        sh = (h + 1) % n
+        for i in range(k + 1, n) if k else (d,):
+            p = free[i]
+            t = kind[p - h]
+            if t is None:
+                continue
+            free[i], free[k + 1] = free[k + 1], p
+            sp = (p + 1) % n
+            f = faces
+            s1, e1 = head[h], tail[sp]
+            if s1 == sp:
+                f += 1
+            else:
+                tail[s1], head[e1] = e1, s1
+            s2, e2 = head[p], tail[sh]
+            if s2 == sh:
+                f += 1
+            else:
+                tail[s2], head[e2] = e2, s2
+            if k < n - 4:
+                walk(k + 2, f, c + t)
+            elif (u := kind[free[k + 3] - free[k + 2]]) is not None:  # the forced last pair
+                closes = head[free[k + 2]] == (free[k + 3] + 1) % n
+                bins[c + t + u][f + (2 if closes else 1)] += w
+            if s2 != sh:
+                tail[s2], head[e2] = p, sh
+            if s1 != sp:
+                tail[s1], head[e1] = h, sp
+            free[k + 1], free[i] = free[i], p
+
+    for d in range(1, n // 2 + 1):
+        kind = [None if min(x, n - x) < d else int(min(x, n - x) == d) for x in range(n)]
+        w = 2 if 2 * d < n else 1
+        walk(0, 0, 0)
+    by_faces = [sum(Fraction(n * row[f], 2 * c) for c, row in enumerate(bins) if c)
+                for f in range(n + 1)]
+    entries = {((1 + n // 2 - f) // 2, f): int(v) for f, v in enumerate(by_faces) if v}
+    return entries, sum(entries.values()), 0
+
+
+def test_peeled_census_equals_the_least_chord_walk_from_length_one():
+    for n in range(6, 17):
+        cens = census({n: 1})
+        assert (cens.entries, cens.connected, cens.disconnected) == least_chord_census(n), n
+        assert oracle._walk.cache_info().currsize == 0  # no state survives a call
+
+
+def adjacent_chord_counts(m):
+    """D_m by brute force: (adjacent chords, faces) -> matchings of m half-edges
+    around one vertex, a chord {i, i + 1 mod m} counted once per such i."""
+    counts = {}
+    for alpha in matchings(list(range(m))):
+        seen, faces = set(), 0
+        for h in range(m):
+            if h not in seen:
+                faces += 1
+                while h not in seen:
+                    seen.add(h)
+                    h = (alpha[h] + 1) % m
+        c = sum(alpha[i] == (i + 1) % m for i in range(m))
+        counts[c, faces] = counts.get((c, faces), 0) + 1
+    return counts
+
+
+def test_adjacent_chord_counts_match_brute_force():
+    assert adjacent_chord_counts(2) == {(2, 2): 1}  # the one chord counts twice
+    for m in range(4, 11, 2):
+        assert oracle._adjacent_chords(m)[0] == adjacent_chord_counts(m), m
+    for m in range(12, 17, 2):
+        assert sum(oracle._adjacent_chords(m)[0].values()) == dfact(m - 1)
