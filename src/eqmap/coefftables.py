@@ -9,7 +9,6 @@ every check is an exact polynomial identity, not a floating comparison.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -70,14 +69,9 @@ class BasisFunction:
         by (T - 1/T)**(2k+2) * T**(k+1) turns both sides into honest Laurent
         polynomials; this returns this basis element's contribution.
         """
-        p = 2 * (k + 1) - self.denom_power
-        # (T - 1/T)**p * T**(k+1) = sum_i (-1)**i C(p, i) T**(p - 2i + k + 1)
-        terms = [(p - 2 * i + k + 1, (-1) ** i * math.comb(p, i)) for i in range(p + 1)]
-        out = {}
-        for e, a in self.numerator.coeffs.items():
-            for f, b in terms:
-                out[e + f] = out.get(e + f, 0) + a * b
-        return LaurentPoly(out)
+        p = 2 * (k + 1) - self.denom_power  # (T - 1/T)**p * T**(k+1) by the binomial theorem
+        tm = LaurentPoly({p - 2 * i + k + 1: (-1) ** i * _binom(p, i) for i in range(p + 1)})
+        return self.numerator * tm
 
 
 def phi_tilde(m):
@@ -119,9 +113,9 @@ class CoeffTable:
 
     def _row(self, k):
         """k, or refused by name unless it is an int in 0..kmax."""
-        if not isinstance(k, numbers.Integral) or isinstance(k, bool) or not 0 <= k <= self.kmax:
-            raise InvalidParameterError("row k must be an int in 0..kmax = %d, got %r"
-                                        % (self.kmax, k))
+        _require_int("row k", k, 0)
+        if k > self.kmax:
+            raise InvalidParameterError("row k must be <= kmax = %d, got %r" % (self.kmax, k))
         return k
 
 

@@ -97,8 +97,8 @@ class MapCensus:
     entries: dict  # (genus, faces) -> count
     connected: int
     disconnected: int
-    leaves: int  # leaves the walk visited; each stands for its orbit's matchings
-    pruned: int = 0  # leaves a one-vertex walk counted without walking
+    leaves: int  # leaves the walk of n half-edges visited; each stands for its orbit's matchings
+    pruned: int = 0  # leaves that walk counted without walking; neither counts the walks of m < n
 
     @property
     def total_matchings(self):
@@ -117,8 +117,10 @@ def census(profile):
     total check covers every partner.  It carries the faces (open paths of
     sigma o alpha) and the components (a union-find over vertices), undone on
     backtrack.  One vertex of over 4 half-edges peels its adjacent chords
-    and walks the rest by least chord (see the module docstring).  A walk
-    predicted to take over MAX_WALK_STEPS steps is refused.
+    and walks the rest by least chord (see the module docstring); leaves and
+    pruned count that walk of n half-edges only, not the walks of the smaller
+    m that the peeling also runs.  A walk predicted to take over
+    MAX_WALK_STEPS steps is refused.
     """
     profile = VertexProfile.of(profile)
     n = profile.half_edges

@@ -338,9 +338,10 @@ def test_reconstruction_holds_through_k24():
 def test_table_rows_outside_kmax_are_refused_by_name(k):
     # -1 once read row 3 through the negative index, and 4 a bare IndexError
     table = build_c_table(3)
+    want = "row k must be <= kmax = 3" if k == 4 else "row k must be an int >= 0"
     for read in (lambda: table.phi(k, 2), lambda: table.psi(k, 3),
                  lambda: reconstruction_holds(table, k)):
-        with pytest.raises(InvalidParameterError, match=r"row k .* 0\.\.kmax = 3") as info:
+        with pytest.raises(InvalidParameterError, match=want) as info:
             read()
         assert str(info.value).endswith("got %r" % (k,))
     assert table.phi(3, 0) == table.phi(3, 5) == table.psi(0, 2) == 0  # m outside 1..k+1
