@@ -20,7 +20,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidParameterError, SingularJetError
+from .errors import InvalidParameterError, SingularJetError, _require_int
 
 __all__ = [
     "Jet",
@@ -531,8 +531,7 @@ def inv_sqrt_R_series(alpha_minus, alpha_plus, n_terms):
     The coefficients solve Q(y)**2 * (y - a)(y - b) = 1 term by term with
     q_0 = 1; over int/Fraction endpoints the recursion is exact.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be at least 1")
+    _require_int("n_terms", n_terms, 1)
     exact = all(isinstance(v, (int, Fraction)) for v in (alpha_minus, alpha_plus))
     if exact:
         alpha_minus, alpha_plus = Fraction(alpha_minus), Fraction(alpha_plus)

@@ -15,8 +15,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 
 from .algebra import LaurentPoly
-from .endpoints import _require_int
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _require_int
 
 __all__ = [
     "BasisFunction",
@@ -189,8 +188,9 @@ def build_c_table(kmax):
     forgets every row.  The cache is typed, so ``True`` and ``2.0`` reach
     the check instead of the entries of ``1`` and ``2``.
     """
-    if not isinstance(kmax, int) or isinstance(kmax, bool) or kmax < 0:
-        raise InvalidParameterError("kmax must be a nonnegative int, got %r" % (kmax,))
+    _require_int("kmax", kmax, 0)
+    if type(kmax) is not int:  # a numpy int: the table of the Python int
+        return build_c_table(int(kmax))
     if kmax > _CACHE_STRIDE:  # cache a lower table first, so the recursion stays shallow
         build_c_table(kmax - _CACHE_STRIDE)
     lower = build_c_table(kmax - 1) if kmax else CoeffTable(-1, (), ())

@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import ContourGeometryError, DegeneratePointError, InvalidParameterError
+from .errors import ContourGeometryError, DegeneratePointError, InvalidParameterError, _require_int
 from .measure import equilibrium_measure
 
 __all__ = [
@@ -153,6 +153,7 @@ def apply_K(ctx, f, y, n_nodes=256):
     node count, and kept read-only.
     """
     import numpy as np
+    _require_int("n_nodes", n_nodes, 1)
     y = complex(y)
     u, z = ctx.ep.u, ctx.ep.z
     a = 2 * math.sqrt(z) + 0.5

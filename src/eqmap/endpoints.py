@@ -20,7 +20,12 @@ from fractions import Fraction
 
 from . import algebra
 from .algebra import Jet, _box, _jet, _layout, substitute_uniformizer
-from .errors import DegeneratePotentialError, InvalidParameterError, NoOneCutSolutionError
+from .errors import (
+    DegeneratePotentialError,
+    InvalidParameterError,
+    NoOneCutSolutionError,
+    _require_int,
+)
 
 __all__ = [
     "PotentialSpec",
@@ -109,15 +114,6 @@ def _require_face_weight(x):
     return x
 
 
-def _require_int(name, value, least):
-    """Refuse a truncation order, valence or count that is not an int >= least,
-    naming it."""
-    np = sys.modules.get("numpy")
-    kinds = (int, np.integer) if np else int
-    if not isinstance(value, kinds) or isinstance(value, bool) or value < least:
-        raise InvalidParameterError("%s must be an int >= %d, got %r" % (name, least, value))
-
-
 def _perturbation_coeffs(pot, t=None):
     """Ascending coefficients of sum_j j*t_j*y**(j-1), the part of x*V'(y)
     that the homotopy t -> s*t scales; ``t`` maps valences to stand-ins for their t_j."""
@@ -132,7 +128,8 @@ def endpoint_residuals(u, z, pot):
 
     Both vanish iff (u, z) parameterize the support for ``pot``.  Generic over
     the scalar type of u and z: floats, Fractions and jets all work.  The
-    solver and the jet lift run the band kernel below, which gives its bits.
+    jet lift runs _band below, which gives its bits; Newton and the fold
+    search run the band kernel traced from _band, which gives its values.
     """
     w = substitute_uniformizer(xvprime_coeffs(pot), u, z)
     return w.coeff(0) / pot.x, w.coeff(-1) / pot.x - 1
@@ -244,105 +241,55 @@ def _uz_entries(u, z, n):
 
 
 class _Traced:
-    """An entry of a band kernel being traced: the local that holds it (for a
-    product term x * b, its expression), and how surely it is zero (2:
-    exactly, as a zero input of the kernel's key, a zero constant or a sum or
-    float() of such; 1: if finite, as a product with such a factor; 0: not
-    known)."""
+    """An entry of a band kernel being traced, named by the local that holds
+    it: each sum or product appends the line that computes it to ``lines``.
+    As any object, it compares unequal to 0 and is true, so every zero test
+    of _band and of the truncated product takes it for nonzero, and the
+    kernel forms every term that _band can."""
 
-    row = None  # of a product term x * b: the row block of x
+    def __init__(self, lines, name):
+        self.lines, self.name = lines, name
 
-    def __init__(self, tape, name, zero):
-        self.tape, self.name, self.zero = tape, name, zero
-
-    def __add__(self, other):
-        return self.tape.op("+", self, other)
-
-    def __radd__(self, other):
-        return self.tape.op("+", other, self)
-
-    def __mul__(self, other):
-        return self.tape.op("*", self, other)
-
-    def __rmul__(self, other):
-        return self.tape.op("*", other, self)
-
-    def __ne__(self, other):  # the product's skip of a zero entry stays an inline if
-        self.tape.close()
-        if self.zero < 2:
-            self.tape.lines.append("    if %s != 0:" % self.name)
-            self.tape.block = [self, []]
-        return self.zero < 2
-
-    def __bool__(self):  # _band's drop of a sum that came to zero becomes a guard
-        self.tape.close()
-        if self.zero < 2:
-            test = "%s" if self.zero else "not %s"  # zero if finite, or taken for nonzero
-            self.tape.lines.append("    if %s: return None" % (test % self.name))
-        return not self.zero
-
-    def __eq__(self, other):
-        return not self
-
-
-class _Tape:
-    """The code of one band kernel, written as _band runs over _Traced
-    entries: one local per operation, in _band's order.  Each row x of a
-    product is an if block, whose sums s + x * b keep s where x == 0; a guard
-    returns None, and the caller then runs _band itself."""
-
-    def __init__(self):
-        self.lines, self.block = [], None  # block: the open row, [x, its else lines]
-
-    def op(self, sym, *args):
-        zero = [v.zero if type(v) is _Traced else 2 * (v == 0) for v in args]
-        new = _Traced(self, "v%d" % len(self.lines), max(zero) and 1 if sym == "*" else min(zero))
-        terms = [v for v in args if type(v) is _Traced and v.row is not None]
-        if sym == "*" and self.block and args[0] is self.block[0]:
-            new.row, new.name = self.block, "%s * %s" % tuple(map(self.ref, args))
-            return new  # written out in the sum that takes it
-        if sym == "+" and len(terms) == 1 and terms[0].row is self.block:
-            kept = args[args[0] is terms[0]]  # s + x * b is s where x == 0
-            self.block[1].append("        %s = %s" % (new.name, self.ref(kept)))
-        else:
-            self.close()
-        refs = [self.ref(v) for v in args]
-        text = "float(%s)" % refs[0] if sym == "float" else (" %s " % sym).join(refs)
-        self.lines.append("%s%s = %s" % ("    " * (1 + bool(self.block)), new.name, text))
+    def _op(self, a, sym, b):
+        new = _Traced(self.lines, "v%d" % len(self.lines))
+        self.lines.append("    %s = %s %s %s" % (new.name, _ref(a), sym, _ref(b)))
         return new
 
-    def ref(self, v):
-        if type(v) is not _Traced:
-            return repr(v)
-        if v.row is not None and v.row is not self.block:
-            raise RuntimeError("a product term is used outside its row")
-        return v.name
+    def __add__(self, other):
+        return self._op(self, "+", other)
 
-    def float(self, v):
-        return self.op("float", v) if type(v) is _Traced else float(v)
+    def __radd__(self, other):
+        return self._op(other, "+", self)
 
-    def close(self):
-        if self.block and self.block[1]:
-            self.lines += ["    else:"] + self.block[1]
-        self.block = None
+    def __mul__(self, other):
+        return self._op(self, "*", other)
+
+    def __rmul__(self, other):
+        return self._op(other, "*", self)
+
+
+def _ref(v):
+    """The kernel's text for v: the local of a traced entry, a constant's repr."""
+    return v.name if type(v) is _Traced else repr(v)
 
 
 class _Kernels(dict):
-    """The band kernel of Newton and the fold search per key (n, then whether
-    u, z and each coefficient is zero), made on its first use by tracing _band
-    over the order-n triangle jets: kernel(u, z, *coeffs) returns what _band
-    returns, or None where _band would drop an inner sum that the kernel kept.
-    The final sum carries no guard, since _band keeps it all zero."""
+    """The band kernel of Newton and the fold search per key (n, number of
+    coefficients), made on its first use by tracing _band over the order-n
+    triangle jets: kernel(u, z, *coeffs) of floats returns the entry lists of
+    [T^0] and [T^-1].  It forms in _band's order every term that _band
+    forms, and also those _band skips or drops as zero; with finite inputs
+    these are signed zeros, so each entry equals _band's up to a zero's sign."""
 
     def __missing__(self, key):
-        tape, names = _Tape(), ["u", "z"] + ["c%d" % i for i in range(len(key) - 3)]
-        u, z, *coeffs = (_Traced(tape, v, 2 * zero) for v, zero in zip(names, key[1:]))
-        out = _band(coeffs, *_uz_entries(u, z, key[0]), _UZ_LAYOUTS[key[0]], 0.0, tape.float)
-        tape.close()
-        out = ["[%s]" % ", ".join(map(tape.ref, v)) if type(v) is list else tape.ref(v) for v in out]
-        lines = ["def kernel(%s):" % ", ".join(names), *tape.lines, "    return [%s]" % ", ".join(out)]
+        n, m = key
+        lines, names = [], ["u", "z"] + ["c%d" % i for i in range(m)]
+        u, z, *coeffs = (_Traced(lines, v) for v in names)
+        out = _band(coeffs, *_uz_entries(u, z, n), _UZ_LAYOUTS[n], 0.0, lambda v: v)
+        out = ", ".join("[%s]" % ", ".join(map(_ref, v)) for v in out)
+        code = "\n".join(["def kernel(%s):" % ", ".join(names), *lines, "    return [%s]" % out])
         namespace = {}
-        exec(compile("\n".join(lines), "<band kernel>", "exec"), namespace)
+        exec(compile(code, "<band kernel>", "exec"), namespace)
         kernel = self[key] = namespace["kernel"]
         return kernel
 
@@ -353,21 +300,14 @@ _KERNELS = _Kernels()
 def _uz_residuals(u, z, n, pot, coeffs):
     """Value, d/du, d/dz and, at n = 2, d2/du2, d2/dudz, d2/dz2 of [T**0] and
     [T**-1] of sum_i coeffs[i] (T + u + z/T)**i over x at (u, z), the endpoint
-    residuals before r2's Gaussian 1 is taken off, bit-identical to order-(n, n)
-    box jets: the band kernel of ``coeffs`` over the order-n triangle jets
-    U = u + du and Z = z + dz, run by the generated kernel of its zero pattern,
-    or by _band where a guard fails."""
-    u, z = float(u), float(z)
-    band = _KERNELS[(n, not u, not z) + tuple(map(operator.not_, coeffs))](u, z, *coeffs)
-    if band is None:
-        band = _band(coeffs, *_uz_entries(u, z, n), _UZ_LAYOUTS[n], 0.0, float)
-    k = len(_UZ_LAYOUTS[n].exps)
+    residuals before r2's Gaussian 1 is taken off, equal to order-(n, n) box
+    jets up to a zero's sign: the band kernel of n and len(coeffs), run on
+    floats.  0 + c is exact for an int or Fraction c, so one float(c) gives
+    what _band gives with num=float."""
     x, out = float(pot.x), []
+    band = _KERNELS[n, len(coeffs)](float(u), float(z), *map(float, coeffs))
     for v in band:  # T**0, then T**-1
-        if type(v) is list and any(v):
-            c = [e / x for e in v]
-        else:  # zero, or a number that no offset reached
-            c = [float((0 if v is None or type(v) is list else v) / pot.x)] + [0.0] * (k - 1)
+        c = [e / x for e in v]
         out.append([c[0], c[3], c[1], 2 * c[5], c[4], 2 * c[2]] if n == 2 else [c[0], c[2], c[1]])
     return out
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the int gate that raises one."""
+
+import sys
 
 
 class EqmapError(Exception):
@@ -45,3 +47,12 @@ class ContourGeometryError(EqmapError):
 
 class CensusSizeError(EqmapError):
     """Half-edge count exceeds the brute-force enumeration bound."""
+
+
+def _require_int(name, value, least):
+    """Refuse a truncation order, valence or count that is not an int >= least,
+    naming it."""
+    np = sys.modules.get("numpy")
+    kinds = (int, np.integer) if np else int
+    if not isinstance(value, kinds) or isinstance(value, bool) or value < least:
+        raise InvalidParameterError("%s must be an int >= %d, got %r" % (name, least, value))

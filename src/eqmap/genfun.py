@@ -14,13 +14,12 @@ from .endpoints import (
     PotentialSpec,
     _lift,
     _newton_step,
-    _require_int,
     _root_jacobian,
     solve_endpoints,
     uz_jets,
     xvprime_coeffs,
 )
-from .errors import InvalidParameterError, OutsideOneCutError
+from .errors import InvalidParameterError, OutsideOneCutError, _require_int
 
 __all__ = [
     "E1Result",
@@ -68,7 +67,7 @@ def e1_monomial(j, t):
     Closed form in (u, z) only, obtained by eliminating the derivatives with
     the scaling and string relations.
     """
-    pot = PotentialSpec(1.0, {int(j): t})
+    pot = PotentialSpec(1.0, {j: t})
     ep = solve_endpoints(pot)
     u, z = ep.u, ep.z
     num = 4 - u * u / z
@@ -147,7 +146,7 @@ def verify_relations(j, t, x=1.0):
     absolute Taylor coefficient, so each residual checks the relation as a
     function germ rather than at a single number.
     """
-    pot = PotentialSpec(x, {int(j): t})
+    pot = PotentialSpec(x, {j: t})
     ep = uz_jets(pot, x_order=2, t_order=1)
     U, Z = ep.u_jet, ep.z_jet
     X = Jet.variable(float(x), 0, U.orders)

@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .coefftables import build_c_table, double_factorial
 from .endpoints import EndpointSolution, xvprime_coeffs
-from .errors import DegeneratePointError, InvalidParameterError, SingularJetError
+from .errors import DegeneratePointError, InvalidParameterError, SingularJetError, _require_int
 
 __all__ = [
     "HPoly",
@@ -153,6 +153,7 @@ def phi_psi(pot, ep, mmax):
     means the recursion is being evaluated at a degenerate point.  z*ux and
     z*zx are formed once, outside the level loop.
     """
+    _require_int("mmax", mmax, 0)
     ep.require_x_order(mmax + 1)
     U, Z = ep.u_jet, ep.z_jet
     ux, zx = U.dx(0), Z.dx(0)
@@ -312,6 +313,7 @@ def verify_residue_representation(pot, ep, m):
     The recursion values must match [T^0] and [T^0] T* of
     x V^(m+1)(T + u + z/T) evaluated directly.
     """
+    _require_int("order m", m, 0)
     seqs = phi_psi(pot, ep, m)
     coeffs = xvprime_coeffs(pot)
     for _ in range(m):  # x V^(m+1) is the m-th derivative of x V'
@@ -342,6 +344,7 @@ def verify_even_residue_formula(pot, ep, m):
     """
     if not pot.is_even:
         raise InvalidParameterError("even-potential residue formula needs an even potential")
+    _require_int("order m", m, 0)
     ep.require_x_order(m + 1)
     zxinv = ep.z_jet.dx(0).reciprocal()
     g = Jet.variable(float(pot.x), 0, ep.u_jet.orders)

@@ -49,8 +49,8 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .coefftables import double_factorial
-from .endpoints import _require_face_weight, _require_int
-from .errors import CensusSizeError, EqmapError, InvalidParameterError
+from .endpoints import _require_face_weight
+from .errors import CensusSizeError, EqmapError, InvalidParameterError, _require_int
 
 __all__ = [
     "VertexProfile",

@@ -257,3 +257,17 @@ def test_w1_subleading_keeps_its_values_at_the_context_nodes():
     other = correlator_context(MIXED)
     apply_K(other, lambda s: w1_subleading(ctx, s), 3.5)
     assert sorted(ctx.w1_at_nodes) == [64, 256] and not other.w1_at_nodes
+
+
+@pytest.mark.parametrize("n_nodes", [0, -4, 2.5, True, "256", None])
+def test_apply_K_refuses_a_bad_node_count_by_name(n_nodes):
+    ctx = correlator_context(QUARTIC)
+    with pytest.raises(InvalidParameterError, match="n_nodes"):
+        apply_K(ctx, lambda s: w1_subleading(ctx, s), 3.5, n_nodes)
+
+
+def test_apply_K_takes_a_numpy_int_node_count():
+    ctx = correlator_context(QUARTIC)
+    got = [apply_K(ctx, lambda s: w1_subleading(ctx, s), 3.5, n) for n in (np.int64(64), 64, 1)]
+    assert got[0] == got[1]
+    assert math.isfinite(abs(got[2]))

@@ -375,3 +375,10 @@ def test_e1_value_reads_the_root_jacobian_without_a_lift(monkeypatch):
         for value, want in ((got.ux, ep.du(1)), (got.zx, ep.dz(1))):
             assert abs(value - want) <= 2e-15 * abs(want), pot
         assert got.log_argument > 0 and math.isfinite(got.value)
+
+
+@pytest.mark.parametrize("j", [2.5, 4.0, True, "4", None])
+def test_single_valence_routes_refuse_a_valence_that_is_not_an_int(j):
+    for call in (lambda: e1_monomial(j, 0.01), lambda: verify_relations(j, 0.01)):
+        with pytest.raises(InvalidParameterError, match="valence"):
+            call()

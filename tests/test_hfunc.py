@@ -406,3 +406,27 @@ def test_even_residue_formula():
 def test_even_residue_formula_gue_m1():
     ep = jets(GUE, 4)
     assert verify_even_residue_formula(GUE, ep, 1)
+
+
+def test_orders_pass_one_int_gate_that_names_them():
+    from eqmap.algebra import inv_sqrt_R_series
+    from eqmap.coefftables import build_c_table
+    from eqmap.errors import InvalidParameterError
+
+    ep = jets(QUARTIC, 4)
+    calls = {"mmax": lambda m: phi_psi(QUARTIC, ep, m),
+             "order m": lambda m: verify_residue_representation(QUARTIC, ep, m),
+             "n_terms": lambda m: inv_sqrt_R_series(-2, 2, m),
+             "kmax": build_c_table}
+    for name, call in calls.items():
+        for bad in (-1, 2.0, True, "2", None) + ((0,) if name == "n_terms" else ()):
+            with pytest.raises(InvalidParameterError, match=name):
+                call(bad)
+        assert call(np.int64(2)) == call(2)
+    for bad in (-2, 1.0, True):
+        with pytest.raises(InvalidParameterError, match="order m"):
+            verify_even_residue_formula(QUARTIC, ep, bad)
+    # m = 0 stays a valid order
+    assert verify_residue_representation(QUARTIC, ep, 0)
+    assert verify_even_residue_formula(QUARTIC, ep, 0)
+    assert len(phi_psi(QUARTIC, ep, 0)) == 1
