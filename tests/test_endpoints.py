@@ -928,3 +928,45 @@ def test_signed_zero_coefficients_keep_their_output_bits():
             line += [v.hex() for v in jets.u_jet.c + jets.z_jet.c]
         digest.update(repr(line).encode())
     assert digest.hexdigest() == _SIGNED_ZERO_DIGEST
+
+
+# sha256 of the solver's bits on the draws of test_solver_bits_hold_over_three_seeds
+_MULTI_SEED_DIGEST = "5f5ad0ad9372f25b0927459c2fd5dc67859c4b9b1c9c3fc642c578669a6c07ae"
+
+
+def test_solver_bits_hold_over_three_seeds():
+    """The solver's bits on 1050 seeded potentials, 350 each from seeds 5,
+    2026 and 7, of degree 3-6, every third one even: float.hex of (u, z,
+    residual_norm) of each solve, or the error type and s_star, and the
+    entries of uz_jets(pot, 4) of every tenth draw.  x and the t_j come from
+    Random.uniform and arithmetic alone, so no platform's pow enters.  A
+    change that moves these bits on purpose updates _MULTI_SEED_DIGEST and
+    says so in CHANGES.md."""
+    digest, counts = hashlib.sha256(), {"solved": 0, "folds": 0, "jets": 0}
+    for seed, amp in ((5, 0.08), (2026, 0.08), (7, 0.15)):
+        rng = random.Random(seed)
+        for i in range(350):
+            d = 3 + i % 4
+            keys = range(2, d + 1 + d % 2, 2) if i % 3 == 0 else range(1, d + 1)
+            x = rng.uniform(0.1, 3.0)
+            pot = PotentialSpec(x, {j: rng.uniform(-amp, amp) for j in keys})
+            try:
+                ep = solve_endpoints(pot)
+            except EqmapError as exc:
+                s = getattr(exc, "s_star", None)
+                counts["folds"] += s is not None
+                line = [type(exc).__name__, None if s is None else s.hex()]
+            else:
+                counts["solved"] += 1
+                line = [v.hex() for v in (ep.u, ep.z, ep.residual_norm)]
+                if i % 10 == 0:
+                    try:
+                        jets = uz_jets(pot, 4)
+                    except EqmapError as exc:
+                        line.append(type(exc).__name__)
+                    else:
+                        counts["jets"] += 1
+                        line += [v.hex() for v in jets.u_jet.c + jets.z_jet.c]
+            digest.update(repr(line).encode())
+    assert counts == {"solved": 542, "folds": 508, "jets": 52}
+    assert digest.hexdigest() == _MULTI_SEED_DIGEST
