@@ -17,7 +17,7 @@ from .coefftables import build_c_table
 from .correlators import apply_K, correlator_context, w1_leading, w1_subleading, \
     w1_subleading_antiderivative, w2_diag
 from .endpoints import PotentialSpec, uz_jets
-from .errors import EqmapError, InvalidParameterError
+from .errors import EqmapError, InvalidParameterError, _require_int
 from .genfun import e1_series, e1_value
 from .hfunc import h_classical, h_even, h_general
 from .measure import density, equilibrium_measure, total_mass, variational_report
@@ -71,8 +71,7 @@ def _jet_payload(jet):
 
 
 def cmd_endpoints(args):
-    if args.order < 1:
-        raise InvalidParameterError("--order must be at least 1, got %d" % args.order)
+    _require_int("--order", args.order, 1)
     pot = _load_potential(args)
     ep = uz_jets(pot, x_order=args.order)
     _emit(args, {
@@ -107,8 +106,7 @@ def cmd_h(args):
 
 
 def cmd_density(args):
-    if args.grid < 0:
-        raise InvalidParameterError("--grid must be non-negative, got %d" % args.grid)
+    _require_int("--grid", args.grid, 0)
     import numpy as np
     pot = _load_potential(args)
     em = equilibrium_measure(pot)
@@ -149,8 +147,8 @@ def cmd_coeffs(args):
 
 
 def cmd_e1(args):
-    if args.series is not None and args.series < 1:
-        raise InvalidParameterError("--series must be at least 1, got %d" % args.series)
+    if args.series is not None:
+        _require_int("--series", args.series, 1)
     pot = _load_potential(args)
     res = e1_value(pot)
     out = {"e1": res.value, "u": res.u, "z": res.z,

@@ -297,31 +297,28 @@ class _Kernels(dict):
 _KERNELS = _Kernels()
 
 
-def _uz_residuals(u, z, n, pot, coeffs):
-    """Value, d/du, d/dz and, at n = 2, d2/du2, d2/dudz, d2/dz2 of [T**0] and
-    [T**-1] of sum_i coeffs[i] (T + u + z/T)**i over x at (u, z), the endpoint
-    residuals before r2's Gaussian 1 is taken off, equal to order-(n, n) box
-    jets up to a zero's sign: the band kernel of n and len(coeffs), run on
-    floats.  0 + c is exact for an int or Fraction c, so one float(c) gives
-    what _band gives with num=float."""
+def _uz_residuals(u, z, pot, coeffs):
+    """Value, d/du, d/dz, d2/du2, d2/dudz, d2/dz2 of [T**0] and [T**-1] of
+    sum_i coeffs[i] (T + u + z/T)**i over x at (u, z), r2 before its Gaussian 1 is
+    taken off: the order-2 band kernel on floats, as box jets up to a zero's sign."""
     x, out = float(pot.x), []
-    band = _KERNELS[n, len(coeffs)](float(u), float(z), *map(float, coeffs))
-    for v in band:  # T**0, then T**-1
+    for v in _KERNELS[2, len(coeffs)](float(u), float(z), *map(float, coeffs)):  # T**0, then T**-1
         c = [e / x for e in v]
-        out.append([c[0], c[3], c[1], 2 * c[5], c[4], 2 * c[2]] if n == 2 else [c[0], c[2], c[1]])
+        out.append([c[0], c[3], c[1], 2 * c[5], c[4], 2 * c[2]])
     return out
 
 
-def _residual_and_jacobian(u, z, pot, coeffs):
-    """Residuals (r1, r2) and Jacobian ((r1_u, r1_z), (r2_u, r2_z)) at a point, as floats."""
-    (a, a_u, a_z), (b, b_u, b_z) = _uz_residuals(u, z, 1, pot, coeffs)
-    return (a, b - 1), ((a_u, a_z), (b_u, b_z))
+def _residual_and_jacobian(u, z, x, coeffs):
+    """Residuals (r1, r2) and Jacobian ((r1_u, r1_z), (r2_u, r2_z)) at (u, z): one
+    order-1 band kernel call on floats, each entry over x, as box jets up to a zero's sign."""
+    (a, a_z, a_u), (b, b_z, b_u) = _KERNELS[1, len(coeffs)](u, z, *coeffs)
+    return (a / x, b / x - 1), ((a_u / x, a_z / x), (b_u / x, b_z / x))
 
 
 def _root_jacobian(u, z, pot):
     """The residual Jacobian at a solved (u, z) and its determinant; a
     singular one is refused."""
-    _, jac = _residual_and_jacobian(u, z, pot, xvprime_coeffs(pot))
+    _, jac = _residual_and_jacobian(u, z, float(pot.x), list(map(float, xvprime_coeffs(pot))))
     (a, b), (c, d) = jac
     det = a * d - b * c
     if not math.isfinite(det) or abs(det) < 1e-14:
@@ -362,11 +359,15 @@ _NEWTON_TOL = 1e-12
 _MAX_CONTINUATION_STEPS = 64
 
 
-def _newton(pot, u, z):
-    coeffs = xvprime_coeffs(pot)
+def _newton(x, coeffs, u, z):
+    """Newton from the floats (u, z) on the endpoint equations of face weight x
+    and x V'(y) coefficients ``coeffs``: (u, z, max |r|, converged).  x and coeffs
+    become floats once (0 + c is exact for an int or Fraction c, so float(c) is
+    what _band gives), and each iterate is one band kernel call on them."""
+    x, coeffs = float(x), list(map(float, coeffs))
     prev = math.inf
     for it in range(30):
-        r, jac = _residual_and_jacobian(u, z, pot, coeffs)
+        r, jac = _residual_and_jacobian(u, z, x, coeffs)
         rn = _max_abs(r)
         if rn < _NEWTON_TOL:
             # one polishing step: quadratic convergence puts the parameter
@@ -375,7 +376,7 @@ def _newton(pot, u, z):
             if step is not None:
                 u2, z2 = u - step[0], z - step[1]
                 if math.isfinite(u2) and math.isfinite(z2) and z2 > 0:
-                    rn2 = _max_abs(_residual_and_jacobian(u2, z2, pot, coeffs)[0])
+                    rn2 = _max_abs(_residual_and_jacobian(u2, z2, x, coeffs)[0])
                     if rn2 <= rn:
                         return u2, z2, rn2, True
             return u, z, rn, True
@@ -390,7 +391,7 @@ def _newton(pot, u, z):
         u, z = u - step[0], z - step[1]
         if not (math.isfinite(u) and math.isfinite(z)) or z <= 0:
             return u, z, math.inf, False
-    rn = _max_abs(_residual_and_jacobian(u, z, pot, coeffs)[0])
+    rn = _max_abs(_residual_and_jacobian(u, z, x, coeffs)[0])
     return u, z, rn, rn < _NEWTON_TOL
 
 
@@ -413,7 +414,7 @@ def _locate_fold(pot, u, z, s0):
     s = s0
     for _ in range(12):
         # value, d/du, d/dz, d2/du2, d2/dudz, d2/dz2 of each residual of P
-        d1, d2 = _uz_residuals(u, z, 2, pot, coeffs)
+        d1, d2 = _uz_residuals(u, z, pot, coeffs)
         # J = [[a, b], [c, e]], with the (u, z, s)-gradient of each entry
         a, grad_a = g + s * d1[1], (s * d1[3], s * d1[4], d1[1])
         b, grad_b = s * d1[2], (s * d1[4], s * d1[5], d1[2])
@@ -449,14 +450,16 @@ def solve_endpoints(pot):
     """Solve the endpoint equations for (u, z) on the one-cut branch.
 
     Bivariate Newton started at the Gaussian point (0, x), continued along the
-    linear homotopy t -> s*t with adaptive subdivision on Newton failure.
-    Newton accepts max |r| < 1e-12 and then polishes once; ``residual_norm``
-    is max |r| at the returned point.  The branch through the Gaussian point
-    is the one-cut branch; z > 0 is enforced throughout, and from its third
-    iterate on Newton fails once a step does not halve max |r|, so it cannot
-    wander onto a root off the branch.  After a failed Newton step the fold
-    of the branch is sought between the last accepted s and the target; when
-    one is found the solve stops with a
+    linear homotopy t -> s*t with adaptive subdivision on Newton failure.  A
+    step to s builds no potential: its coefficients of x V'(y) round as
+    xvprime_coeffs(pot.scaled(s)) does, and each Newton iterate is one band
+    kernel call on them.  Newton accepts max |r| < 1e-12 and then polishes
+    once; ``residual_norm`` is max |r| at the returned point.  The branch
+    through the Gaussian point is the one-cut branch; z > 0 is enforced
+    throughout, and from its third iterate on Newton fails once a step does
+    not halve max |r|, so it cannot wander onto a root off the branch.  After
+    a failed Newton step the fold of the branch is sought between the last
+    accepted s and the target; when one is found the solve stops with a
     :class:`NoOneCutSolutionError` carrying ``s_star`` and ``t_star``.
     """
     u, z = 0.0, float(pot.x)
@@ -485,7 +488,8 @@ def solve_endpoints(pot):
                 "homotopy continuation exhausted %d steps at s=%.6g; "
                 "no one-cut solution reached" % (_MAX_CONTINUATION_STEPS, s))
         target = min(1.0, s + step)
-        u2, z2, res2, ok = _newton(pot.scaled(target), u, z)
+        coeffs = xvprime_coeffs(pot, {j: t_j * target for j, t_j in pot.t.items()})
+        u2, z2, res2, ok = _newton(pot.x, coeffs, u, z)
         steps += 1
         if ok:
             u, z, res, s = u2, z2, res2, target

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .endpoints import solve_endpoints
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _require_int
 from .hfunc import HPoly, h_classical
 
 __all__ = [
@@ -48,10 +48,12 @@ def equilibrium_measure(pot):
 
 def density(em, lam):
     """Density value(s): (1/2 pi x) sqrt((a+ - lam)(lam - a-)) h(lam) on the
-    support, zero outside."""
+    support, zero outside, +-inf included; a NaN point is refused."""
     import numpy as np
     am, ap = em.support
     lam = np.asarray(lam, dtype=float)
+    if np.isnan(lam).any():
+        raise InvalidParameterError("density point lam must not be NaN, got %r" % (lam,))
     inside = (lam >= am) & (lam <= ap)
     prod = np.where(inside, (ap - lam) * (lam - am), 0.0)
     vals = np.sqrt(prod) * em.h.value(lam) / (2 * math.pi * em.x)
@@ -122,8 +124,7 @@ def variational_report(em, grid_size=64):
     the support and the minimum slack of the inequality within distance 2 of it.
     """
     import numpy as np
-    if grid_size < 2:
-        raise InvalidParameterError("grid_size must be at least 2, got %r" % (grid_size,))
+    _require_int("grid_size", grid_size, 2)
     pot = em.ep.potential
     am, ap = em.support
     offset = (ap - am) / (2 * grid_size)

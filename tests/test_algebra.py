@@ -465,7 +465,8 @@ def test_solver_path_matches_slice_loop_bit_for_bit(monkeypatch):
         out = []
         for pot in pots:
             ep = uz_jets(pot, x_order=max(pot.degree, 5) + 1)
-            r, jac = _residual_and_jacobian(ep.u, ep.z, pot, xvprime_coeffs(pot))
+            r, jac = _residual_and_jacobian(ep.u, ep.z, float(pot.x),
+                                            [float(c) for c in xvprime_coeffs(pot)])
             out += [float(v).hex() for v in (ep.u, ep.z, *r, *jac[0], *jac[1])]
             out += _hex(ep.u_jet) + _hex(ep.z_jet)
             tj = uz_jets(pot, x_order=2, t_order=1)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -111,8 +112,8 @@ def test_solve_beyond_critical_quartic_raises():
 
 
 def _count_residuals(monkeypatch):
-    """A list that grows by one per residual evaluation: endpoint_residuals
-    and the plain-float kernel of Newton and the fold search."""
+    """A list that grows by one per residual evaluation: endpoint_residuals,
+    Newton's residual and Jacobian, and the fold search's partials."""
     calls = []
 
     def counted(fn):
@@ -121,7 +122,7 @@ def _count_residuals(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("endpoint_residuals", "_uz_residuals"):
+    for name in ("endpoint_residuals", "_residual_and_jacobian", "_uz_residuals"):
         monkeypatch.setattr(endpoints, name, counted(getattr(endpoints, name)))
     return calls
 
@@ -151,9 +152,9 @@ def test_newton_reads_one_residual_route(monkeypatch):
     points = []
     full = endpoints._residual_and_jacobian
 
-    def counted(u, z, pot, coeffs):
+    def counted(u, z, x, coeffs):
         points.append((u, z))
-        return full(u, z, pot, coeffs)
+        return full(u, z, x, coeffs)
 
     def refused(*args, **kwargs):
         raise AssertionError("the solver left the band kernel")
@@ -170,6 +171,86 @@ def test_newton_reads_one_residual_route(monkeypatch):
     assert info.value.s_star == pytest.approx(1 / 1.5, rel=1e-10) and len(points) > 5
     monkeypatch.undo()
     assert ep.residual_norm == max(abs(r) for r in endpoint_residuals(ep.u, ep.z, ep.potential))
+
+
+def _step_parameter(pot, coeffs):
+    """The homotopy parameter s of a step, read back from the entry
+    j * (t_j * s) of its coefficient list at a float t_j != 0 (j != 2): every
+    target of the continuation is a multiple of 2**-23, the smallest step."""
+    j = min(j for j, v in pot.t.items() if j != 2 and type(v) is float and v != 0)
+    return round(coeffs[j - 1] / (j * pot.t[j]) * 2**23) / 2**23
+
+
+# a solve of two accepted steps in three, and a fold solve of four in ten;
+# t1 as a Fraction of its float and the explicit int and signed zeros keep
+# each path, since Fraction(v) * s and v * s round alike
+_STEPPED = PotentialSpec(2.1764363647503373, {
+    1: Fraction(0.008927961291368275), 2: 0.01088664261218368, 3: -0.04569039157648682,
+    4: -0.0328479807819946, 5: -0.037103886997333344, 6: 0.0089174653680541, 7: 0, 8: -0.0})
+_STEPPED_FOLD = PotentialSpec(0.39592527181269, {
+    1: Fraction(0.04335174740595932), 2: -0.08631692403009769, 3: -0.10447073215195168,
+    4: -0.14534098187014508, 5: -0.1485650159210098, 6: 0.05512832403786383, 7: 0, 8: -0.0,
+    9: 0.0})
+
+
+@pytest.mark.parametrize("pot,accepted,tried", [(_STEPPED, 2, 3), (_STEPPED_FOLD, 4, 10)],
+                         ids=["solved", "fold"])
+def test_continuation_builds_no_potential_per_step(monkeypatch, pot, accepted, tried):
+    # each step hands Newton its own coefficient list; the one PotentialSpec
+    # a solve may build is the fold's, for t_star
+    steps, built = [], []
+    newton, post_init = endpoints._newton, PotentialSpec.__post_init__
+
+    def recorded(x, coeffs, u, z):
+        out = newton(x, coeffs, u, z)
+        steps.append((coeffs, out[3]))
+        return out
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(endpoints, "_newton", recorded)
+    monkeypatch.setattr(PotentialSpec, "__post_init__", counted)
+    if pot is _STEPPED:
+        solve_endpoints(pot)
+        assert built == []
+    else:
+        with pytest.raises(NoOneCutSolutionError) as info:
+            solve_endpoints(pot)
+        assert len(built) == 1 and built[0].t == info.value.t_star
+    monkeypatch.undo()
+    assert (sum(ok for _, ok in steps), len(steps)) == (accepted, tried)
+    for coeffs, _ in steps:
+        want = xvprime_coeffs(pot.scaled(_step_parameter(pot, coeffs)))
+        assert [float(v).hex() for v in coeffs] == [float(v).hex() for v in want]
+
+
+@pytest.mark.parametrize("t", [
+    {4: 0.01},
+    {1: 3, 2: Fraction(-1, 7), 3: 0.0, 4: -0.0125, 6: -0.0},
+    {2: 2, 3: Fraction(2, 3), 4: 1e-300, 5: -0.0, 6: 0},
+    {1: -0.0, 2: 0.0, 3: 0.1, 4: 5, 5: Fraction(-10**30, 3)},
+], ids=["float", "mixed", "tiny", "huge"])
+def test_step_coefficients_round_as_the_scaled_potential(monkeypatch, t):
+    # Newton is replaced by a script that accepts every third step and never
+    # moves the point, so the targets walk a grid of s from 1 to spacings
+    # below 2**-15; each list must be xvprime_coeffs(pot.scaled(s)) bit for bit
+    pot, steps = PotentialSpec(0.75, t), []
+
+    def scripted(x, coeffs, u, z):
+        steps.append(coeffs)
+        return u, z, 0.0, len(steps) % 3 == 0
+
+    monkeypatch.setattr(endpoints, "_newton", scripted)
+    monkeypatch.setattr(endpoints, "_locate_fold", lambda *args: None)
+    with pytest.raises(NoOneCutSolutionError):
+        solve_endpoints(pot)
+    grid = sorted({_step_parameter(pot, coeffs) for coeffs in steps})
+    assert len(steps) == 64 and len(grid) > 20 and min(map(operator.sub, grid[1:], grid)) < 2**-15
+    for coeffs in steps:
+        want = xvprime_coeffs(pot.scaled(_step_parameter(pot, coeffs)))
+        assert [float(v).hex() for v in coeffs] == [float(v).hex() for v in want]
 
 
 def test_fold_beyond_target_is_not_declared(monkeypatch):
@@ -250,8 +331,9 @@ def test_failing_newton_stops_once_a_step_does_not_halve_the_residual(monkeypatc
     # from the Gaussian point used to take up to 16 order-1 evaluations
     # before giving up, and the monotonicity test stops it within 4
     calls = _count_residuals(monkeypatch)
-    assert endpoints._newton(PotentialSpec(x, {4: -c / (48 * x)}), 0.0, x)[3] is False
-    assert calls == ["_uz_residuals"] * len(calls) and len(calls) <= 4
+    pot = PotentialSpec(x, {4: -c / (48 * x)})
+    assert endpoints._newton(pot.x, xvprime_coeffs(pot), 0.0, x)[3] is False
+    assert calls == ["_residual_and_jacobian"] * len(calls) and 1 <= len(calls) <= 4
 
 
 @pytest.mark.parametrize("t", [{4: -1.5 / 48}, {6: -1.5 / 405}, {3: 0.05, 4: -0.03}])
@@ -392,16 +474,16 @@ def test_scalar_jacobian_and_fold_partials_bit_identical_to_jets():
                for u, z in [(v, 1.0) for v in special] + [(0.3, v) for v in special]
                + [(v, v) for v in special]]
     for pot, u, z in points:
-        r, jac = endpoints._residual_and_jacobian(u, z, pot, xvprime_coeffs(pot))
-        (a, a_u, a_z), (b, b_u, b_z) = _box_jet_partials(u, z, 1, pot, xvprime_coeffs(pot))
-        assert _hex_value(r + jac[0] + jac[1]) == _hex_value([a, b - 1, a_u, a_z, b_u, b_z]), \
-            (pot, u, z)
         # Newton's coefficients and the fold search's perturbation part
         for coeffs in (xvprime_coeffs(pot), endpoints._perturbation_coeffs(pot)):
-            for n in (1, 2):
-                got = endpoints._uz_residuals(u, z, n, pot, coeffs)
-                want = _box_jet_partials(u, z, n, pot, coeffs)
-                assert _hex_value(got) == _hex_value(want), (pot, u, z, n)
+            r, jac = endpoints._residual_and_jacobian(float(u), float(z), float(pot.x),
+                                                      [float(c) for c in coeffs])
+            (a, a_u, a_z), (b, b_u, b_z) = _box_jet_partials(u, z, 1, pot, coeffs)
+            assert _hex_value(r + jac[0] + jac[1]) == _hex_value([a, b - 1, a_u, a_z, b_u, b_z]), \
+                (pot, u, z, coeffs)
+            got = endpoints._uz_residuals(u, z, pot, coeffs)
+            want = _box_jet_partials(u, z, 2, pot, coeffs)
+            assert _hex_value(got) == _hex_value(want), (pot, u, z, coeffs)
 
 
 def test_band_kernel_matches_band_bit_for_bit():
@@ -660,9 +742,7 @@ def _jet_object_uz_jets(pot, x_order, t_order=0):
     xinv = Jet.variable(float(pot.x), 0, orders).reciprocal()
     coeffs = xvprime_coeffs(pot, {j: Jet.variable(float(pot.t[j]), 1 + i, orders)
                                   for i, j in enumerate(tkeys)})
-    _, ((a, b), (c, d)) = endpoints._residual_and_jacobian(base.u, base.z, pot,
-                                                           xvprime_coeffs(pot))
-    det = a * d - b * c
+    ((a, b), (c, d)), det = endpoints._root_jacobian(base.u, base.z, pot)
     (a, b), (c, d) = (d / det, -b / det), (-c / det, a / det)
     U, Z = Jet.constant(base.u, orders), Jet.constant(base.z, orders)
     for _ in range(sum(orders) + 1):
@@ -798,13 +878,13 @@ def test_one_cut_certificate_refuses_nan():
 def test_newton_never_accepts_a_nan_residual(monkeypatch, which):
     # Python's max(1e-17, nan) is 1e-17: a residual NaN in one entry alone,
     # next to one below the tolerance, must not read as converged
-    def nan_residual(u, z, pot, coeffs):
+    def nan_residual(u, z, x, coeffs):
         r = [1e-17, 1e-17]
         r[which] = math.nan
         return tuple(r), ((1.0, 0.0), (0.0, 1.0))
 
     monkeypatch.setattr(endpoints, "_residual_and_jacobian", nan_residual)
-    assert endpoints._newton(PotentialSpec(1.0, {4: 0.01}), 0.0, 1.0)[3] is False
+    assert endpoints._newton(1.0, xvprime_coeffs(PotentialSpec(1.0, {4: 0.01})), 0.0, 1.0)[3] is False
     with pytest.raises(NoOneCutSolutionError):
         solve_endpoints(PotentialSpec(1.0, {4: 0.01}))
 

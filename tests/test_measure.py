@@ -34,6 +34,22 @@ def test_density_vanishes_at_and_beyond_endpoints():
     assert density(em, am - 3.0) == 0.0
 
 
+@pytest.mark.parametrize("lam", [math.nan, np.float64(math.nan), [0.0, math.nan],
+                                 np.array([[0.1], [math.nan]])])
+def test_density_refuses_a_nan_point(lam):
+    # a NaN fails both support comparisons and used to read as off the support
+    em = equilibrium_measure(PotentialSpec(1.0, {4: 0.01}))
+    with pytest.raises(InvalidParameterError, match="lam"):
+        density(em, lam)
+
+
+def test_density_is_zero_at_infinite_points():
+    em = equilibrium_measure(PotentialSpec(1.0, {4: 0.01}))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert density(em, math.inf) == 0.0 and density(em, -math.inf) == 0.0
+        assert list(density(em, [-math.inf, 0.0, math.inf])) == [0.0, density(em, 0.0), 0.0]
+
+
 def test_density_vectorized_matches_scalar():
     em = equilibrium_measure(PotentialSpec(1.0, {3: 0.04}))
     lam = np.linspace(-3, 3, 11)
@@ -128,10 +144,15 @@ def test_variational_closed_form_is_exact_to_rounding(corpus_measures):
         assert variational_report(em).max_support_deviation < 1e-12
 
 
-@pytest.mark.parametrize("bad", [0, 1, -3])
+@pytest.mark.parametrize("bad", [0, 1, -3, 64.0, 2.5, math.nan, "64"])
 def test_variational_rejects_small_grids(bad):
     with pytest.raises(InvalidParameterError, match="grid_size"):
         variational_report(equilibrium_measure(GUE), grid_size=bad)
+
+
+def test_variational_accepts_a_numpy_int_grid():
+    em = equilibrium_measure(GUE)
+    assert variational_report(em, np.int64(64)) == variational_report(em, 64)
 
 
 def test_variational_negative_control():

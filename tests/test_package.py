@@ -40,13 +40,14 @@ SIGNATURES = {
     eqmap.verify_even_residue_formula: ["pot", "ep", "m"],
     eqmap.variational_report: ["em", "grid_size"],
     eqmap.total_mass: ["em"],
-    endpoints._newton: ["pot", "u", "z"],
+    endpoints._newton: ["x", "coeffs", "u", "z"],
     endpoints._locate_fold: ["pot", "u", "z", "s0"],
     acceptance._corpus_with_jets: [],
     eqmap.census: ["profile"],
     eqmap.substitute_uniformizer: ["coeffs", "u", "z"],
     eqmap.endpoint_residuals: ["u", "z", "pot"],
-    endpoints._uz_residuals: ["u", "z", "n", "pot", "coeffs"],
+    endpoints._residual_and_jacobian: ["u", "z", "x", "coeffs"],
+    endpoints._uz_residuals: ["u", "z", "pot", "coeffs"],
 }
 
 
