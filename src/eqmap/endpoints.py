@@ -360,10 +360,9 @@ _MAX_CONTINUATION_STEPS = 64
 
 
 def _newton(x, coeffs, u, z):
-    """Newton from the floats (u, z) on the endpoint equations of face weight x
-    and x V'(y) coefficients ``coeffs``: (u, z, max |r|, converged).  x and coeffs
-    become floats once (0 + c is exact for an int or Fraction c, so float(c) is
-    what _band gives), and each iterate is one band kernel call on them."""
+    """(u, z, max |r|, converged) of Newton from the floats (u, z) for face weight x
+    and x V'(y) coefficients ``coeffs``, made floats once (0 + c is exact for an int
+    or Fraction c): each iterate is one band kernel call, and no potential is built."""
     x, coeffs = float(x), list(map(float, coeffs))
     prev = math.inf
     for it in range(30):
