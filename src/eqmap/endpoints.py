@@ -11,7 +11,6 @@ certificate for the one-cut regime.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import operator
 import sys
@@ -179,12 +178,9 @@ class EndpointSolution:
             raise InvalidParameterError("endpoint jets must carry x-order >= %d" % n)
 
 
-# the (u, z) jet layouts of Newton and the fold search, the triangles i + j <= n:
-# entries (1, z, u) at order 1 and (1, z, z2, u, uz, u2) at order 2; the
-# kernel below runs on their entry lists
-_UZ_LAYOUTS = {n: _layout(tuple(e for e in itertools.product(range(n + 1), repeat=2)
-                                if sum(e) <= n))
-               for n in (1, 2)}
+# the (u, z) jet layout of Newton and the fold search, the triangle i + j <= 1
+# of entries (1, z, u); the kernel below runs on its entry lists
+_UZ_LAYOUT = _layout(((0, 0), (0, 1), (1, 0)))
 
 
 def _band(coeffs, U, Z, lay, zero, num):
@@ -234,10 +230,9 @@ def _band(coeffs, U, Z, lay, zero, num):
         top, a = new_top, b
 
 
-def _uz_entries(u, z, n):
-    """The order-n triangle jets U = u + du and Z = z + dz, entry lists over _UZ_LAYOUTS[n]."""
-    k = len(_UZ_LAYOUTS[n].exps)
-    return [u] + [0.0] * n + [1.0] + [0.0] * (k - n - 2), [z, 1.0] + [0.0] * (k - 2)
+def _uz_entries(u, z):
+    """The triangle jets U = u + du and Z = z + dz, entry lists over _UZ_LAYOUT."""
+    return [u, 0.0, 1.0], [z, 1.0, 0.0]
 
 
 class _Traced:
@@ -274,44 +269,45 @@ def _ref(v):
 
 
 class _Kernels(dict):
-    """The band kernel of Newton and the fold search per key (n, number of
-    coefficients), made on its first use by tracing _band over the order-n
-    triangle jets: kernel(u, z, *coeffs) of floats returns the entry lists of
-    [T^0] and [T^-1].  It forms in _band's order every term that _band
-    forms, and also those _band skips or drops as zero; with finite inputs
-    these are signed zeros, so each entry equals _band's up to a zero's sign."""
+    """The band kernel of Newton and the fold search per number of
+    coefficients, made on its first use by tracing _band over the triangle
+    jets: kernel(u, z, *coeffs) of floats returns the entry lists of [T^0]
+    and [T^-1].  It forms in _band's order every term that _band forms, and
+    also those _band skips or drops as zero; with finite inputs these are
+    signed zeros, so each entry equals _band's up to a zero's sign."""
 
-    def __missing__(self, key):
-        n, m = key
+    def __missing__(self, m):
         lines, names = [], ["u", "z"] + ["c%d" % i for i in range(m)]
         u, z, *coeffs = (_Traced(lines, v) for v in names)
-        out = _band(coeffs, *_uz_entries(u, z, n), _UZ_LAYOUTS[n], 0.0, lambda v: v)
+        out = _band(coeffs, *_uz_entries(u, z), _UZ_LAYOUT, 0.0, lambda v: v)
         out = ", ".join("[%s]" % ", ".join(map(_ref, v)) for v in out)
         code = "\n".join(["def kernel(%s):" % ", ".join(names), *lines, "    return [%s]" % out])
         namespace = {}
         exec(compile(code, "<band kernel>", "exec"), namespace)
-        kernel = self[key] = namespace["kernel"]
+        kernel = self[m] = namespace["kernel"]
         return kernel
 
 
 _KERNELS = _Kernels()
 
 
-def _uz_residuals(u, z, pot, coeffs):
-    """Value, d/du, d/dz, d2/du2, d2/dudz, d2/dz2 of [T**0] and [T**-1] of
-    sum_i coeffs[i] (T + u + z/T)**i over x at (u, z), r2 before its Gaussian 1 is
-    taken off: the order-2 band kernel on floats, as box jets up to a zero's sign."""
-    x, out = float(pot.x), []
-    for v in _KERNELS[2, len(coeffs)](float(u), float(z), *map(float, coeffs)):  # T**0, then T**-1
-        c = [e / x for e in v]
-        out.append([c[0], c[3], c[1], 2 * c[5], c[4], 2 * c[2]])
-    return out
+def _uz_residuals(u, z, x, coeffs, dcoeffs):
+    """Value, d/du, d/dz, d2/du2, d2/dudz, d2/dz2 of [T**0] and [T**-1] of P(y) =
+    sum_i coeffs[i] y**i at y = T + u + z/T, over x, from the band kernel on P
+    and on P' = dcoeffs, a list as long: d/du [T**k] P = [T**k] P', d/dz [T**k] P
+    = [T**(k+1)] P', and [T**1] P' = [T**-1] P' / z since y is unchanged under
+    T -> z/T."""
+    kernel = _KERNELS[len(coeffs)]
+    (a, a_z, a_u), (b, b_z, b_u) = kernel(u, z, *coeffs)
+    (p, p_z, p_u), (q, q_z, q_u) = kernel(u, z, *dcoeffs)
+    return ([a / x, a_u / x, a_z / x, p_u / x, p_z / x, (q_z - q / z) / z / x],
+            [b / x, b_u / x, b_z / x, q_u / x, q_z / x, p_z / x])
 
 
 def _residual_and_jacobian(u, z, x, coeffs):
     """Residuals (r1, r2) and Jacobian ((r1_u, r1_z), (r2_u, r2_z)) at (u, z): one
     order-1 band kernel call on floats, each entry over x, as box jets up to a zero's sign."""
-    (a, a_z, a_u), (b, b_z, b_u) = _KERNELS[1, len(coeffs)](u, z, *coeffs)
+    (a, a_z, a_u), (b, b_z, b_u) = _KERNELS[len(coeffs)](u, z, *coeffs)
     return (a / x, b / x - 1), ((a_u / x, a_z / x), (b_u / x, b_z / x))
 
 
@@ -401,19 +397,21 @@ def _locate_fold(pot, u, z, s0):
     the turning-point system of Allgower & Georg (Numerical Continuation
     Methods, 1990), started at the last accepted point.  The homotopy scales
     the perturbation only, so with P the residuals of that part alone
-    r = (u/x, z/x - 1) + s*P and J = I/x + s*dP are affine in s; one order-2
-    Taylor evaluation of P gives the extended system and its Jacobian
-    exactly.  An even potential keeps u = 0 and folds in z alone.
-    Returns None unless Newton converges with z* > 0.
+    r = (u/x, z/x - 1) + s*P and J = I/x + s*dP are affine in s; the values
+    and first and second partials of P's residues give the extended system
+    and its Jacobian exactly.  An even potential keeps u = 0 and folds in z
+    alone.  Returns None unless Newton converges with z* > 0.
     """
     x = float(pot.x)
     g = 1.0 / x
-    coeffs = _perturbation_coeffs(pot)
+    coeffs = list(map(float, _perturbation_coeffs(pot)))
+    # P' = sum_i i c_i y**(i-1), padded with a zero to the length of P's list
+    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:] + [0.0]
     even = pot.is_even
     s = s0
     for _ in range(12):
         # value, d/du, d/dz, d2/du2, d2/dudz, d2/dz2 of each residual of P
-        d1, d2 = _uz_residuals(u, z, pot, coeffs)
+        d1, d2 = _uz_residuals(u, z, x, coeffs, dcoeffs)
         # J = [[a, b], [c, e]], with the (u, z, s)-gradient of each entry
         a, grad_a = g + s * d1[1], (s * d1[3], s * d1[4], d1[1])
         b, grad_b = s * d1[2], (s * d1[4], s * d1[5], d1[2])
@@ -436,7 +434,7 @@ def _locate_fold(pot, u, z, s0):
             return None
         du, dz, ds = step
         u, z, s = u - du, z - dz, s - ds
-        if not (math.isfinite(u) and math.isfinite(z) and math.isfinite(s)):
+        if not (math.isfinite(u) and math.isfinite(z) and math.isfinite(s)) or z == 0:
             return None
         if max(abs(du), abs(dz)) <= 1e-12 * max(1.0, abs(u), z) and abs(ds) <= 1e-12 * max(1.0, s):
             break

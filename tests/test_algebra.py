@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,7 +23,6 @@ from eqmap.algebra import (
 )
 from eqmap.endpoints import (
     PotentialSpec,
-    _UZ_LAYOUTS,
     _perturbation_coeffs,
     endpoint_residuals,
     solve_endpoints,
@@ -30,6 +30,12 @@ from eqmap.endpoints import (
     xvprime_coeffs,
 )
 from eqmap.errors import EqmapError, InvalidParameterError, SingularJetError
+
+# the (u, z) triangles i + j <= n, entries (1, z, u) at order 1, the solver's
+# layout, and (1, z, z2, u, uz, u2) at order 2, which jet arithmetic still holds
+_UZ_LAYOUTS = {n: algebra._layout(tuple(e for e in itertools.product(range(n + 1), repeat=2)
+                                        if sum(e) <= n))
+               for n in (1, 2)}
 
 
 def test_zero_coeff_reads_off_constant():

@@ -28,6 +28,7 @@ from eqmap.errors import (
 )
 from eqmap.genfun import e1_value
 from eqmap.hfunc import h_classical
+from test_algebra import _UZ_LAYOUTS
 
 
 def quartic_z(t, x=1.0):
@@ -458,22 +459,27 @@ def _hex_value(values):
     return [(float(v) + 0.0).hex() for v in np.ravel(values)]
 
 
-def test_scalar_jacobian_and_fold_partials_bit_identical_to_jets():
-    """Newton's and the fold search's partials against the box-jet route,
-    bit for bit up to the sign of a zero: the band kernel forms terms that
-    the jets skip as zero, which may flip a zero's sign, never a value's
-    bits.  test_signed_zero_coefficients_keep_their_output_bits pins the
-    signs that reach an output."""
+def _newton_half_points():
+    """The scalar-route points, the residual points of test_algebra (explicit 0.0
+    and -0.0 coefficients, a Fraction face weight, even potentials), then
+    every 40th point again at infinite and NaN coordinates."""
     from test_algebra import _residual_points, _residual_potentials
 
     points = list(_scalar_route_points())
-    # explicit 0.0 and -0.0 coefficients, a Fraction face weight, even potentials
     points += [(pot, u, z) for pot in _residual_potentials() for u, z in _residual_points(pot)]
     special = [math.inf, -math.inf, math.nan]
-    points += [(pot, u, z) for pot, _, _ in points[::40]
-               for u, z in [(v, 1.0) for v in special] + [(0.3, v) for v in special]
-               + [(v, v) for v in special]]
-    for pot, u, z in points:
+    return points + [(pot, u, z) for pot, _, _ in points[::40]
+                     for u, z in [(v, 1.0) for v in special] + [(0.3, v) for v in special]
+                     + [(v, v) for v in special]]
+
+
+def test_scalar_jacobian_bit_identical_to_jets():
+    """Newton's residuals and Jacobian against the box-jet route, bit for bit
+    up to the sign of a zero: the band kernel forms terms that the jets skip
+    as zero, which may flip a zero's sign, never a value's bits.
+    test_signed_zero_coefficients_keep_their_output_bits pins the signs that
+    reach an output."""
+    for pot, u, z in _newton_half_points():
         # Newton's coefficients and the fold search's perturbation part
         for coeffs in (xvprime_coeffs(pot), endpoints._perturbation_coeffs(pot)):
             r, jac = endpoints._residual_and_jacobian(float(u), float(z), float(pot.x),
@@ -481,14 +487,79 @@ def test_scalar_jacobian_and_fold_partials_bit_identical_to_jets():
             (a, a_u, a_z), (b, b_u, b_z) = _box_jet_partials(u, z, 1, pot, coeffs)
             assert _hex_value(r + jac[0] + jac[1]) == _hex_value([a, b - 1, a_u, a_z, b_u, b_z]), \
                 (pot, u, z, coeffs)
-            got = endpoints._uz_residuals(u, z, pot, coeffs)
-            want = _box_jet_partials(u, z, 2, pot, coeffs)
-            assert _hex_value(got) == _hex_value(want), (pot, u, z, coeffs)
+
+
+def _derivative_coeffs(coeffs, zero):
+    """P' of the ascending list P, padded with ``zero`` to P's length, as the fold search forms it."""
+    return [i * c for i, c in enumerate(coeffs)][1:] + [zero]
+
+
+class _ExactKernels(dict):
+    """_band over the exact triangle jets in place of each traced kernel: the
+    entry lists of [T^0] and [T^-1], with a zero or a number padded out."""
+
+    def __missing__(self, m):
+        def kernel(u, z, *coeffs):
+            out = endpoints._band(coeffs, [u, 0, 1], [z, 1, 0], endpoints._UZ_LAYOUT, 0,
+                                  operator.pos)
+            return [v if type(v) is list else [0 if v is None else v, 0, 0] for v in out]
+        self[m] = kernel
+        return kernel
+
+
+def test_fold_partials_equal_the_order_two_jets_exactly(monkeypatch):
+    """The fold search's second partials come from the kernel on P': d/du
+    [T^k] P = [T^k] P', d/dz [T^k] P = [T^(k+1)] P' and [T^1] P' = [T^-1] P' / z.
+    Over Fractions, with _band standing in for the float kernel, every value
+    and partial equals the order-2 box jets of substitute_uniformizer by ==."""
+    monkeypatch.setattr(endpoints, "_KERNELS", _ExactKernels())
+    rng = random.Random(33)
+    for _ in range(30):
+        coeffs = [Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.randint(1, 7))
+                  for _ in range(rng.randint(2, 8))]
+        u = rng.choice([0, Fraction(rng.randint(-5, 5), rng.randint(1, 6))])
+        z = Fraction(rng.randint(1, 30), rng.randint(1, 7))
+        x = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+        got = endpoints._uz_residuals(u, z, x, coeffs, _derivative_coeffs(coeffs, 0))
+        U, Z = Jet.variable(u, 0, (2, 2)), Jet.variable(z, 1, (2, 2))
+        w = algebra.substitute_uniformizer(coeffs, U, Z)
+        want = [[r.partial(k) / x if isinstance(r, Jet) else (r / x if k == (0, 0) else 0)
+                 for k in _FOLD_PARTIALS] for r in (w.coeff(0), w.coeff(-1))]
+        assert list(got) == want, (coeffs, u, z, x)
+
+
+# the fold partials' worst distance from the order-2 box jets over the points
+# below is 5.2e-16 of the largest entry of the residue
+_FOLD_PARTIALS_BOUND = 2e-15
+
+
+def test_fold_partials_match_the_order_two_jets_on_floats():
+    """The fold search's values and partials on floats against the order-2
+    box jets, at the finite points of the Newton half, within
+    _FOLD_PARTIALS_BOUND of the largest entry of each residue; the values and
+    first partials bit for bit up to the sign of a zero, which keeps the
+    turning-point residual's bits."""
+    checked = 0
+    for pot, u, z in _newton_half_points():
+        if not math.isfinite(u) or not math.isfinite(z):
+            continue  # the fold search ends at a non-finite iterate
+        for coeffs in (xvprime_coeffs(pot), endpoints._perturbation_coeffs(pot)):
+            floats = [float(c) for c in coeffs]
+            got = endpoints._uz_residuals(float(u), float(z), float(pot.x), floats,
+                                          _derivative_coeffs(floats, 0.0))
+            for g, w in zip(got, _box_jet_partials(u, z, 2, pot, coeffs)):
+                w = [float(v) for v in w]
+                assert _hex_value(g[:3]) == _hex_value(w[:3]), (pot, u, z, coeffs)
+                top = max(map(abs, w))
+                assert max(abs(a - b) for a, b in zip(g, w)) <= _FOLD_PARTIALS_BOUND * top, \
+                    (pot, u, z, coeffs)
+                checked += top > 0
+    assert checked > 2000
 
 
 def test_band_kernel_matches_band_bit_for_bit():
-    """The band kernel of each n and coefficient count against _band itself,
-    at n = 1 and n = 2, bit for bit up to the sign of a zero: corpus points,
+    """The band kernel of each coefficient count against _band itself, bit
+    for bit up to the sign of a zero: corpus points,
     signed zeros, int and Fraction coefficients, non-finite points and raw
     coefficient lists.  The kernel forms every term; _band skips and drops
     zeros, and its None and number outputs read as zero-padded entry lists.
@@ -496,14 +567,13 @@ def test_band_kernel_matches_band_bit_for_bit():
     entry NaN."""
     from eqmap.acceptance import one_cut_corpus
 
-    def kernel(u, z, n, coeffs):
-        return endpoints._KERNELS[n, len(coeffs)](float(u), float(z), *map(float, coeffs))
+    def kernel(u, z, coeffs):
+        return endpoints._KERNELS[len(coeffs)](float(u), float(z), *map(float, coeffs))
 
-    def band(u, z, n, coeffs):
-        U, Z = endpoints._uz_entries(u, z, n)
-        k = len(endpoints._UZ_LAYOUTS[n].exps)
-        return [v if type(v) is list else [0.0 if v is None else float(v)] + [0.0] * (k - 1)
-                for v in endpoints._band(coeffs, U, Z, endpoints._UZ_LAYOUTS[n], 0.0, float)]
+    def band(u, z, coeffs):
+        U, Z = endpoints._uz_entries(u, z)
+        return [v if type(v) is list else [0.0 if v is None else float(v), 0.0, 0.0]
+                for v in endpoints._band(coeffs, U, Z, endpoints._UZ_LAYOUT, 0.0, float)]
 
     exact = [PotentialSpec(2, {4: 1}),  # c[1] = 1, an int, with t2 absent
              PotentialSpec(Fraction(3, 2), {3: Fraction(1, 50), 4: Fraction(-1, 300)})]
@@ -516,29 +586,30 @@ def test_band_kernel_matches_band_bit_for_bit():
         ep = solve_endpoints(pot)
         for u, z in points + [(ep.u, ep.z), (0.0, float(pot.x))]:
             for coeffs in (xvprime_coeffs(pot), endpoints._perturbation_coeffs(pot)):
-                cases += [(n, u, z, coeffs) for n in (1, 2)]
-    cases += [(1, math.inf, 1e-300, [1, 1, -0.0, 0.0, 1e300, 1e-300]),
-              (1, 0.0, 0.0, [0, -0.0, 0.0, math.inf]), (1, 1.5, -0.0, [1.5, 1e-300, 0.0, -0.0])]
+                cases.append((u, z, coeffs))
+    cases += [(math.inf, 1e-300, [1, 1, -0.0, 0.0, 1e300, 1e-300]),
+              (0.0, 0.0, [0, -0.0, 0.0, math.inf]), (1.5, -0.0, [1.5, 1e-300, 0.0, -0.0])]
     # [T^0] of y**3 - 3 y**2 - 3 y + 5 vanishes with both its first partials
     # at (u, z) = (1, 1)
-    cases.append((1, 1.0, 1.0, [5.0, -3.0, -3.0, 1.0]))
+    cases.append((1.0, 1.0, [5.0, -3.0, -3.0, 1.0]))
     # x V'(y) = y**3 + y**2 * 3 t3 + ... with 3 t3 = -u * 4 t4: the first sum
     # of the Horner pass, u * 4 t4 + 3 t3, is exactly zero at u = 1/2
     cancel = PotentialSpec(1.0, {3: Fraction(-1, 3), 4: Fraction(1, 2)})
-    cases += [(n, 0.5, 0.7, xvprime_coeffs(cancel)) for n in (1, 2)]
+    cases.append((0.5, 0.7, xvprime_coeffs(cancel)))
     rng = random.Random(1)
     pool = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -0.7, 2.0, 1e300, 1e-300]
     for _ in range(400):
         coeffs = [rng.choice(pool + [0, 1, rng.uniform(-1, 1)]) for _ in range(rng.randint(2, 5))]
-        cases.append((rng.choice((1, 2)), rng.choice(pool), rng.choice(pool), coeffs))
+        rng.randrange(2)  # this draw once chose a kernel order; kept, the cases stay drawn alike
+        cases.append((rng.choice(pool), rng.choice(pool), coeffs))
     nan_cases = 0
-    for n, u, z, coeffs in cases:
-        got, want = _hex_value(kernel(u, z, n, coeffs)), _hex_value(band(u, z, n, coeffs))
+    for u, z, coeffs in cases:
+        got, want = _hex_value(kernel(u, z, coeffs)), _hex_value(band(u, z, coeffs))
         # with every input finite a term that _band skips is a signed zero;
         # with an infinite or NaN input it may be 0 * inf, which is NaN
         finite = all(map(math.isfinite, [u, z, *coeffs]))
         assert all(g == w or g == "nan" and not finite for g, w in zip(got, want)), \
-            (n, u, z, coeffs)
+            (u, z, coeffs)
         nan_cases += got != want
     assert 0 < nan_cases < 0.05 * len(cases)
 
@@ -559,7 +630,7 @@ def test_uz_taylor_arithmetic_matches_box_jets(n):
             return rng.choice([math.inf, -math.inf])
         return rng.choice([-1, 1]) * rng.uniform(0.1, 10) * 10.0 ** rng.randint(-6, 6)
 
-    triangle = endpoints._UZ_LAYOUTS[n]
+    triangle = _UZ_LAYOUTS[n]
 
     def pair():
         box = Jet(np.array([[draw() for _ in range(n + 1)] for _ in range(n + 1)]))
@@ -580,8 +651,8 @@ def test_uz_taylor_arithmetic_matches_box_jets(n):
         assert same(0 + ja, 0 + sa)
         zero = not any(float(ja.coeffs[m]) != 0 for m in kept)
         assert _is_zero(sa) is zero
-    assert _is_zero(_jet([0.0, -0.0, 0.0], endpoints._UZ_LAYOUTS[1], True))
-    assert not _is_zero(_jet([0.0, 0.0, 1e-300], endpoints._UZ_LAYOUTS[1], True))
+    assert _is_zero(_jet([0.0, -0.0, 0.0], _UZ_LAYOUTS[1], True))
+    assert not _is_zero(_jet([0.0, 0.0, 1e-300], _UZ_LAYOUTS[1], True))
 
 
 # per entry of a left factor, the (product entry, right entry) pairs, keyed by
@@ -604,12 +675,13 @@ def test_uz_triangle_tables_reproduce_the_pair_literal():
                 if x != 0:
                     for m, src in row:
                         want[m] += x * b[src]
-            assert _hex(algebra._PRODUCTS[endpoints._UZ_LAYOUTS[n]](a, b, 0.0)) == _hex(want)
-    # the products by U = (u, 0, 1, ...) and Z = (z, 1, 0, ...) of Newton and
-    # the fold search, with infinities and NaN that meet the zero entries
+            assert _hex(algebra._PRODUCTS[_UZ_LAYOUTS[n]](a, b, 0.0)) == _hex(want)
+    # the products by U = (u, 0, 1, ...) and Z = (z, 1, 0, ...), the jets the
+    # band kernel is traced over at order 1, with infinities and NaN that meet
+    # the zero entries
     special = [0.0, -0.0, math.inf, -math.inf, math.nan]
     for n, k in ((1, 3), (2, 6)):
-        lay = endpoints._UZ_LAYOUTS[n]
+        lay = _UZ_LAYOUTS[n]
         product = algebra._PRODUCTS[lay]
         for _ in range(200):
             a = [rng.choice(special + [rng.uniform(-9, 9)] * 3) for _ in range(k)]
@@ -946,7 +1018,7 @@ def test_endpoint_derivative_outside_the_jets_is_refused_by_name(k):
 
 
 # sha256 of the solver's bits on the draws of test_solver_bits_are_pinned
-_SOLVER_DIGEST = "a6bc09229cbb77d504c38eb357a9720e61ebb53894d30b2efcd3ff4db17781a5"
+_SOLVER_DIGEST = "62829e6477f1095c720b0ac92281e31250c8917c57fe43d62395b1aa585e4e8d"
 
 
 def test_solver_bits_are_pinned():
@@ -1011,7 +1083,7 @@ def test_signed_zero_coefficients_keep_their_output_bits():
 
 
 # sha256 of the solver's bits on the draws of test_solver_bits_hold_over_three_seeds
-_MULTI_SEED_DIGEST = "5f5ad0ad9372f25b0927459c2fd5dc67859c4b9b1c9c3fc642c578669a6c07ae"
+_MULTI_SEED_DIGEST = "b5940d74d76a60a022293906bc8434e527ef58983018005e8cffd81092550a61"
 
 
 def test_solver_bits_hold_over_three_seeds():

@@ -47,7 +47,7 @@ SIGNATURES = {
     eqmap.substitute_uniformizer: ["coeffs", "u", "z"],
     eqmap.endpoint_residuals: ["u", "z", "pot"],
     endpoints._residual_and_jacobian: ["u", "z", "x", "coeffs"],
-    endpoints._uz_residuals: ["u", "z", "pot", "coeffs"],
+    endpoints._uz_residuals: ["u", "z", "x", "coeffs", "dcoeffs"],
 }
 
 
@@ -69,19 +69,18 @@ def test_import_loads_no_process_pool():
 def test_import_makes_no_jet_product():
     # truncated products are made on first use: a fresh import makes none,
     # and a solve that runs into its fold (Newton, then the fold search)
-    # makes the products of the two (u, z) triangles alone, no box product
+    # makes the product of the (u, z) triangle alone, no box product
     code = ("import eqmap\nfrom eqmap import algebra, endpoints\n"
             "print(len(algebra._PRODUCTS))\n"
             "try:\n"
             "    eqmap.solve_endpoints(eqmap.PotentialSpec(1.0, {3: 0.05, 4: -0.03}))\n"
             "except eqmap.errors.NoOneCutSolutionError:\n"
             "    pass\n"
-            "print(len(algebra._PRODUCTS), *(endpoints._UZ_LAYOUTS[n] in algebra._PRODUCTS\n"
-            "                                for n in (1, 2)))\n")
+            "print(len(algebra._PRODUCTS), endpoints._UZ_LAYOUT in algebra._PRODUCTS)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(eqmap.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["0", "2", "True", "True"]
+    assert out.split() == ["0", "1", "True"]
 
 
 def test_solver_census_series_and_tables_load_no_numpy():
