@@ -26,21 +26,30 @@ from .oracle import census
 __all__ = ["main", "entry", "build_parser"]
 
 
-def _parse_t(pairs):
+def _t_dict(pairs, source):
+    """{int(j): float(v)} of the (j, v) pairs; a valence named twice is refused."""
     t = {}
+    for j, v in pairs:
+        if int(j) in t:
+            raise InvalidParameterError("%s names valence %d twice" % (source, int(j)))
+        t[int(j)] = float(v)
+    return t
+
+
+def _parse_t(pairs):
+    items = []
     for item in pairs or []:
         if "=" not in item:
             raise ValueError("--t expects j=value, got %r" % item)
-        j, v = item.split("=", 1)
-        t[int(j)] = float(v)
-    return t
+        items.append(item.split("=", 1))
+    return _t_dict(items, "--t")
 
 
 def _load_potential(args):
     if getattr(args, "potential", None):
         with open(args.potential) as fh:
             data = json.load(fh)
-        t = {int(j): float(v) for j, v in data.get("t", {}).items()}
+        t = _t_dict(data.get("t", {}).items(), "--potential file %r" % args.potential)
         return PotentialSpec(float(data.get("x", 1.0)), t)
     return PotentialSpec(args.x, _parse_t(args.t))
 
@@ -57,7 +66,8 @@ def _emit(args, obj, rows=None, header=None):
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        # NaN and infinities are not JSON: refused, never written
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)

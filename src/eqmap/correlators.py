@@ -56,13 +56,23 @@ def correlator_context(pot):
                              h_minus, float(h.deriv(ep.alpha_minus)))
 
 
+def _require_finite(y):
+    """Refuse a complex point y that is not finite, naming it."""
+    if not cmath.isfinite(y):
+        raise InvalidParameterError("evaluation point y must be finite, got %r" % (y,))
+
+
 def _sqrt_cut(ctx, y):
-    """sqrt((y - a-)(y - a+)), the branch ~ y at infinity, for complex y or arrays."""
+    """sqrt((y - a-)(y - a+)), the branch ~ y at infinity, for complex y or arrays;
+    a point that is not finite, or an array with such an entry, is refused."""
     am, ap = ctx.ep.alpha_minus, ctx.ep.alpha_plus
     if isinstance(y, complex):
+        _require_finite(y)
         on_cut, sqrt = y.imag == 0 and am <= y.real <= ap, cmath.sqrt
     else:
         import numpy as np
+        if not np.isfinite(y).all():
+            raise InvalidParameterError("evaluation point y must be finite in every entry")
         on_cut, sqrt = np.any((y.imag == 0) & (am <= y.real) & (y.real <= ap)), np.sqrt
     if on_cut:
         raise InvalidParameterError("evaluation point sits on the branch cut")
@@ -84,6 +94,7 @@ def w2_diag(ctx, y):
     subleading correlator, which the loop-equation residual test pins down.
     """
     y = complex(y)
+    _require_finite(y)
     am, ap = ctx.ep.alpha_minus, ctx.ep.alpha_plus
     if y == am or y == ap:
         raise ZeroDivisionError("w2_diag has double poles at the endpoints")
@@ -155,6 +166,7 @@ def apply_K(ctx, f, y, n_nodes=256):
     import numpy as np
     _require_int("n_nodes", n_nodes, 1)
     y = complex(y)
+    _require_finite(y)
     u, z = ctx.ep.u, ctx.ep.z
     a = 2 * math.sqrt(z) + 0.5
     b = 0.5 * math.sqrt(z)

@@ -586,10 +586,14 @@ def one_cut_certificate(h, alpha_minus, alpha_plus):
     Checks positivity on a dense grid, then confirms the absence of real
     roots of h (and of sign dips between grid points, via the real critical
     points of h) inside [alpha_minus, alpha_plus].  A NaN value of h is not
-    positive, and a non-finite endpoint is refused by name.
+    positive, and a non-finite endpoint, or ends not in increasing order, is
+    refused by name.
     """
     import numpy as np
     alpha_minus, alpha_plus = _real("alpha_minus", alpha_minus), _real("alpha_plus", alpha_plus)
+    if not alpha_minus < alpha_plus:
+        raise InvalidParameterError("alpha_minus must be below alpha_plus, got alpha_minus=%r, "
+                                    "alpha_plus=%r" % (alpha_minus, alpha_plus))
     lam = np.linspace(alpha_minus, alpha_plus, 512)
     vals = h.value(lam)
     if not np.min(vals) > 0:

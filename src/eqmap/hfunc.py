@@ -145,6 +145,12 @@ class PhiPsiSequence:
         return float(self.psi.constant_term)
 
 
+def _require_solution_of(pot, ep):
+    """Refuse an endpoint solution solved for a potential other than ``pot``, naming both."""
+    if pot != ep.potential:
+        raise InvalidParameterError("endpoint solution is for %r, not %r" % (ep.potential, pot))
+
+
 def phi_psi(pot, ep, mmax):
     """Levels 0..mmax of the recursion, consuming one jet order per level.
 
@@ -153,6 +159,7 @@ def phi_psi(pot, ep, mmax):
     means the recursion is being evaluated at a degenerate point.  z*ux and
     z*zx are formed once, outside the level loop.
     """
+    _require_solution_of(pot, ep)
     _require_int("mmax", mmax, 0)
     ep.require_x_order(mmax + 1)
     U, Z = ep.u_jet, ep.z_jet
@@ -181,6 +188,7 @@ def h_classical(pot, ep):
     other two routes are compared against.
     """
     import numpy as np
+    _require_solution_of(pot, ep)
     deg = pot.degree
     w = [float(c) for c in xvprime_coeffs(pot)]
     series = inv_sqrt_R_series(ep.alpha_minus, ep.alpha_plus, deg)
@@ -205,6 +213,7 @@ def h_general(pot, ep):
     for m = 1..k+1 weighted by the exact table entries and powers of sqrt(z).
     """
     import numpy as np
+    _require_solution_of(pot, ep)
     deg = pot.degree
     kmax = deg - 2
     table = build_c_table(kmax)
@@ -235,6 +244,7 @@ def h_even(pot, ep):
     are finite because h has degree deg-2.
     """
     import numpy as np
+    _require_solution_of(pot, ep)
     odd = sorted(j for j, v in pot.t.items() if j % 2 == 1 and v != 0)
     if odd:
         raise InvalidParameterError("even-potential route called with odd coefficients t%s" % odd)
@@ -287,6 +297,7 @@ def h_at_endpoints(pot, ep):
     h(a+) = 1/(sqrt(z) ux + zx) and its derivative variant; the left-endpoint
     values use the sqrt(z) -> -sqrt(z) substitution.
     """
+    _require_solution_of(pot, ep)
     ep.require_x_order(2)
     s = math.sqrt(ep.z)
     z = ep.z
@@ -313,6 +324,7 @@ def verify_residue_representation(pot, ep, m):
     The recursion values must match [T^0] and [T^0] T* of
     x V^(m+1)(T + u + z/T) evaluated directly.
     """
+    _require_solution_of(pot, ep)
     _require_int("order m", m, 0)
     seqs = phi_psi(pot, ep, m)
     coeffs = xvprime_coeffs(pot)
@@ -342,6 +354,7 @@ def verify_even_residue_formula(pot, ep, m):
     (zx**-1 d/dx)**m x must equal
     2**(m-1) (2m-1)!! sqrt(z)**(1-2m) [T^0] x V'(sqrt z (T + 1/T)) (T + 1/T) / (T - 1/T)**(2m).
     """
+    _require_solution_of(pot, ep)
     if not pot.is_even:
         raise InvalidParameterError("even-potential residue formula needs an even potential")
     _require_int("order m", m, 0)

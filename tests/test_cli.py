@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -289,3 +290,31 @@ def test_json_numbers_are_python_floats(monkeypatch):
         assert cli.main(argv) == 0
     assert leaves
     assert {type(v) for v in leaves} <= {float, int, str}
+
+
+@pytest.mark.parametrize("y", ["nan", "inf", "-inf", "nan+1j"])
+def test_correlators_refuse_a_non_finite_point(capsys, y):
+    # the NaN tokens this used to write are not JSON
+    code, out, err = run_cli(capsys, "correlators", "--t", "4=0.01", "--y=" + y)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "y must be finite" in err and "Traceback" not in err
+
+
+def test_json_output_refuses_nan(capsys, monkeypatch):
+    # whatever a subcommand computes, a NaN never reaches its JSON with exit 0
+    from eqmap.genfun import E1Result
+
+    nan = E1Result(*[math.nan] * len(dataclasses.fields(E1Result)))
+    monkeypatch.setattr(cli, "e1_value", lambda pot: nan)
+    code, out, err = run_cli(capsys, "e1", "--t", "4=0.01")
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
+def test_repeated_valence_is_refused(capsys, tmp_path):
+    # one of two values for t4 used to be dropped without a word
+    code, out, err = run_cli(capsys, "e1", "--t", "4=0.01", "--t", "4=0.02")
+    assert code == 1 and out == "" and "--t names valence 4 twice" in err
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps({"x": 1.0, "t": {"4": 0.01, "04": 0.02}}))
+    code, out, err = run_cli(capsys, "e1", "--potential", str(path))
+    assert code == 1 and out == "" and "names valence 4 twice" in err and "pot.json" in err

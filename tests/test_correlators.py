@@ -271,3 +271,20 @@ def test_apply_K_takes_a_numpy_int_node_count():
     got = [apply_K(ctx, lambda s: w1_subleading(ctx, s), 3.5, n) for n in (np.int64(64), 64, 1)]
     assert got[0] == got[1]
     assert math.isfinite(abs(got[2]))
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf, complex(3.0, math.nan), complex(math.inf, 1.0)]
+
+
+@pytest.mark.parametrize("y", _NON_FINITE, ids=["nan", "inf", "-inf", "nan-imag", "inf-real"])
+def test_correlators_refuse_a_non_finite_point_by_name(y):
+    # each used to return nan+nanj, and apply_K too at inf
+    ctx = correlator_context(QUARTIC)
+    forms = [w1_leading, w2_diag, w1_subleading, w1_subleading_antiderivative,
+             lambda c, y: apply_K(c, lambda s: w1_subleading(c, s), y)]
+    for form in forms:
+        with pytest.raises(InvalidParameterError, match="evaluation point y must be finite"):
+            form(ctx, y)
+    # an array with one such entry, among finite points off the cut
+    with pytest.raises(InvalidParameterError, match="y must be finite in every entry"):
+        w1_subleading(ctx, np.array([3.0, y, 4.0 + 1j]))

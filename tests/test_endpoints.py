@@ -946,6 +946,19 @@ def test_one_cut_certificate_refuses_nan():
             one_cut_certificate(h, lo, hi)
 
 
+def test_one_cut_certificate_refuses_ends_out_of_order():
+    # (y - 0.3)**2 vanishes inside [-1, 1]; with the ends reversed the root
+    # and critical-point tests selected nothing and the call returned True
+    pot = PotentialSpec(1.0, {4: 0.01})
+    h = dataclasses.replace(h_classical(pot, solve_endpoints(pot)),
+                            monomial=np.array([0.09, -0.6, 1.0]))
+    assert not one_cut_certificate(h, -1.0, 1.0)
+    for lo, hi in ((1.0, -1.0), (0.5, 0.5)):
+        with pytest.raises(InvalidParameterError, match="alpha_minus must be below") as info:
+            one_cut_certificate(h, lo, hi)
+        assert "alpha_minus=%r" % lo in str(info.value) and "alpha_plus=%r" % hi in str(info.value)
+
+
 @pytest.mark.parametrize("which", [0, 1])
 def test_newton_never_accepts_a_nan_residual(monkeypatch, which):
     # Python's max(1e-17, nan) is 1e-17: a residual NaN in one entry alone,

@@ -430,3 +430,22 @@ def test_orders_pass_one_int_gate_that_names_them():
     assert verify_residue_representation(QUARTIC, ep, 0)
     assert verify_even_residue_formula(QUARTIC, ep, 0)
     assert len(phi_psi(QUARTIC, ep, 0)) == 1
+
+
+@pytest.mark.parametrize("route", [
+    lambda pot, ep: phi_psi(pot, ep, 2), h_classical, h_general, h_even, h_at_endpoints,
+    lambda pot, ep: verify_residue_representation(pot, ep, 2),
+    lambda pot, ep: verify_even_residue_formula(pot, ep, 2),
+], ids=["phi_psi", "h_classical", "h_general", "h_even", "h_at_endpoints",
+        "verify_residue_representation", "verify_even_residue_formula"])
+def test_routes_refuse_endpoints_solved_for_another_potential(route):
+    # h_classical(b, ep) read [1.2166, 0.06, 0.12] and h_general another h
+    from eqmap.errors import InvalidParameterError
+
+    a, b = PotentialSpec(1.0, {4: 0.01}), PotentialSpec(1.0, {4: 0.03, 3: 0.02})
+    ep = uz_jets(a, 4)
+    for pot in (b, PotentialSpec(1.0, {4: 0.02}), PotentialSpec(1.5, {4: 0.01})):
+        with pytest.raises(InvalidParameterError, match="endpoint solution is for") as info:
+            route(pot, ep)
+        assert repr(a) in str(info.value) and repr(pot) in str(info.value)
+    route(PotentialSpec(1, {4: 0.01}), ep)  # equal by value: accepted
