@@ -30,9 +30,10 @@ def _t_dict(pairs, source):
     """{int(j): float(v)} of the (j, v) pairs; a valence named twice is refused."""
     t = {}
     for j, v in pairs:
-        if int(j) in t:
-            raise InvalidParameterError("%s names valence %d twice" % (source, int(j)))
-        t[int(j)] = float(v)
+        j = int(j)
+        if j in t:
+            raise InvalidParameterError("%s names valence %d twice" % (source, j))
+        t[j] = float(v)
     return t
 
 

@@ -405,7 +405,7 @@ def _locate_fold(pot, u, z, s0):
     x = float(pot.x)
     g = 1.0 / x
     coeffs = list(map(float, _perturbation_coeffs(pot)))
-    # P' = sum_i i c_i y**(i-1), padded with a zero to the length of P's list
+    # P' = sum_i i c_i y**(i-1), padded with a zero to P's length: one kernel serves both
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:] + [0.0]
     even = pot.is_even
     s = s0
